@@ -15,8 +15,10 @@ C and D are cyclic of order p^n and p^m.  Elements are plain int tuples:
 * table:                  (idx, a, b)         idx indexes the Cayley table
 
 Tuple comparison gives the canonical element order used everywhere else.
-All arithmetic is exact integer arithmetic; vectorized variants operate on
-int64 numpy arrays with one row per element.
+All arithmetic is exact integer arithmetic.  Besides the scalar ``mul``,
+each kind has one broadcasting product, :meth:`AmbientDescriptor.mul_array`,
+on int64 numpy arrays with one row per element; ``mul_rows``, ``mul_cols``
+and ``power_array`` are built on it.
 """
 
 from __future__ import annotations
@@ -191,59 +193,56 @@ class AmbientDescriptor:
 
     # -- vectorized arithmetic ---------------------------------------------
 
-    def mul_rows(self, g: Element, rights: np.ndarray) -> np.ndarray:
-        """Products g * h for every row h of ``rights`` (int64, shape (N, width))."""
-        out = np.empty_like(rights)
+    def mul_array(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """Row-wise products lefts[i] * rights[i] of int64 element rows.
+
+        Either side has shape (N, width) or (1, width); a single row is
+        broadcast against the other side.
+        """
+        out = np.empty((max(lefts.shape[0], rights.shape[0]), self.width),
+                       dtype=np.int64)
         if self.variant in TWO_GENERATOR_VARIANTS:
-            e1, i1, a1, b1 = g
             rot = self.radices[1]
-            e2 = rights[:, 0]
-            i = np.where(e2 == 1, self.theta * i1, i1) + rights[:, 1]
-            if self.carry and e1:
-                i = i + (rot >> 1) * e2
+            e1, e2 = lefts[:, 0], rights[:, 0]
+            i = np.where(e2 == 1, self.theta * lefts[:, 1], lefts[:, 1]) + rights[:, 1]
+            if self.carry:
+                i = i + (rot >> 1) * (e1 & e2)
             out[:, 0] = e1 ^ e2
             out[:, 1] = i % rot
-            out[:, 2] = (a1 + rights[:, 2]) % self.radices[2]
-            out[:, 3] = (b1 + rights[:, 3]) % self.radices[3]
+            out[:, 2] = (lefts[:, 2] + rights[:, 2]) % self.radices[2]
+            out[:, 3] = (lefts[:, 3] + rights[:, 3]) % self.radices[3]
         elif self.variant == "heisenberg":
             p = self.p
-            out[:, 0] = (g[0] + rights[:, 0]) % p
-            out[:, 1] = (g[1] + rights[:, 1]) % p
-            out[:, 2] = (g[2] + rights[:, 2] + g[0] * rights[:, 1]) % p
-            out[:, 3] = (g[3] + rights[:, 3]) % self.radices[3]
-            out[:, 4] = (g[4] + rights[:, 4]) % self.radices[4]
+            out[:, 0] = (lefts[:, 0] + rights[:, 0]) % p
+            out[:, 1] = (lefts[:, 1] + rights[:, 1]) % p
+            out[:, 2] = (lefts[:, 2] + rights[:, 2] + lefts[:, 0] * rights[:, 1]) % p
+            out[:, 3] = (lefts[:, 3] + rights[:, 3]) % self.radices[3]
+            out[:, 4] = (lefts[:, 4] + rights[:, 4]) % self.radices[4]
         else:
-            out[:, 0] = self.table[g[0], rights[:, 0]]
-            out[:, 1] = (g[1] + rights[:, 1]) % self.radices[1]
-            out[:, 2] = (g[2] + rights[:, 2]) % self.radices[2]
+            out[:, 0] = self.table[lefts[:, 0], rights[:, 0]]
+            out[:, 1] = (lefts[:, 1] + rights[:, 1]) % self.radices[1]
+            out[:, 2] = (lefts[:, 2] + rights[:, 2]) % self.radices[2]
         return out
+
+    def mul_rows(self, g: Element, rights: np.ndarray) -> np.ndarray:
+        """Products g * h for every row h of ``rights`` (int64, shape (N, width))."""
+        return self.mul_array(np.array([g], dtype=np.int64), rights)
 
     def mul_cols(self, lefts: np.ndarray, h: Element) -> np.ndarray:
         """Products g * h for every row g of ``lefts``."""
-        out = np.empty_like(lefts)
-        if self.variant in TWO_GENERATOR_VARIANTS:
-            e2, i2, a2, b2 = h
-            rot = self.radices[1]
-            e1 = lefts[:, 0]
-            i = (self.theta * lefts[:, 1] + i2) if e2 else (lefts[:, 1] + i2)
-            if self.carry and e2:
-                i = i + (rot >> 1) * e1
-            out[:, 0] = e1 ^ e2
-            out[:, 1] = i % rot
-            out[:, 2] = (lefts[:, 2] + a2) % self.radices[2]
-            out[:, 3] = (lefts[:, 3] + b2) % self.radices[3]
-        elif self.variant == "heisenberg":
-            p = self.p
-            out[:, 0] = (lefts[:, 0] + h[0]) % p
-            out[:, 1] = (lefts[:, 1] + h[1]) % p
-            out[:, 2] = (lefts[:, 2] + h[2] + lefts[:, 0] * h[1]) % p
-            out[:, 3] = (lefts[:, 3] + h[3]) % self.radices[3]
-            out[:, 4] = (lefts[:, 4] + h[4]) % self.radices[4]
-        else:
-            out[:, 0] = self.table[lefts[:, 0], h[0]]
-            out[:, 1] = (lefts[:, 1] + h[1]) % self.radices[1]
-            out[:, 2] = (lefts[:, 2] + h[2]) % self.radices[2]
-        return out
+        return self.mul_array(lefts, np.array([h], dtype=np.int64))
+
+    def power_array(self, rows: np.ndarray, e: int) -> np.ndarray:
+        """Every row raised to the power e >= 0, by repeated squaring."""
+        acc = np.zeros_like(rows)
+        base = rows
+        while e:
+            if e & 1:
+                acc = self.mul_array(acc, base)
+            e >>= 1
+            if e:
+                base = self.mul_array(base, base)
+        return acc
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Mixed-radix keys of element rows; monotone in tuple order."""

@@ -13,7 +13,9 @@ Exit codes: 0 all checks passed, 1 verification failure, 2 usage error,
 3 I/O error.  Reports are canonical JSON on stdout (or ``--output``); equal
 configurations produce byte-identical reports.  Timing goes to stderr only.
 The environment variables MIPVERIFY_GUARD and MIPVERIFY_ORACLE_BOUND
-override the built-in guard and oracle bound defaults.
+override the built-in guard and oracle bound defaults; like ``--guard``
+and ``--sample-size``, they must be integers of at least 1, or the run
+exits 2.
 """
 
 from __future__ import annotations
@@ -45,14 +47,31 @@ ODD_BASES = ("heisenberg", "wreath", "c9c9")
 ZETA_CHOICES = ("one", "central-element", "class-sum")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _env_int(name: str, fallback: int) -> int:
+    """An integer of at least 1 from the environment; exit 2 if invalid."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return int(raw, 0)
-    except ValueError as exc:
-        raise SystemExit(f"invalid {name}={raw!r}: {exc}")
+        value = int(raw, 0)
+    except ValueError:
+        value = 0
+    if value < 1:
+        print(f"error: invalid {name}={raw!r}: expected an integer of at "
+              f"least 1", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exponent parameter m")
         p.add_argument("--k", type=int, required=True,
                        help="base-group parameter k")
-        p.add_argument("--guard", type=int, default=guard_default,
+        p.add_argument("--guard", type=_positive_int, default=guard_default,
                        help="ambient size guard (elements)")
         p.add_argument("--output", default=None,
                        help="write the JSON report here instead of stdout")
@@ -95,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     wit.add_argument("--zeta", default="central-element", choices=ZETA_CHOICES,
                      help="central unit for --beta general")
     wit.add_argument("--seed", type=int, default=0)
-    wit.add_argument("--sample-size", type=int, default=DEFAULT_SAMPLE_SIZE)
+    wit.add_argument("--sample-size", type=_positive_int,
+                     default=DEFAULT_SAMPLE_SIZE)
     wit.add_argument("--exhaustive", action="store_true",
                      help="check multiplicativity on all |G|^2 pairs")
     wit.add_argument("--no-matrix", action="store_true",

@@ -7,6 +7,14 @@ constructions (derived subgroup, lower central series, Frattini and power
 subgroups, center, centralizers, Jennings series) reduce to breadth-first
 closure over explicit generator sets, so every returned group carries valid
 words by construction.
+
+The layer works on int64 element rows with the ambient's broadcasting
+product: closure runs one breadth-first level at a time, element orders
+come from repeated p-th powers of all rows, and coset and conjugacy-class
+labels from orbit minima under permutation columns.  No O(|G|^2) Cayley
+table is built here; :meth:`FiniteGroup.cayley_table` exists for the group
+algebra, the exports and the brute-force oracle, and refuses a table above
+``TABLE_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .ambient import AmbientDescriptor, Element, GuardExceeded, int_log
 
 Word = tuple[int, ...]
 
+# Largest Cayley table (int32 entries) that FiniteGroup.cayley_table builds.
+TABLE_BUDGET_BYTES = 2 ** 30
+
 
 @dataclass
 class FiniteGroup:
@@ -29,7 +40,6 @@ class FiniteGroup:
     ambient: AmbientDescriptor
     elements: tuple[Element, ...]
     generators: tuple[Element, ...]
-    words: tuple[Word, ...]
     # breadth-first derivation: element i (other than the identity) equals
     # elements[bfs_parent[i]] * generators[bfs_gen[i]]
     bfs_order: tuple[int, ...]
@@ -37,6 +47,8 @@ class FiniteGroup:
     bfs_gen: tuple[int, ...]
     _index: dict[Element, int] = field(repr=False, default_factory=dict)
     _array: Optional[np.ndarray] = field(repr=False, default=None)
+    _words: Optional[tuple[Word, ...]] = field(repr=False, default=None)
+    _keys: Optional[np.ndarray] = field(repr=False, default=None)
     _table: Optional[np.ndarray] = field(repr=False, default=None)
     _orders: Optional[np.ndarray] = field(repr=False, default=None)
     _central_mask: Optional[np.ndarray] = field(repr=False, default=None)
@@ -72,6 +84,16 @@ class FiniteGroup:
 
     def index(self, g: Element) -> int:
         return self._index[g]
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """Derivation word of every element, read off the breadth-first tree."""
+        if self._words is None:
+            words: list[Word] = [()] * self.order
+            for i in self.bfs_order[1:]:
+                words[i] = words[self.bfs_parent[i]] + (self.bfs_gen[i],)
+            self._words = tuple(words)
+        return self._words
 
     def element_set(self) -> frozenset[Element]:
         return frozenset(self.elements)
@@ -110,10 +132,18 @@ class FiniteGroup:
 
     # -- derived data ----------------------------------------------------------
 
+    def keys(self) -> np.ndarray:
+        """Mixed-radix keys of the elements (ascending, like the elements)."""
+        if self._keys is None:
+            keys = self.ambient.encode(self.array())
+            keys.setflags(write=False)
+            self._keys = keys
+        return self._keys
+
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of product rows known to lie in the group."""
         keys = self.ambient.encode(rows)
-        sorted_keys = self.ambient.encode(self.array())
+        sorted_keys = self.keys()
         idx = np.searchsorted(sorted_keys, keys)
         if idx.size and (idx.max() >= len(sorted_keys) or
                          not np.array_equal(sorted_keys[idx], keys)):
@@ -121,12 +151,21 @@ class FiniteGroup:
         return idx
 
     def cayley_table(self) -> np.ndarray:
-        """Full multiplication table T[i, j] = index(elements[i] * elements[j])."""
+        """Full multiplication table T[i, j] = index(elements[i] * elements[j]).
+
+        Raises :class:`GuardExceeded` before allocating when the table would
+        take more than ``TABLE_BUDGET_BYTES``.
+        """
         if self._table is None:
-            arr = self.array()
             size = self.order
+            nbytes = size * size * 4
+            if nbytes > TABLE_BUDGET_BYTES:
+                raise GuardExceeded(
+                    f"Cayley table of a group of order {size} needs {nbytes} "
+                    f"bytes, above the table budget of {TABLE_BUDGET_BYTES}")
+            arr = self.array()
             table = np.empty((size, size), dtype=np.int32)
-            sorted_keys = self.ambient.encode(arr)
+            sorted_keys = self.keys()
             for i, g in enumerate(self.elements):
                 keys = self.ambient.encode(self.ambient.mul_rows(g, arr))
                 table[i] = np.searchsorted(sorted_keys, keys)
@@ -134,37 +173,34 @@ class FiniteGroup:
             self._table = table
         return self._table
 
-    def right_generator_columns(self) -> list[np.ndarray]:
-        """For each generator a, the permutation i -> index(elements[i] * a)."""
+    def right_columns(self, factors: Sequence[Element]) -> list[np.ndarray]:
+        """For each a in ``factors``, the permutation i -> index(elements[i] * a)."""
         arr = self.array()
         return [self.indices_of_rows(self.ambient.mul_cols(arr, a)).astype(np.int32)
-                for a in self.generators]
+                for a in factors]
 
     def inverse_permutation(self) -> np.ndarray:
         rows = np.array([self.inv(g) for g in self.elements], dtype=np.int64)
         return self.indices_of_rows(rows).astype(np.int32)
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements (vectorized repeated p-th powers)."""
+        """Orders of all elements: p-th powers of all rows until each is 1."""
         if self._orders is None:
-            size = self.order
-            table = self.cayley_table()
-            orders = np.ones(size, dtype=np.int64)
-            ident = self.identity_index
-            cur = np.arange(size, dtype=np.int32)
+            orders = np.ones(self.order, dtype=np.int64)
+            live = np.arange(self.order)
+            cur = self.array()
             q = 1
             while True:
-                pending = cur != ident
-                if not pending.any():
+                # the identity is the all-zero row
+                pending = cur.any(axis=1)
+                live, cur = live[pending], cur[pending]
+                if not live.size:
                     break
-                nxt = cur
-                for _ in range(self.p - 1):
-                    nxt = table[nxt, cur]
-                cur = nxt
                 q *= self.p
-                orders[pending] = q
+                orders[live] = q
                 if q > self.order:
                     raise RuntimeError("order computation exceeded group order")
+                cur = self.ambient.power_array(cur, self.p)
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
@@ -183,15 +219,12 @@ class FiniteGroup:
                 self._small_gens = tuple(self.generators)
             else:
                 sel: list[Element] = []
-                have = frozenset((self.identity,))
-                for g in self.elements:
-                    if g in have:
-                        continue
-                    sel.append(g)
-                    have = closure(self.ambient, sel,
-                                   guard=self.order + 1).element_set()
-                    if len(have) == self.order:
-                        break
+                have = np.zeros(self.order, dtype=bool)
+                have[self.identity_index] = True
+                while not have.all():
+                    sel.append(self.elements[int(np.argmin(have))])
+                    rows = _bfs(self.ambient, sel, self.order + 1)[0]
+                    have[self.indices_of_rows(rows)] = True
                 self._small_gens = tuple(sel)
         return self._small_gens
 
@@ -221,6 +254,46 @@ class FiniteGroup:
         return int(self.element_orders().max()) if self.order > 1 else 1
 
 
+def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
+         bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first closure, one whole level at a time.
+
+    Returns the element rows in discovery order with, for each, the
+    discovery number of its parent and the generator that led to it (0 and
+    0 for the identity).  Within a level the candidates are ordered by
+    parent and then by generator, and each new element keeps its first
+    candidate, so the order is the FIFO order of a one-at-a-time search.
+    """
+    for g in gens:
+        if len(g) != ambient.width or any(not (0 <= v < r) for v, r in zip(g, ambient.radices)):
+            raise ValueError(f"generator {g} is not an ambient element")
+    width = ambient.width
+    gen_rows = np.array(gens, dtype=np.int64).reshape(len(gens), width)
+    seen = np.zeros(ambient.order, dtype=bool)
+    seen[0] = True  # the identity, key 0
+    # first candidate position of a key within the current level
+    first = np.empty(ambient.order, dtype=np.int64)
+    frontier = np.zeros((1, width), dtype=np.int64)
+    rows, parents, via = [frontier], [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    count = 1
+    while frontier.shape[0] and len(gens):
+        cand = ambient.mul_array(np.repeat(frontier, len(gens), axis=0),
+                                 np.tile(gen_rows, (frontier.shape[0], 1)))
+        keys = ambient.encode(cand)
+        fresh = np.flatnonzero(~seen[keys])
+        first[keys[fresh[::-1]]] = fresh[::-1]
+        new = fresh[first[keys[fresh]] == fresh]
+        if count + new.size > bound:
+            raise GuardExceeded(f"closure exceeded guard {bound}")
+        seen[keys[new]] = True
+        parents.append(count - frontier.shape[0] + new // len(gens))
+        via.append(new % len(gens))
+        frontier = cand[new]
+        rows.append(frontier)
+        count += new.size
+    return np.concatenate(rows), np.concatenate(parents), np.concatenate(via)
+
+
 def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
             guard: Optional[int] = None) -> FiniteGroup:
     """Subgroup generated by ``generators``, by breadth-first multiplication.
@@ -231,64 +304,46 @@ def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
     (default: ambient order).
     """
     gens = tuple(generators)
-    for g in gens:
-        if len(g) != ambient.width or any(not (0 <= v < r) for v, r in zip(g, ambient.radices)):
-            raise ValueError(f"generator {g} is not an ambient element")
     bound = ambient.order if guard is None else min(guard, ambient.order)
-    ident = ambient.identity
-    words: dict[Element, Word] = {ident: ()}
-    parents: dict[Element, tuple[Element, int]] = {}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for j, a in enumerate(gens):
-                h = ambient.mul(g, a)
-                if h not in words:
-                    words[h] = words[g] + (j,)
-                    parents[h] = (g, j)
-                    nxt.append(h)
-                    if len(words) > bound:
-                        raise GuardExceeded(
-                            f"closure exceeded guard {bound}")
-        frontier = nxt
-    elements = tuple(sorted(words))
-    index = {g: i for i, g in enumerate(elements)}
-    word_list = tuple(words[g] for g in elements)
-    bfs_elems = sorted(words, key=lambda g: (len(words[g]), words[g]))
-    bfs_order = tuple(index[g] for g in bfs_elems)
-    bfs_parent = [0] * len(elements)
-    bfs_gen = [0] * len(elements)
-    for g, (par, j) in parents.items():
-        bfs_parent[index[g]] = index[par]
-        bfs_gen[index[g]] = j
+    rows, parent, via = _bfs(ambient, gens, bound)
+    keys = ambient.encode(rows)
+    order = np.argsort(keys)
+    # discovery number -> canonical index
+    index_of = np.empty_like(order)
+    index_of[order] = np.arange(order.size)
+    arr = rows[order]
+    arr.setflags(write=False)
+    sorted_keys = keys[order]
+    sorted_keys.setflags(write=False)
+    elements = tuple(map(tuple, arr.tolist()))
     return FiniteGroup(ambient=ambient, elements=elements, generators=gens,
-                       words=word_list, bfs_order=bfs_order,
-                       bfs_parent=tuple(bfs_parent), bfs_gen=tuple(bfs_gen),
-                       _index=index)
+                       bfs_order=tuple(index_of.tolist()),
+                       bfs_parent=tuple(index_of[parent[order]].tolist()),
+                       bfs_gen=tuple(via[order].tolist()),
+                       _index=dict(zip(elements, range(order.size))),
+                       _array=arr, _keys=sorted_keys)
 
 
 def generated_subgroup(ambient: AmbientDescriptor, seeds: Iterable[Element],
                        guard: Optional[int] = None) -> FiniteGroup:
     """Subgroup generated by a (possibly large, redundant) seed set.
 
-    Absorbs seeds one at a time, skipping those already contained in the
-    closure so far; the essential seeds become the generating set.  This keeps
-    breadth-first closure cheap when the seed set is much larger than a
-    minimal generating set (powers of all elements, commutator seeds, ...).
+    Absorbs seeds one at a time in canonical order, skipping those already
+    contained in the closure so far; the essential seeds become the
+    generating set.  This keeps breadth-first closure cheap when the seed
+    set is much larger than a minimal generating set (powers of all
+    elements, commutator seeds, ...).
     """
+    bound = ambient.order if guard is None else min(guard, ambient.order)
+    ordered = sorted(set(seeds))
+    seed_keys = ambient.encode(np.array(ordered, dtype=np.int64).reshape(-1, ambient.width))
+    have = seed_keys == 0  # the identity
     essential: list[Element] = []
-    current: frozenset[Element] = frozenset((ambient.identity,))
-    group: Optional[FiniteGroup] = None
-    for g in sorted(set(seeds)):
-        if g in current:
-            continue
-        essential.append(g)
-        group = closure(ambient, essential, guard)
-        current = group.element_set()
-    if group is None:
-        return closure(ambient, (), guard)
-    return group
+    while not have.all():
+        essential.append(ordered[int(np.argmin(have))])
+        reached = ambient.encode(_bfs(ambient, essential, bound)[0])
+        have = np.isin(seed_keys, reached)
+    return closure(ambient, essential, guard)
 
 
 def subgroup_from_elements(ambient: AmbientDescriptor,
@@ -313,12 +368,11 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
                 raise ValueError("element set is not closed under multiplication")
     index = {g: i for i, g in enumerate(elems)}
     ident_idx = index[ambient.identity]
-    words = tuple((i,) if i != ident_idx else () for i in range(len(elems)))
     bfs_order = (ident_idx,) + tuple(i for i in range(len(elems)) if i != ident_idx)
     bfs_parent = tuple(ident_idx for _ in elems)
     bfs_gen = tuple(range(len(elems)))
     return FiniteGroup(ambient=ambient, elements=elems, generators=elems,
-                       words=words, bfs_order=bfs_order, bfs_parent=bfs_parent,
+                       bfs_order=bfs_order, bfs_parent=bfs_parent,
                        bfs_gen=bfs_gen, _index=index)
 
 
@@ -371,20 +425,24 @@ def nilpotency_class(group: FiniteGroup) -> int:
     return len(lower_central_series(group)) - 1
 
 
+def _powers(group: FiniteGroup, q: int) -> list[Element]:
+    """The distinct q-th powers of the group's elements."""
+    rows = group.ambient.power_array(group.array(), q)
+    first = np.unique(group.ambient.encode(rows), return_index=True)[1]
+    return list(map(tuple, rows[first].tolist()))
+
+
 def power_subgroup(group: FiniteGroup, s: int) -> FiniteGroup:
     """Subgroup generated by g^(p^s) for all g in the group."""
     if s < 0:
         raise ValueError("power exponent must be nonnegative")
-    q = group.p ** s
-    seeds = {group.power(g, q) for g in group.elements}
-    return generated_subgroup(group.ambient, seeds, guard=group.order)
+    return generated_subgroup(group.ambient, _powers(group, group.p ** s),
+                              guard=group.order)
 
 
 def frattini(group: FiniteGroup) -> FiniteGroup:
     """Frattini subgroup of a finite p-group: G' G^p."""
-    der = derived_subgroup(group)
-    seeds = set(der.generators)
-    seeds.update(group.power(g, group.p) for g in group.elements)
+    seeds = derived_subgroup(group).generators + tuple(_powers(group, group.p))
     return generated_subgroup(group.ambient, seeds, guard=group.order)
 
 
@@ -415,36 +473,44 @@ def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return subgroup_from_elements(a.ambient, common, verify=False)
 
 
+def _orbit_minima(columns: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Smallest point of the orbit of every point 0..size-1 under ``columns``.
+
+    ``columns`` are permutations of range(size).  Each round every point
+    reads the labels of its images, every label root takes the smallest
+    value its members read, and pointer jumping then sends each point to its
+    root.  At the fixed point labels never drop along a permutation, and a
+    permutation returns to its start, so each orbit has one label: its
+    smallest point.
+    """
+    label = np.arange(size)
+    while True:
+        seen = label
+        for col in columns:
+            seen = np.minimum(seen, label[col])
+        new = label.copy()
+        np.minimum.at(new, label, seen)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Conjugacy classes as sorted index tuples, ordered by minimal element."""
-    table = group.cayley_table()
-    invp = group.inverse_permutation()
-    size = group.order
+    arr = group.array()
     # columns of the conjugation maps g -> a^-1 g a for each generator
-    conj_cols = []
-    for a in group.small_generators():
-        ai = group.index(a)
-        conj_cols.append(table[table[invp[ai]], ai])
-    seen = np.zeros(size, dtype=bool)
-    classes = []
-    for i in range(size):
-        if seen[i]:
-            continue
-        orbit = {i}
-        frontier = [i]
-        seen[i] = True
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for col in conj_cols:
-                    h = int(col[j])
-                    if not seen[h]:
-                        seen[h] = True
-                        orbit.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        classes.append(tuple(sorted(orbit)))
-    return classes
+    conj_cols = [group.indices_of_rows(group.ambient.mul_cols(
+                     group.ambient.mul_rows(group.inv(a), arr), a))
+                 for a in group.small_generators()]
+    label = _orbit_minima(conj_cols, group.order)
+    members = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[members])) + 1
+    return [tuple(cls.tolist()) for cls in np.split(members, starts)]
 
 
 def centralizer_index(group: FiniteGroup, g: Element) -> int:
@@ -470,48 +536,35 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     """
     p = group.p
     phi = frattini(group)
-    phi_arr = phi.array()
-    # canonical coset representative: minimal element of g*Phi
-    rep_cache: dict[Element, Element] = {}
+    # Phi-coset of every element, numbered by its smallest element
+    label = _orbit_minima(group.right_columns(phi.generators), group.order)
+    reps, coset = np.unique(label, return_inverse=True)
+    rep_rows = group.array()[reps]
 
-    def rep(g: Element) -> Element:
-        r = rep_cache.get(g)
-        if r is None:
-            coset = group.ambient.mul_cols(phi_arr, g)
-            keys = group.ambient.encode(coset)
-            r = tuple(int(v) for v in coset[int(np.argmin(keys))])
-            rep_cache[r] = r
-            rep_cache[g] = r
-        return r
-
-    # basis of the elementary abelian quotient
-    basis: list[Element] = []
-    span = {rep(group.identity)}
-    for g in group.elements:
-        rg = rep(g)
-        if rg in span:
-            continue
-        basis.append(rg)
-        new_span = set()
-        for h in span:
-            cur = h
-            for _ in range(p):
-                new_span.add(rep(cur))
-                cur = group.mul(cur, rg)
-        span = new_span
-    rank = len(basis)
-    if p ** rank * phi.order != group.order:
+    # basis of the elementary abelian quotient, taken greedily in canonical
+    # order, and the coordinates of the cosets it spans so far
+    span = coset[[group.identity_index]]
+    span_coords = np.zeros((1, 0), dtype=np.int64)
+    in_span = np.zeros(reps.size, dtype=bool)
+    in_span[span] = True
+    while not in_span.all():
+        b = group.elements[reps[int(np.argmin(in_span))]]
+        # the coset of c*b for every coset c
+        step = coset[group.indices_of_rows(group.ambient.mul_cols(rep_rows, b))]
+        parts, part_coords = [span], [span_coords]
+        for _ in range(1, p):
+            parts.append(step[parts[-1]])
+            part_coords.append(span_coords)
+        span = np.concatenate(parts)
+        span_coords = np.column_stack([np.concatenate(part_coords),
+                                       np.repeat(np.arange(p), parts[0].size)])
+        in_span[span] = True
+    rank = span_coords.shape[1]
+    if p ** rank * phi.order != group.order or span.size != reps.size:
         raise RuntimeError("Frattini quotient rank inconsistent with order")
-
-    # coordinates of every coset representative
-    coords: dict[Element, tuple[int, ...]] = {}
-    for vec in iter_product(range(p), repeat=rank):
-        g = group.identity
-        for e, b in zip(vec, basis):
-            g = group.mul(g, group.power(b, e))
-        coords[rep(g)] = vec
-
-    elem_coords = np.array([coords[rep(g)] for g in group.elements], dtype=np.int64)
+    coset_coords = np.empty_like(span_coords)
+    coset_coords[span] = span_coords
+    elem_coords = coset_coords[coset]
 
     # hyperplane normals up to scalar: first nonzero coefficient equal 1
     subgroups = []
@@ -520,7 +573,7 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         if nz != 1:
             continue
         dots = (elem_coords @ np.array(w, dtype=np.int64)) % p
-        elems = [g for g, v in zip(group.elements, dots) if v == 0]
+        elems = [group.elements[i] for i in np.flatnonzero(dots == 0).tolist()]
         subgroups.append(subgroup_from_elements(group.ambient, elems, verify=False))
     subgroups.sort(key=lambda s: s.elements)
     return subgroups

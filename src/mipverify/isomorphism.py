@@ -310,7 +310,7 @@ def isomorphic_bruteforce(a_group: FiniteGroup, b_group: FiniteGroup,
     b2_candidates = np.flatnonzero(b2_mask_base).astype(np.int32)
     if b1_candidates.size == 0 or b2_candidates.size == 0:
         return False
-    a_cols = a_group.right_generator_columns()
+    a_cols = a_group.right_columns(a_group.generators)
 
     for ib1 in b1_candidates:
         ib1 = int(ib1)

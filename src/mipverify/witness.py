@@ -265,6 +265,8 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     derivation words is bijective and multiplicative (seeded sample, or
     exhaustively over all |G|^2 pairs when requested and |G| <= 512).
     """
+    if not exhaustive and sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     n, m, k = params
     G = FG.group
     H = FH.group

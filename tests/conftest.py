@@ -5,21 +5,29 @@ dict-convolution products, a self-contained GF(p) eliminator for the
 regular-representation unit test, set-based closure, a set-based
 centralizer C_G(G'/Phi(G')), an element-order census for abelian types,
 and a quadratic pairwise scan for the class-sum power count.
+
+The group layer itself is table-free and vectorized; its earlier
+implementations live on here as oracles: a dict-based one-at-a-time
+closure, element orders and conjugacy classes read from the Cayley table,
+a per-element coset scan for the maximal subgroups, and the greedy
+absorption of seeds one closure at a time.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from itertools import product as iter_product
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from mipverify.algebra import AlgebraElement, GroupAlgebra
-from mipverify.ambient import Element, int_log, make_ambient
+from mipverify.ambient import Element, GuardExceeded, int_log, make_ambient
 from mipverify.family import FamilyInstance, build_family
-from mipverify.groups import FiniteGroup, closure, generated_subgroup
+from mipverify.groups import (FiniteGroup, closure, frattini,
+                              generated_subgroup)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
 # --- naive oracles -------------------------------------------------------------
@@ -179,6 +187,149 @@ def naive_derived_centralizer(group: FiniteGroup) -> frozenset:
                      if all(amb.comm(g, w) in phi for w in der))
 
 
+class BfsClosure(NamedTuple):
+    elements: tuple
+    words: tuple
+    bfs_order: tuple
+    bfs_parent: tuple
+    bfs_gen: tuple
+
+
+def dict_closure(ambient, generators: Sequence[Element],
+                 guard: Optional[int] = None) -> BfsClosure:
+    """One-element-at-a-time FIFO closure over dicts, with its derivation data."""
+    gens = tuple(generators)
+    bound = ambient.order if guard is None else min(guard, ambient.order)
+    ident = ambient.identity
+    words: Dict[Element, tuple] = {ident: ()}
+    parents: Dict[Element, Tuple[Element, int]] = {}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for j, a in enumerate(gens):
+                h = ambient.mul(g, a)
+                if h not in words:
+                    words[h] = words[g] + (j,)
+                    parents[h] = (g, j)
+                    nxt.append(h)
+                    if len(words) > bound:
+                        raise GuardExceeded(f"closure exceeded guard {bound}")
+        frontier = nxt
+    elements = tuple(sorted(words))
+    index = {g: i for i, g in enumerate(elements)}
+    bfs_elems = sorted(words, key=lambda g: (len(words[g]), words[g]))
+    bfs_parent = [0] * len(elements)
+    bfs_gen = [0] * len(elements)
+    for g, (par, j) in parents.items():
+        bfs_parent[index[g]] = index[par]
+        bfs_gen[index[g]] = j
+    return BfsClosure(elements, tuple(words[g] for g in elements),
+                      tuple(index[g] for g in bfs_elems), tuple(bfs_parent),
+                      tuple(bfs_gen))
+
+
+def greedy_generators(ambient, seeds) -> tuple:
+    """Seeds in canonical order, each kept if outside the closure of those kept."""
+    kept: List[Element] = []
+    have = {ambient.identity}
+    for g in sorted(set(seeds)):
+        if g not in have:
+            kept.append(g)
+            have = set(dict_closure(ambient, kept).elements)
+    return tuple(kept)
+
+
+def table_element_orders(group: FiniteGroup) -> np.ndarray:
+    """Element orders by repeated p-th powers through the Cayley table."""
+    table = group.cayley_table()
+    orders = np.ones(group.order, dtype=np.int64)
+    cur = np.arange(group.order, dtype=np.int32)
+    q = 1
+    while True:
+        pending = cur != group.identity_index
+        if not pending.any():
+            return orders
+        nxt = cur
+        for _ in range(group.p - 1):
+            nxt = table[nxt, cur]
+        cur = nxt
+        q *= group.p
+        orders[pending] = q
+
+
+def table_conjugacy_classes(group: FiniteGroup) -> List[tuple]:
+    """Orbits of the conjugation columns read from the Cayley table."""
+    table = group.cayley_table()
+    invp = group.inverse_permutation()
+    cols = [table[table[invp[group.index(a)]], group.index(a)]
+            for a in group.small_generators()]
+    seen: set = set()
+    classes = []
+    for i in range(group.order):
+        if i in seen:
+            continue
+        orbit = {i}
+        frontier = [i]
+        while frontier:
+            frontier = [int(col[j]) for j in frontier for col in cols
+                        if int(col[j]) not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def coset_scan_maximal_subgroups(group: FiniteGroup) -> List[tuple]:
+    """Element lists of the maximal subgroups, in sorted order, from one
+    scan of g*Phi per element for its minimal element."""
+    p = group.p
+    phi_arr = frattini(group).array()
+    phi_order = phi_arr.shape[0]
+    rep_cache: Dict[Element, Element] = {}
+
+    def rep(g: Element) -> Element:
+        r = rep_cache.get(g)
+        if r is None:
+            coset = group.ambient.mul_cols(phi_arr, g)
+            keys = group.ambient.encode(coset)
+            r = tuple(int(v) for v in coset[int(np.argmin(keys))])
+            rep_cache[r] = r
+            rep_cache[g] = r
+        return r
+
+    basis: List[Element] = []
+    span = {rep(group.identity)}
+    for g in group.elements:
+        rg = rep(g)
+        if rg in span:
+            continue
+        basis.append(rg)
+        new_span = set()
+        for h in span:
+            cur = h
+            for _ in range(p):
+                new_span.add(rep(cur))
+                cur = group.mul(cur, rg)
+        span = new_span
+    rank = len(basis)
+    assert p ** rank * phi_order == group.order
+    coords: Dict[Element, tuple] = {}
+    for vec in iter_product(range(p), repeat=rank):
+        g = group.identity
+        for e, b in zip(vec, basis):
+            g = group.mul(g, group.power(b, e))
+        coords[rep(g)] = vec
+    subgroups = []
+    for w in iter_product(range(p), repeat=rank):
+        if next((v for v in w if v), None) != 1:
+            continue
+        subgroups.append(tuple(
+            g for g in group.elements
+            if sum(a * b for a, b in zip(coords[rep(g)], w)) % p == 0))
+    return sorted(subgroups)
+
+
 def pairwise_class_sum_count(alg: GroupAlgebra) -> int:
     """Quadratic oracle: class sums equal to a p-th power of a different one."""
     sums = alg.class_sums()
@@ -248,6 +399,21 @@ def small_group_catalog() -> List[Tuple[str, FiniteGroup]]:
 @pytest.fixture(scope="session")
 def catalog() -> List[Tuple[str, FiniteGroup]]:
     return small_group_catalog()
+
+
+@pytest.fixture(scope="session")
+def layer_groups(catalog) -> List[Tuple[str, FiniteGroup]]:
+    """The catalog plus G and H of the three 2-case kinds at (4,3,3) and G
+    of the Heisenberg and (C9 x C9):C3 bases at (n, m, k) = (2, 1, 1)."""
+    groups = list(catalog)
+    for variant in ("dihedral", "semidihedral", "quaternion"):
+        inst = build_family(2, variant, 4, 3, 3)
+        groups += [(f"{variant}-G-433", inst.G), (f"{variant}-H-433", inst.H)]
+    table, gens = semidirect_c9c9_table()
+    groups += [("heisenberg-G-211", build_family(3, "heisenberg", 2, 1, 1).G),
+               ("c9c9-G-211", build_family(3, "table", 2, 1, 1, table=table,
+                                           table_generators=gens).G)]
+    return groups
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -49,6 +49,50 @@ def test_power_matches_repeated_multiplication(name):
         assert amb.power(a, -1) == amb.inv(a)
 
 
+_WREATH_TABLE, _WREATH_GENS = wreath_cyclic_table(3)
+ARRAY_AMBIENTS = dict(AMBIENTS, **{
+    # k = 2: the quaternion carry t^2 = r^2 is hit often
+    "quaternion-k2": make_ambient(2, "quaternion", 2, 3, 2),
+    "table": make_ambient(3, "table", 1, 2, 1, table=_WREATH_TABLE,
+                          table_generators=_WREATH_GENS),
+})
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
+def test_mul_array_matches_scalar_mul(name):
+    amb = ARRAY_AMBIENTS[name]
+    rng = random.Random(31337)
+    lefts = [random_element(amb, rng) for _ in range(300)]
+    rights = [random_element(amb, rng) for _ in range(300)]
+    L = np.array(lefts, dtype=np.int64)
+    R = np.array(rights, dtype=np.int64)
+    got = amb.mul_array(L, R)
+    assert got.dtype == np.int64 and got.shape == L.shape
+    assert [tuple(r) for r in got.tolist()] == \
+        [amb.mul(a, b) for a, b in zip(lefts, rights)]
+    g = lefts[0]
+    left_bcast = [tuple(r) for r in amb.mul_array(L[:1], R).tolist()]
+    right_bcast = [tuple(r) for r in amb.mul_array(L, R[:1]).tolist()]
+    assert left_bcast == [amb.mul(g, b) for b in rights]
+    assert right_bcast == [amb.mul(a, rights[0]) for a in lefts]
+    assert left_bcast == [tuple(r) for r in amb.mul_rows(g, R).tolist()]
+    assert right_bcast == [tuple(r) for r in amb.mul_cols(L, rights[0]).tolist()]
+    if amb.carry:
+        both_odd = L[:, 0] & R[:, 0]
+        assert both_odd.any() and not both_odd.all()
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
+def test_power_array_matches_scalar_power(name):
+    amb = ARRAY_AMBIENTS[name]
+    rng = random.Random(4242)
+    elems = [random_element(amb, rng) for _ in range(100)]
+    rows = np.array(elems, dtype=np.int64)
+    for e in (0, 1, 2, 3, 5, 8, 27):
+        assert [tuple(r) for r in amb.power_array(rows, e).tolist()] == \
+            [amb.power(a, e) for a in elems]
+
+
 def test_two_generator_relations():
     for name in ("dihedral", "semidihedral", "quaternion"):
         amb = AMBIENTS[name]

@@ -154,6 +154,43 @@ def test_guard_flag_beats_env():
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_sample_size_below_one_exit_two(size):
+    r = run_cli(["witness", "--n", "4", "--m", "3", "--k", "3",
+                 "--sample-size", size])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--sample-size" in r.stderr
+
+
+@pytest.mark.parametrize("name,value", [("MIPVERIFY_GUARD", "abc"),
+                                        ("MIPVERIFY_GUARD", "0"),
+                                        ("MIPVERIFY_ORACLE_BOUND", "1e3")])
+def test_invalid_env_value_exit_two(name, value):
+    r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3"],
+                env_extra={name: value})
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"invalid {name}={value!r}" in r.stderr
+
+
+@pytest.mark.parametrize("guard", ["0", "-3"])
+def test_guard_below_one_exit_two(guard):
+    r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",
+                 "--guard", guard])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--guard" in r.stderr
+
+
+def test_table_budget_exit_two(tmp_path, monkeypatch, capsys):
+    import mipverify.groups as groups_mod
+
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 1000)
+    code = main(["export", "--n", "4", "--m", "3", "--k", "3",
+                 "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "table budget" in captured.err
+
+
 def test_config_echoes_parameters():
     r = run_cli(["witness", "--n", "4", "--m", "3", "--k", "3",
                  "--beta", "k3", "--no-matrix"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mipverify import groups as groups_mod
 from mipverify.ambient import make_ambient
 from mipverify.family import build_family, compare_variants, verify_structure
 from mipverify.groups import closure, derived_subgroup, intersection
@@ -143,3 +144,15 @@ def test_odd_base_hypotheses_enforced():
 def test_odd_requires_positive_parameters():
     with pytest.raises(ValueError):
         build_family(3, "heisenberg", 0, 1, 1)
+
+
+def test_structure_654_builds_no_table(monkeypatch):
+    """The group layer answers every clause at (6,5,4) without a Cayley table
+    (the brute-force oracle stays off above its bound)."""
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
+    report = verify_structure(build_family(2, "dihedral", 6, 5, 4))
+    assert report.ok
+    data = {c.id: c.data for c in report.clauses}
+    gap = data["exponent-gap-non-isomorphic"]
+    assert (gap["exp_g_meet_m"], gap["exp_h_meet_m"]) == (64, 32)
+    assert gap["oracle_ran"] is False

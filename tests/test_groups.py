@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from mipverify.ambient import make_ambient
+import numpy as np
+
+from mipverify import groups as groups_mod
+from mipverify.ambient import GuardExceeded, make_ambient
 from mipverify.groups import (center, centralizer_index, closure,
                               commutator_subgroup, conjugacy_classes,
                               derived_subgroup, exponent, frattini,
@@ -14,7 +17,9 @@ from mipverify.groups import (center, centralizer_index, closure,
                               nilpotency_class, normal_closure,
                               power_subgroup, subgroup_from_elements)
 
-from conftest import naive_closure
+from conftest import (coset_scan_maximal_subgroups, dict_closure,
+                      greedy_generators, naive_closure,
+                      table_conjugacy_classes, table_element_orders)
 
 
 def _catalog_map(catalog):
@@ -178,3 +183,92 @@ def test_generated_subgroup_vs_closure(catalog):
     gens = list(grp.generators)
     assert generated_subgroup(grp.ambient, gens).element_set() == \
         closure(grp.ambient, gens).element_set()
+
+
+# --- the table-free layer against its table-based and dict-based oracles -------
+
+
+def _bfs_fields(grp):
+    return (grp.elements, grp.words, grp.bfs_order, grp.bfs_parent, grp.bfs_gen)
+
+
+def test_closure_matches_dict_oracle(layer_groups):
+    for name, grp in layer_groups:
+        again = closure(grp.ambient, grp.generators)
+        assert _bfs_fields(again) == tuple(dict_closure(grp.ambient, grp.generators)), name
+        assert _bfs_fields(grp) == _bfs_fields(again), name
+
+
+def test_closure_matches_dict_oracle_on_random_generators(layer_groups):
+    rng = random.Random(7)
+    for name, grp in layer_groups:
+        amb = grp.ambient
+        for _ in range(3):
+            # repeated generators and the identity exercise the tie-breaking
+            gens = [grp.elements[rng.randrange(grp.order)] for _ in range(3)]
+            gens += [gens[0], amb.identity]
+            rng.shuffle(gens)
+            assert _bfs_fields(closure(amb, gens)) == tuple(dict_closure(amb, gens)), name
+
+
+def test_closure_guard_matches_dict_oracle(layer_groups):
+    for name, grp in layer_groups:
+        if grp.order < 4:
+            continue
+        guard = grp.order - 1
+        with pytest.raises(GuardExceeded):
+            dict_closure(grp.ambient, grp.generators, guard)
+        with pytest.raises(GuardExceeded):
+            closure(grp.ambient, grp.generators, guard)
+        assert closure(grp.ambient, grp.generators, grp.order).order == grp.order
+
+
+def test_element_orders_match_table_oracle(layer_groups):
+    for name, grp in layer_groups:
+        orders = subgroup_from_elements(grp.ambient, grp.elements,
+                                        verify=False).element_orders()
+        assert np.array_equal(orders, table_element_orders(grp)), name
+
+
+def test_maximal_subgroups_match_coset_scan_oracle(layer_groups):
+    for name, grp in layer_groups:
+        got = [sub.elements for sub in maximal_subgroups(grp)]
+        assert got == coset_scan_maximal_subgroups(grp), name
+
+
+def test_conjugacy_classes_match_table_oracle(layer_groups):
+    for name, grp in layer_groups:
+        assert conjugacy_classes(grp) == table_conjugacy_classes(grp), name
+
+
+def test_greedy_generators_match_oracle(layer_groups):
+    for name, grp in layer_groups:
+        amb = grp.ambient
+        seeds = {amb.power(g, grp.p) for g in grp.elements[::3]}
+        seeds.update(amb.comm(a, b) for a in grp.generators for b in grp.generators)
+        assert generated_subgroup(amb, seeds).generators == \
+            greedy_generators(amb, seeds), name
+        fat = subgroup_from_elements(amb, grp.elements, verify=False)
+        if fat.order > 3:
+            assert fat.small_generators() == greedy_generators(amb, grp.elements), name
+
+
+def test_words_read_off_the_bfs_tree(catalog):
+    for name, grp in catalog:
+        for i, word in enumerate(grp.words):
+            assert grp.evaluate_word(word) == grp.elements[i], name
+    D16 = _catalog_map(catalog)["D16"]
+    fat = subgroup_from_elements(D16.ambient, D16.elements)
+    ident = fat.identity_index
+    assert fat.words == tuple(() if i == ident else (i,) for i in range(fat.order))
+
+
+def test_cayley_table_budget(catalog, monkeypatch):
+    D16 = _catalog_map(catalog)["D16"]
+    grp = closure(D16.ambient, D16.generators)  # a copy with no cached table
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * 4 - 1)
+    with pytest.raises(GuardExceeded, match="table budget"):
+        grp.cayley_table()
+    assert grp._table is None
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * 4)
+    assert grp.cayley_table().shape == (16, 16)

@@ -75,6 +75,12 @@ def test_certificate_seed_determinism(FG433, FH433, beta433, cert433):
     assert other_seed.valid
 
 
+@pytest.mark.parametrize("size", [0, -5])
+def test_sample_size_below_one_rejected(FG433, FH433, beta433, size):
+    with pytest.raises(ValueError, match="sample_size"):
+        verify_witness(FG433, FH433, beta433, (4, 3, 3), sample_size=size)
+
+
 def test_exhaustive_multiplicativity(FG433, FH433, beta433):
     cert = verify_witness(FG433, FH433, beta433, (4, 3, 3), exhaustive=True)
     assert cert.valid
