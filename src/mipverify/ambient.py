@@ -258,6 +258,10 @@ class AmbientDescriptor:
         return key
 
 
+# Entries per index array in the blockwise associativity check of a table.
+_ASSOC_BLOCK_ENTRIES = 2 ** 20
+
+
 def _validate_table(table: np.ndarray, generators: Sequence[int], p: int) -> np.ndarray:
     size = table.shape[0]
     if table.ndim != 2 or table.shape[1] != size:
@@ -272,31 +276,28 @@ def _validate_table(table: np.ndarray, generators: Sequence[int], p: int) -> np.
     if not (np.array_equal(table[0], np.arange(size)) and
             np.array_equal(table[:, 0], np.arange(size))):
         raise ValueError("table row/column 0 must be the identity")
-    left = table[table, :]
-    right = table[:, table]
-    if not np.array_equal(left, right):
-        raise ValueError("table is not associative")
-    inv = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        zeros = np.flatnonzero(table[i] == 0)
-        if zeros.size != 1:
-            raise ValueError("table rows must contain the identity exactly once")
-        inv[i] = zeros[0]
+    # (i*j)*k == i*(j*k), for a block of rows i at a time, so the two
+    # (rows, size, size) index arrays stay within _ASSOC_BLOCK_ENTRIES
+    step = max(1, _ASSOC_BLOCK_ENTRIES // (size * size))
+    for start in range(0, size, step):
+        block = table[start:start + step]
+        if not np.array_equal(table[block, :], block[:, table]):
+            raise ValueError("table is not associative")
+    is_identity = table == 0
+    if not np.all(is_identity.sum(axis=1) == 1):
+        raise ValueError("table rows must contain the identity exactly once")
+    inv = is_identity.argmax(axis=1)
     gens = tuple(int(g) for g in generators)
     if len(gens) != 2 or not all(0 <= g < size for g in gens):
         raise ValueError("table_generators must be two valid indices")
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                j = int(table[i, g])
-                if j not in reached:
-                    reached.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    if len(reached) != size:
+    reached = np.zeros(size, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        frontier = np.unique(table[frontier][:, gens])
+        frontier = frontier[~reached[frontier]]
+        reached[frontier] = True
+    if not reached.all():
         raise ValueError("table_generators do not generate the table group")
     return inv
 

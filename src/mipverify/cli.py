@@ -9,13 +9,16 @@ Subcommands::
     export      write multiplication tables, presentations and a GAP
                 cross-check script
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 usage error,
-3 I/O error.  Reports are canonical JSON on stdout (or ``--output``); equal
-configurations produce byte-identical reports.  Timing goes to stderr only.
+Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
+(including a group above the brute-force oracle bound), 3 I/O error, 4
+internal error (an uncaught RuntimeError or ArithmeticError, which signals
+a broken internal invariant).  Reports are canonical JSON on stdout (or
+``--output``); equal configurations produce byte-identical reports.  Timing
+goes to stderr only.
 The environment variables MIPVERIFY_GUARD and MIPVERIFY_ORACLE_BOUND
-override the built-in guard and oracle bound defaults; like ``--guard``
-and ``--sample-size``, they must be integers of at least 1, or the run
-exits 2.
+override the built-in guard and oracle bound defaults; like ``--guard``,
+``--sample-size`` and ``--oracle-bound``, they must be integers of at
+least 1, or the run exits 2.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .ambient import DEFAULT_GUARD, GuardExceeded
 from .algebra import GroupAlgebra, is_unit, unit_order
 from .family import build_family, compare_variants, verify_structure
 from .invariants import invariant_report, reports_invariant_equal
-from .isomorphism import DEFAULT_ORACLE_BOUND
+from .isomorphism import DEFAULT_ORACLE_BOUND, OracleBoundExceeded
 from .report import canonical_json, certificate_as_dict, envelope
 from .tables import semidirect_c9c9_table, wreath_cyclic_table
 from .witness import (DEFAULT_SAMPLE_SIZE, build_beta, build_beta_general,
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 ODD_BASES = ("heisenberg", "wreath", "c9c9")
 ZETA_CHOICES = ("one", "central-element", "class-sum")
@@ -102,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("dihedral", "semidihedral", "quaternion"))
     fam.add_argument("--variants", action="store_true",
                      help="additionally cross-check the three ambient kinds")
-    fam.add_argument("--oracle-bound", type=int, default=bound_default)
+    fam.add_argument("--oracle-bound", type=_positive_int,
+                     default=bound_default)
 
     wit = sub.add_parser("witness", help="unit-witness certification")
     common(wit)
@@ -153,7 +158,7 @@ def cmd_family(args: argparse.Namespace) -> int:
               "oracle_bound": args.oracle_bound}
     inst = build_family(2, args.variant, args.n, args.m, args.k,
                         guard=args.guard)
-    structure = verify_structure(inst)
+    structure = verify_structure(inst, bound=args.oracle_bound)
     payload = {"structure": structure.as_dict()}
     ok = structure.ok
     if args.variants:
@@ -285,6 +290,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except OracleBoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         elapsed = time.monotonic() - start
         print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)

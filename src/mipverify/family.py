@@ -158,7 +158,8 @@ def _verify_odd_base(K: FiniteGroup, p: int) -> None:
         raise ValueError("K has no abelian maximal subgroup")
 
 
-def verify_structure(inst: FamilyInstance) -> VerificationReport:
+def verify_structure(inst: FamilyInstance,
+                     bound: int = DEFAULT_ORACLE_BOUND) -> VerificationReport:
     """Clause-by-clause verification of the structural facts of the 2-case.
 
     (i) orders of P, M, G, H; (ii) derived subgroups all equal <(ts)^2> and
@@ -168,7 +169,7 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
     <z, c^2, d^2> is maximal in H; (vii) the exponent gap: exp(G meet M) =
     2^n while exp(H meet M) = 2^(n-1), those are the unique abelian maximal
     subgroups of G and H, and G is not isomorphic to H (exponent-gap
-    argument always; brute-force oracle additionally when within bound).
+    argument always; brute-force oracle additionally when |G| <= ``bound``).
     """
     if inst.M is None or inst.H is None or inst.z is None:
         raise ValueError("structural verification applies to the 2-case family")
@@ -240,10 +241,10 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
               and g_abelian[0].element_set() == gm.element_set()
               and h_abelian[0].element_set() == hm.element_set())
     gap = exp_gm == 2 ** n and exp_hm == 2 ** (n - 1)
-    oracle_ran = G.order <= DEFAULT_ORACLE_BOUND
+    oracle_ran = G.order <= bound
     oracle_says_nontrivial = None
     if oracle_ran:
-        oracle_says_nontrivial = not isomorphic_bruteforce(G, H)
+        oracle_says_nontrivial = not isomorphic_bruteforce(G, H, bound=bound)
     non_iso = gap and unique and (oracle_says_nontrivial in (None, True))
     add("exponent-gap-non-isomorphic",
         "exp(G meet M) = 2^n > 2^(n-1) = exp(H meet M); those are the unique "

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ambient import AmbientDescriptor, Element, GuardExceeded, int_log
+from .ambient import AmbientDescriptor, Element, GuardExceeded
 
 Word = tuple[int, ...]
 
@@ -218,15 +218,25 @@ class FiniteGroup:
             if len(self.generators) <= 3:
                 self._small_gens = tuple(self.generators)
             else:
-                sel: list[Element] = []
-                have = np.zeros(self.order, dtype=bool)
-                have[self.identity_index] = True
-                while not have.all():
-                    sel.append(self.elements[int(np.argmin(have))])
-                    rows = _bfs(self.ambient, sel, self.order + 1)[0]
-                    have[self.indices_of_rows(rows)] = True
-                self._small_gens = tuple(sel)
+                self._small_gens = self._greedy_generators()
         return self._small_gens
+
+    def _greedy_generators(self) -> tuple[Element, ...]:
+        """Elements taken in canonical order, each one not yet in the
+        subgroup generated by those taken before, until they cover the group.
+
+        Each partial subgroup is closed with the group order as guard and
+        must lie inside the element list, so on an element set that is not
+        closed this raises GuardExceeded or KeyError.
+        """
+        sel: list[Element] = []
+        have = np.zeros(self.order, dtype=bool)
+        have[self.identity_index] = True
+        while not have.all():
+            sel.append(self.elements[int(np.argmin(have))])
+            rows = _bfs(self.ambient, sel, self.order)[0]
+            have[self.indices_of_rows(rows)] = True
+        return tuple(sel)
 
     def central_mask(self) -> np.ndarray:
         """Boolean mask of elements commuting with every generator."""
@@ -352,28 +362,33 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
     """Wrap a set already known (or verified) to be closed as a FiniteGroup.
 
     Every element is its own generator (identity gets the empty word), which
-    keeps stored words trivially valid.  With ``verify`` the closure property
-    is checked vectorized; a failure means the precondition was violated.
+    keeps stored words trivially valid.  With ``verify`` the set S is proved
+    closed at linear cost, and ValueError means the precondition was
+    violated: the greedy generators T of :meth:`FiniteGroup.small_generators`
+    are taken from S, and the subgroup generated by each prefix of T is
+    closed with guard |S| and must lie in S.  So <T> <= S, and T covers S,
+    so S <= <T>: S = <T> is a subgroup.  T is kept as the group's small
+    generators.
     """
     elems = tuple(sorted(set(elements)))
     if ambient.identity not in elems:
         raise ValueError("element set must contain the identity")
-    if verify:
-        arr = np.array(elems, dtype=np.int64)
-        keys = np.sort(ambient.encode(arr))
-        for g in elems:
-            prod_keys = ambient.encode(ambient.mul_rows(g, arr))
-            pos = np.searchsorted(keys, prod_keys)
-            if pos.max() >= keys.size or not np.array_equal(keys[pos], prod_keys):
-                raise ValueError("element set is not closed under multiplication")
     index = {g: i for i, g in enumerate(elems)}
     ident_idx = index[ambient.identity]
     bfs_order = (ident_idx,) + tuple(i for i in range(len(elems)) if i != ident_idx)
     bfs_parent = tuple(ident_idx for _ in elems)
     bfs_gen = tuple(range(len(elems)))
-    return FiniteGroup(ambient=ambient, elements=elems, generators=elems,
-                       bfs_order=bfs_order, bfs_parent=bfs_parent,
-                       bfs_gen=bfs_gen, _index=index)
+    group = FiniteGroup(ambient=ambient, elements=elems, generators=elems,
+                        bfs_order=bfs_order, bfs_parent=bfs_parent,
+                        bfs_gen=bfs_gen, _index=index)
+    if verify:
+        try:
+            gens = group._greedy_generators()
+        except (GuardExceeded, KeyError):
+            raise ValueError("element set is not closed under multiplication") from None
+        if len(elems) > 3:
+            group._small_gens = gens
+    return group
 
 
 # -- classical subgroups -----------------------------------------------------
@@ -611,27 +626,6 @@ def exponent(group: FiniteGroup) -> int:
     return group.exponent()
 
 
-def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors (prime powers, descending) of an abelian p-group."""
-    if not group.is_abelian():
-        raise ValueError("abelian_invariants requires an abelian group")
-    p = group.p
-    if group.order == 1:
-        return ()
-    # f_s = log_p |G^(p^s)|; number of factors of order >= p^s is f_{s-1} - f_s
-    logs = [int_log(p, group.order)]
-    s = 1
-    while logs[-1] > 0:
-        logs.append(int_log(p, power_subgroup(group, s).order))
-        s += 1
-    counts = [logs[i] - logs[i + 1] for i in range(len(logs) - 1)]
-    invariants: list[int] = []
-    for e in range(len(counts), 0, -1):
-        mult = counts[e - 1] - (counts[e] if e < len(counts) else 0)
-        invariants.extend([p ** e] * mult)
-    return tuple(invariants)
-
-
 __all__ = [
     "FiniteGroup", "Word", "closure", "generated_subgroup",
     "subgroup_from_elements", "normal_closure", "commutator_subgroup",
@@ -639,5 +633,4 @@ __all__ = [
     "power_subgroup", "frattini", "center", "centralizer_mod", "intersection",
     "conjugacy_classes", "centralizer_index", "maximal_subgroups",
     "jennings_series", "jennings_factor_orders", "exponent",
-    "abelian_invariants",
 ]

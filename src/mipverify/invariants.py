@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ambient import int_log
-from .algebra import FpMatrix, GroupAlgebra
+from .algebra import GroupAlgebra
 from .groups import (FiniteGroup, center, centralizer_index, centralizer_mod,
                      conjugacy_classes, derived_subgroup, frattini,
                      jennings_factor_orders, power_subgroup)
@@ -55,35 +55,25 @@ def abelian_type(A: FiniteGroup) -> tuple[int, ...]:
 
 
 def ideal_subring_dim(FG: GroupAlgebra, N: FiniteGroup) -> tuple[int, int]:
-    """(dim I(N), dim I(N) + I(G')F_pG) inside F_p[G].
+    """(dim I(N), dim I(N) + I(G')F_pG) inside F_p[G], in closed form.
 
-    I(N) is spanned by {n - 1 : n in N}; I(G')F_pG by {(w - 1)g} over w in G'
-    and g in G, i.e. rows e_(wg) - e_g.  Both dimensions come from one
-    elimination pass.
+    Requires G' <= N <= G; otherwise ValueError.  I(N) is spanned by
+    {n - 1 : n in N}, and the n - 1 with n != 1 are linearly independent, so
+    dim I(N) = |N| - 1.  G' is normal, and I(G')F_pG is the kernel of the
+    surjection pi: F_pG -> F_p[G/G'], so dim I(G')F_pG = |G| - |G:G'|.  The
+    sum contains that kernel, hence equals pi^-1(pi(I(N))); and pi(I(N)) is
+    spanned by the nG' - G', i.e. it is the augmentation ideal of F_p[N/G']
+    (N/G' is a subgroup of G/G' because G' <= N), of dimension |N:G'| - 1.
+    So dim I(N) + I(G')F_pG = |G| - |G:G'| + |N:G'| - 1.
     """
     G = FG.group
     if not N.element_set() <= G.element_set():
         raise ValueError("N must be a subgroup of the algebra's group")
-    one = FG.one()
-    mx = FpMatrix(FG.p, FG.dim)
-    for nel in N.elements:
-        if nel == G.identity:
-            continue
-        mx.add_row((FG.embed(nel) + one).key if FG.p == 2
-                   else (FG.embed(nel) - one).vec())
-    dim_in = mx.rank()
     der = derived_subgroup(G)
-    table = G.cayley_table()
-    for w in der.elements:
-        if w == G.identity:
-            continue
-        wi = G.index(w)
-        row_perm = table[wi]  # index of w*g for each g
-        for gi in range(G.order):
-            lhs = FG.embed(G.elements[int(row_perm[gi])])
-            rhs = FG.embed(G.elements[gi])
-            mx.add_row((lhs + rhs).key if FG.p == 2 else (lhs - rhs).vec())
-    return dim_in, mx.rank()
+    if not der.element_set() <= N.element_set():
+        raise ValueError("N must contain the derived subgroup G'")
+    return (N.order - 1,
+            G.order - G.order // der.order + N.order // der.order - 1)
 
 
 @dataclass(frozen=True)

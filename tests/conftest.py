@@ -9,8 +9,11 @@ and a quadratic pairwise scan for the class-sum power count.
 The group layer itself is table-free and vectorized; its earlier
 implementations live on here as oracles: a dict-based one-at-a-time
 closure, element orders and conjugacy classes read from the Cayley table,
-a per-element coset scan for the maximal subgroups, and the greedy
-absorption of seeds one closure at a time.
+a per-element coset scan for the maximal subgroups, the greedy
+absorption of seeds one closure at a time, and the pairwise closure test
+of an element set.  The ideal dimensions of the invariant report are a
+closed form in the program; here they come from two eliminations, the
+program's FpMatrix and a dense numpy one that shares no code with it.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from mipverify.algebra import AlgebraElement, GroupAlgebra
+from mipverify.algebra import AlgebraElement, FpMatrix, GroupAlgebra
 from mipverify.ambient import Element, GuardExceeded, int_log, make_ambient
 from mipverify.family import FamilyInstance, build_family
-from mipverify.groups import (FiniteGroup, closure, frattini,
-                              generated_subgroup)
+from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
+                              frattini, generated_subgroup)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
 # --- naive oracles -------------------------------------------------------------
@@ -328,6 +331,86 @@ def coset_scan_maximal_subgroups(group: FiniteGroup) -> List[tuple]:
             g for g in group.elements
             if sum(a * b for a, b in zip(coords[rep(g)], w)) % p == 0))
     return sorted(subgroups)
+
+
+def pairwise_closed(ambient, elements: Sequence[Element]) -> bool:
+    """Is the element set closed?  One product row per element, O(|S|^2)."""
+    elems = sorted(set(elements))
+    arr = np.array(elems, dtype=np.int64)
+    keys = ambient.encode(arr)
+    for g in elems:
+        prod_keys = ambient.encode(ambient.mul_rows(g, arr))
+        pos = np.searchsorted(keys, prod_keys)
+        if pos.max() >= keys.size or not np.array_equal(keys[pos], prod_keys):
+            return False
+    return True
+
+
+def eliminated_ideal_dims(FG: GroupAlgebra, N: FiniteGroup) -> Tuple[int, int]:
+    """(dim I(N), dim I(N) + I(G')F_pG) by FpMatrix elimination.
+
+    I(N) is spanned by {n - 1 : n in N}; I(G')F_pG by {(w - 1)g} over w in
+    G' and g in G, i.e. rows e_(wg) - e_g.
+    """
+    G = FG.group
+    one = FG.one()
+    mx = FpMatrix(FG.p, FG.dim)
+    for nel in N.elements:
+        if nel == G.identity:
+            continue
+        mx.add_row((FG.embed(nel) + one).key if FG.p == 2
+                   else (FG.embed(nel) - one).vec())
+    dim_in = mx.rank()
+    table = G.cayley_table()
+    for w in derived_subgroup(G).elements:
+        if w == G.identity:
+            continue
+        row_perm = table[G.index(w)]  # index of w*g for each g
+        for gi in range(G.order):
+            lhs = FG.embed(G.elements[int(row_perm[gi])])
+            rhs = FG.embed(G.elements[gi])
+            mx.add_row((lhs + rhs).key if FG.p == 2 else (lhs - rhs).vec())
+    return dim_in, mx.rank()
+
+
+def dense_rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank over F_p of an integer matrix, by Gauss-Jordan on a numpy array."""
+    mat = np.array(mat, dtype=np.int64) % p
+    rank = 0
+    for col in range(mat.shape[1]):
+        rows = np.flatnonzero(mat[rank:, col]) + rank
+        if not rows.size:
+            continue
+        mat[[rank, rows[0]]] = mat[[rows[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, col]), -1, p) % p
+        others = np.flatnonzero(mat[:, col])
+        others = others[others != rank]
+        mat[others] = (mat[others] - np.outer(mat[others, col], mat[rank])) % p
+        rank += 1
+        if rank == mat.shape[0]:
+            break
+    return rank
+
+
+def dense_ideal_dims(G: FiniteGroup, N: FiniteGroup) -> Tuple[int, int]:
+    """(dim I(N), dim I(N) + I(G')F_pG) from dense rows over G's element
+    indices and :func:`dense_rank_mod_p`; no algebra code.
+
+    I(N) is spanned by the rows of n - 1.  I(G')F_pG is spanned by the rows
+    of (w - 1)g for w in a generating set of G' and g in G, because
+    hk - 1 = (h - 1)k + (k - 1) and h^-1 - 1 = -(h - 1)h^-1.
+    """
+    def row(plus: Element, minus: Element) -> np.ndarray:
+        out = np.zeros(G.order, dtype=np.int64)
+        out[G.index(plus)] += 1
+        out[G.index(minus)] -= 1
+        return out
+
+    in_rows = [row(nel, G.identity) for nel in N.elements]
+    der_rows = [row(G.mul(w, g), g) for w in derived_subgroup(G).generators
+                for g in G.elements]
+    return (dense_rank_mod_p(np.array(in_rows), G.p),
+            dense_rank_mod_p(np.array(in_rows + der_rows), G.p))
 
 
 def pairwise_class_sum_count(alg: GroupAlgebra) -> int:

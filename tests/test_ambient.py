@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from mipverify import ambient as ambient_mod
 from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, check_prime_power,
                                int_log, make_ambient, round_up_power)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
@@ -165,6 +166,9 @@ def test_table_kind_validation():
     wt, wgens = wreath_cyclic_table(3)
     amb = make_ambient(3, "table", 1, 1, 1, table=wt, table_generators=wgens)
     assert amb.k_order == 81
+    with pytest.raises(ValueError, match="do not generate"):
+        make_ambient(3, "table", 1, 1, 1, table=wt,
+                     table_generators=(wgens[0], wgens[0]))
     st, sgens = semidirect_c9c9_table()
     assert st.shape == (243, 243)
     # identity must be row/column 0
@@ -176,6 +180,33 @@ def test_table_kind_validation():
     with pytest.raises(ValueError):
         make_ambient(3, "table", 1, 1, 1, table=non_assoc,
                      table_generators=(1,))
+
+
+def _null_monoid_table(size, bad_row, z, w):
+    """Identity 0 and every other product z, except bad_row * z = w.
+
+    Without the exception this is a monoid (associative, not a group).  With
+    it, (i*j)*k != i*(j*k) only for i = bad_row: (bad_row*z)*k = z but
+    bad_row*(z*k) = w for every k != 0.
+    """
+    table = np.full((size, size), z, dtype=np.int64)
+    table[0] = table[:, 0] = np.arange(size)
+    table[bad_row, z] = w
+    return table
+
+
+@pytest.mark.parametrize("bad_row,z", [(1, 242), (242, 1)],
+                         ids=["first-block", "last-block"])
+def test_table_associativity_defect_in_one_row_block(bad_row, z):
+    size = 243
+    assert ambient_mod._ASSOC_BLOCK_ENTRIES < size ** 3  # several row blocks
+    with pytest.raises(ValueError, match="not associative"):
+        make_ambient(3, "table", 1, 1, 1, table=_null_monoid_table(
+            size, bad_row, z, 2), table_generators=(1, 2))
+    # the unmodified monoid passes associativity and fails only later
+    with pytest.raises(ValueError, match="identity exactly once"):
+        make_ambient(3, "table", 1, 1, 1, table=_null_monoid_table(
+            size, bad_row, z, z), table_generators=(1, 2))
 
 
 def test_wreath_table_is_wreath_product():

@@ -191,6 +191,54 @@ def test_table_budget_exit_two(tmp_path, monkeypatch, capsys):
     assert "table budget" in captured.err
 
 
+def test_oracle_bound_reaches_structure_report():
+    base = ["family", "--n", "4", "--m", "3", "--k", "3"]
+    below = run_cli(base + ["--oracle-bound", "511"])
+    assert below.returncode == 0
+    doc = json.loads(below.stdout)
+    gap = {c["id"]: c for c in doc["structure"]["clauses"]}[
+        "exponent-gap-non-isomorphic"]
+    assert doc["config"]["oracle_bound"] == 511
+    assert gap["data"]["oracle_ran"] is False
+    assert gap["data"]["oracle_non_isomorphic"] is None and gap["passed"]
+    at = json.loads(run_cli(base + ["--oracle-bound", "512"]).stdout)
+    gap = {c["id"]: c for c in at["structure"]["clauses"]}[
+        "exponent-gap-non-isomorphic"]
+    assert gap["data"]["oracle_ran"] is True
+    assert gap["data"]["oracle_non_isomorphic"] is True
+
+
+@pytest.mark.parametrize("bound", ["0", "-3", "x"])
+def test_oracle_bound_below_one_exit_two(bound):
+    r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",
+                 "--oracle-bound", bound])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--oracle-bound" in r.stderr
+
+
+def test_oracle_bound_exceeded_exit_two():
+    r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3", "--variants",
+                 "--oracle-bound", "1"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "error: group order 512 exceeds oracle bound 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("stalled series"),
+                                 ArithmeticError("bad division")])
+def test_internal_error_exit_four(monkeypatch, capsys, exc):
+    import mipverify.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "verify_structure", broken)
+    code = main(["family", "--n", "4", "--m", "3", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == cli_mod.EXIT_INTERNAL == 4 and captured.out == ""
+    assert f"internal error: {type(exc).__name__}: {exc}" in captured.err
+
+
 def test_config_echoes_parameters():
     r = run_cli(["witness", "--n", "4", "--m", "3", "--k", "3",
                  "--beta", "k3", "--no-matrix"])

@@ -18,7 +18,7 @@ from mipverify.groups import (center, centralizer_index, closure,
                               power_subgroup, subgroup_from_elements)
 
 from conftest import (coset_scan_maximal_subgroups, dict_closure,
-                      greedy_generators, naive_closure,
+                      greedy_generators, naive_closure, pairwise_closed,
                       table_conjugacy_classes, table_element_orders)
 
 
@@ -272,3 +272,71 @@ def test_cayley_table_budget(catalog, monkeypatch):
     assert grp._table is None
     monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * 4)
     assert grp.cayley_table().shape == (16, 16)
+
+
+def _verified_closed(amb, elements):
+    try:
+        subgroup_from_elements(amb, elements, verify=True)
+    except ValueError:
+        return False
+    return True
+
+
+def _closure_candidates(grp):
+    """Closed and non-closed element sets drawn from one group."""
+    amb = grp.ambient
+    elems = list(grp.elements)
+    gens = list(grp.small_generators())
+    products = [amb.mul(a, b) for a in gens for b in gens]
+    sets = {
+        "group": elems,
+        "minus-last": elems[:-1],
+        "minus-middle": elems[:len(elems) // 2] + elems[len(elems) // 2 + 1:],
+        "gens-and-half-products": [grp.identity] + gens + products[::2],
+    }
+    maxes = maximal_subgroups(grp) if grp.order > 1 else []
+    if maxes:
+        sub = list(maxes[0].elements)
+        outside = next(g for g in elems if g not in maxes[0])
+        sets["maximal"] = sub
+        sets["maximal-plus-one"] = sub + [outside]
+    return sets
+
+
+def test_subgroup_from_elements_rejects_group_minus_one_element(layer_groups):
+    for name, grp in layer_groups:
+        if grp.order < 3:
+            continue
+        for drop in (grp.elements[-1], grp.elements[1]):
+            rest = [g for g in grp.elements if g != drop]
+            with pytest.raises(ValueError, match="not closed"):
+                subgroup_from_elements(grp.ambient, rest)
+
+
+def test_subgroup_from_elements_rejects_partial_products(catalog):
+    D16 = _catalog_map(catalog)["D16"]
+    amb = D16.ambient
+    t, r = D16.generators
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_from_elements(amb, [amb.identity, t, r, amb.mul(t, r)])
+    # three commuting involutions: every pair spans a Klein four-group of
+    # order |S| = 4 that is not S, so the first closure that leaves S stays
+    # within the guard |S| and is rejected by membership alone
+    a2 = make_ambient(2, "dihedral", 3, 3, 1)
+    g2 = a2.standard_generators()
+    invs = [g2["t"], a2.power(g2["c"], 4), g2["d"]]
+    assert closure(a2, invs).order == 8
+    for extra in ([], [a2.mul(invs[0], invs[1])]):
+        with pytest.raises(ValueError, match="not closed"):
+            subgroup_from_elements(a2, [a2.identity] + invs + extra)
+
+
+def test_subgroup_from_elements_matches_pairwise_oracle(layer_groups):
+    for name, grp in layer_groups:
+        for kind, elements in _closure_candidates(grp).items():
+            closed = pairwise_closed(grp.ambient, elements)
+            assert _verified_closed(grp.ambient, elements) == closed, (name, kind)
+            if closed and len(set(elements)) > 3:
+                sub = subgroup_from_elements(grp.ambient, elements)
+                assert sub.small_generators() == \
+                    greedy_generators(grp.ambient, elements), (name, kind)

@@ -6,12 +6,13 @@ from mipverify.algebra import FpMatrix, GroupAlgebra
 from mipverify.ambient import make_ambient
 from mipverify.family import build_family
 from mipverify.groups import (closure, derived_subgroup, generated_subgroup,
-                              intersection)
+                              intersection, maximal_subgroups)
 from mipverify.invariants import (abelian_type, compute_N, ideal_subring_dim,
                                   invariant_report, reports_invariant_equal)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
-from conftest import abelian_type_census_check, pairwise_class_sum_count
+from conftest import (abelian_type_census_check, dense_ideal_dims,
+                      eliminated_ideal_dims, pairwise_class_sum_count)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,83 @@ def test_ideal_subring_dims_433(inst433, FG433):
     NG = compute_N(inst433.G)
     dims = ideal_subring_dim(FG433, NG)
     assert dims == (511, 511)  # N = G, so I(N) is the whole augmentation ideal
+
+
+def _ideal_dim_subgroups(G):
+    """N = C_G(G'/Phi(G')), N = G' and the first maximal subgroup other than
+    N: each contains G'."""
+    N = compute_N(G)
+    other = next(M for M in maximal_subgroups(G)
+                 if M.element_set() != N.element_set())
+    return {"N": N, "derived": derived_subgroup(G), "maximal": other}
+
+
+def _closed_form(G, N):
+    der = derived_subgroup(G)
+    return (N.order - 1,
+            G.order - G.order // der.order + N.order // der.order - 1)
+
+
+def _odd_base(base):
+    if base == "heisenberg":
+        return build_family(3, "heisenberg", 2, 1, 1).G
+    table, gens = (wreath_cyclic_table(3) if base == "wreath"
+                   else semidirect_c9c9_table())
+    return build_family(3, "table", 2, 1, 1, table=table,
+                        table_generators=gens).G
+
+
+@pytest.fixture(scope="module", params=["G-433", "H-433", "heisenberg",
+                                        "wreath"])
+def small_ideal_case(request, inst433):
+    if request.param.endswith("433"):
+        return getattr(inst433, request.param[0])
+    return _odd_base(request.param)
+
+
+def test_ideal_dims_closed_form_matches_both_eliminations(small_ideal_case):
+    G = small_ideal_case
+    FG = GroupAlgebra(G)
+    for name, N in _ideal_dim_subgroups(G).items():
+        dims = ideal_subring_dim(FG, N)
+        assert dims == _closed_form(G, N), name
+        assert dims == eliminated_ideal_dims(FG, N), name
+        assert dims == dense_ideal_dims(G, N), name
+
+
+def test_ideal_dims_closed_form_matches_dense_elimination_c9c9():
+    """The benchmark's c9c9 base at (2,1,1), where FpMatrix is too slow."""
+    G = _odd_base("c9c9")
+    FG = GroupAlgebra(G)
+    subgroups = _ideal_dim_subgroups(G)
+    assert G.order == 729 and derived_subgroup(G).order == 27
+    assert subgroups["N"].order == 243
+    for name, N in subgroups.items():
+        dims = ideal_subring_dim(FG, N)
+        assert dims == _closed_form(G, N) == dense_ideal_dims(G, N), name
+    assert ideal_subring_dim(FG, subgroups["N"]) == (242, 710)
+
+
+def test_ideal_dims_reject_n_without_derived_subgroup(inst433, FG433):
+    G = inst433.G
+    trivial = closure(G.ambient, [G.identity])
+    cyclic = closure(G.ambient, [G.generators[0]])
+    for N in (trivial, cyclic):
+        assert not derived_subgroup(G).element_set() <= N.element_set()
+        with pytest.raises(ValueError, match="derived subgroup"):
+            ideal_subring_dim(FG433, N)
+    outside = closure(inst433.ambient, [inst433.named["c"]])
+    with pytest.raises(ValueError, match="subgroup of the algebra's group"):
+        ideal_subring_dim(FG433, outside)
+
+
+def test_ideal_dims_543_pair_golden():
+    """The benchmark's (5,4,3) pair: N = G, so both dimensions are |G| - 1."""
+    inst = build_family(2, "dihedral", 5, 4, 3)
+    for G in (inst.G, inst.H):
+        rep = invariant_report(G, GroupAlgebra(G))
+        assert rep.group_order == 2048 and rep.n_order == 2048
+        assert rep.ideal_dims == (2047, 2047)
 
 
 def test_derived_ideal_dimension_433(inst433, FG433):

@@ -4,7 +4,7 @@ import pytest
 
 from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
 from mipverify.family import build_family
-from mipverify.groups import abelian_invariants
+from mipverify.invariants import abelian_type
 from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
                                unit_closure, unit_group_table,
@@ -237,7 +237,7 @@ def test_unit_group_of_c4_structure(catalog):
     assert table.shape == (8, 8)
     tgroup = unit_subgroup_as_table_group(sub)
     assert tgroup.order == 8 and tgroup.is_abelian()
-    assert abelian_invariants(tgroup) == (4, 2)
+    assert abelian_type(tgroup) == (4, 2)
 
 
 def test_unit_subgroup_isomorphism_oracle(FG433, FH433, beta433, inst433):
