@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .ambient import Element
+from .ambient import Element, round_up_power
 from .groups import FiniteGroup, conjugacy_classes
 
 RowLike = Union[int, np.ndarray, "AlgebraElement"]
@@ -299,22 +299,13 @@ def is_unit(u: AlgebraElement) -> bool:
     return u.augmentation() != 0
 
 
-def _hard_stop_exponent(alg: GroupAlgebra) -> int:
-    e = 0
-    v = 1
-    while v < alg.dim:
-        v *= alg.p
-        e += 1
-    return e + 1
-
-
 def _normalized_p_power_order(u: AlgebraElement) -> int:
     """Smallest s with u^(p^s) = 1, for u of augmentation 1."""
     alg = u.algebra
     one = alg.one()
     s = 0
     cur = u
-    stop = _hard_stop_exponent(alg)
+    stop = round_up_power(alg.p, alg.dim) + 1
     while cur != one:
         cur = cur ** alg.p
         s += 1
@@ -523,17 +514,8 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def rank(mx: FpMatrix) -> int:
-    return mx.rank()
-
-
-def membership(mx: FpMatrix, row: RowLike) -> Optional[tuple[tuple[int, int], ...]]:
-    return mx.membership(row)
-
-
 __all__ = [
     "GroupAlgebra", "AlgebraElement", "FpMatrix",
     "augmentation", "is_unit", "unit_order", "unit_inverse",
     "jennings_dimension_polynomial", "pack_bits", "unpack_bits",
-    "rank", "membership",
 ]

@@ -28,7 +28,7 @@ from .ambient import (AmbientDescriptor, DEFAULT_GUARD, Element,
 from .groups import (FiniteGroup, closure, derived_subgroup, frattini,
                      generated_subgroup, intersection, maximal_subgroups,
                      nilpotency_class)
-from .isomorphism import (Clause, DEFAULT_ORACLE_BOUND,
+from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
                           find_presentation_witness, isomorphic_bruteforce)
 
 
@@ -66,22 +66,15 @@ class VerificationReport:
 
     title: str
     params: tuple
-    clauses: tuple[Clause, ...]
+    clauses: ClauseList
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    @property
-    def first_failing(self) -> Optional[str]:
-        for c in self.clauses:
-            if not c.passed:
-                return c.id
-        return None
+        return self.clauses.ok
 
     def as_dict(self) -> dict:
         return {"title": self.title, "params": list(self.params),
-                "ok": self.ok, "first_failing": self.first_failing,
+                "ok": self.ok, "first_failing": self.clauses.first_failing,
                 "clauses": [c.as_dict() for c in self.clauses]}
 
 
@@ -178,10 +171,8 @@ def verify_structure(inst: FamilyInstance,
     P, M, G, H = inst.P, inst.M, inst.G, inst.H
     x, y, z = inst.x, inst.y, inst.z
     t, s, c, d = inst.named["t"], inst.named["s"], inst.named["c"], inst.named["d"]
-    clauses: list[Clause] = []
-
-    def add(cid: str, statement: str, passed: bool, **data) -> None:
-        clauses.append(Clause(cid, statement, bool(passed), data))
+    clauses = ClauseList()
+    add = clauses.add
 
     expected = 2 ** (n + m + k - 1)
     add("orders", "|G| = |H| = 2^(n+m+k-1), |P| = 2|M| = 2^(k+1+n+m)",
@@ -254,7 +245,7 @@ def verify_structure(inst: FamilyInstance,
         oracle_non_isomorphic=oracle_says_nontrivial)
 
     return VerificationReport(title="structure", params=inst.params,
-                              clauses=tuple(clauses))
+                              clauses=clauses)
 
 
 def compare_variants(n: int, m: int, k: int,
@@ -269,10 +260,8 @@ def compare_variants(n: int, m: int, k: int,
     """
     instances = {v: build_family(2, v, n, m, k, guard=guard)
                  for v in TWO_GENERATOR_VARIANTS}
-    clauses: list[Clause] = []
-
-    def add(cid: str, statement: str, passed: bool, **data) -> None:
-        clauses.append(Clause(cid, statement, bool(passed), data))
+    clauses = ClauseList()
+    add = clauses.add
 
     names = list(TWO_GENERATOR_VARIANTS)
     for which in ("G", "H"):
@@ -307,7 +296,7 @@ def compare_variants(n: int, m: int, k: int,
         ok, **found)
 
     return VerificationReport(title="variants", params=(2, "all", n, m, k),
-                              clauses=tuple(clauses))
+                              clauses=clauses)
 
 
 __all__ = [

@@ -153,8 +153,12 @@ class FiniteGroup:
     def cayley_table(self) -> np.ndarray:
         """Full multiplication table T[i, j] = index(elements[i] * elements[j]).
 
-        Raises :class:`GuardExceeded` before allocating when the table would
-        take more than ``TABLE_BUDGET_BYTES``.
+        Column j is right translation by elements[j]: the identity's column
+        is the identity permutation, and along the breadth-first tree
+        elements[i] = elements[parent] * generator, so column i is the
+        generator's column read at the parent's column.  Raises
+        :class:`GuardExceeded` before allocating when the table would take
+        more than ``TABLE_BUDGET_BYTES``.
         """
         if self._table is None:
             size = self.order
@@ -163,12 +167,11 @@ class FiniteGroup:
                 raise GuardExceeded(
                     f"Cayley table of a group of order {size} needs {nbytes} "
                     f"bytes, above the table budget of {TABLE_BUDGET_BYTES}")
-            arr = self.array()
             table = np.empty((size, size), dtype=np.int32)
-            sorted_keys = self.keys()
-            for i, g in enumerate(self.elements):
-                keys = self.ambient.encode(self.ambient.mul_rows(g, arr))
-                table[i] = np.searchsorted(sorted_keys, keys)
+            table[:, self.identity_index] = np.arange(size)
+            columns = self.right_columns(self.generators)
+            for i in self.bfs_order[1:]:
+                table[:, i] = columns[self.bfs_gen[i]][table[:, self.bfs_parent[i]]]
             table.setflags(write=False)
             self._table = table
         return self._table
@@ -544,10 +547,14 @@ def centralizer_index(group: FiniteGroup, g: Element) -> int:
     return len(orbit)
 
 
-def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
-    """All maximal subgroups (index p), via hyperplanes of G/Frattini.
+def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
+    """Coordinates of every element in G/Phi(G) = F_p^d, one row per element.
 
-    Returned sorted by element lists, so the order is deterministic.
+    The basis of the elementary abelian quotient is taken greedily in
+    canonical order: each basis element is the smallest element whose
+    Phi-coset the earlier ones do not span.  Row i holds the exponents e
+    with elements[i] Phi = b_1^e_1 ... b_d^e_d Phi, so the rows form a
+    homomorphism onto F_p^d whose kernel is Phi(G).
     """
     p = group.p
     phi = frattini(group)
@@ -556,8 +563,7 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     reps, coset = np.unique(label, return_inverse=True)
     rep_rows = group.array()[reps]
 
-    # basis of the elementary abelian quotient, taken greedily in canonical
-    # order, and the coordinates of the cosets it spans so far
+    # the cosets spanned by the basis so far, with their coordinates
     span = coset[[group.identity_index]]
     span_coords = np.zeros((1, 0), dtype=np.int64)
     in_span = np.zeros(reps.size, dtype=bool)
@@ -579,8 +585,17 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         raise RuntimeError("Frattini quotient rank inconsistent with order")
     coset_coords = np.empty_like(span_coords)
     coset_coords[span] = span_coords
-    elem_coords = coset_coords[coset]
+    return coset_coords[coset]
 
+
+def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
+    """All maximal subgroups (index p), via hyperplanes of G/Frattini.
+
+    Returned sorted by element lists, so the order is deterministic.
+    """
+    p = group.p
+    elem_coords = frattini_coordinates(group)
+    rank = elem_coords.shape[1]
     # hyperplane normals up to scalar: first nonzero coefficient equal 1
     subgroups = []
     for w in iter_product(range(p), repeat=rank):
@@ -622,15 +637,11 @@ def jennings_factor_orders(group: FiniteGroup) -> list[int]:
     return [series[i].order // series[i + 1].order for i in range(len(series) - 1)]
 
 
-def exponent(group: FiniteGroup) -> int:
-    return group.exponent()
-
-
 __all__ = [
     "FiniteGroup", "Word", "closure", "generated_subgroup",
     "subgroup_from_elements", "normal_closure", "commutator_subgroup",
     "derived_subgroup", "lower_central_series", "nilpotency_class",
     "power_subgroup", "frattini", "center", "centralizer_mod", "intersection",
-    "conjugacy_classes", "centralizer_index", "maximal_subgroups",
-    "jennings_series", "jennings_factor_orders", "exponent",
+    "conjugacy_classes", "centralizer_index", "frattini_coordinates",
+    "maximal_subgroups", "jennings_series", "jennings_factor_orders",
 ]

@@ -47,17 +47,25 @@ class Clause:
                 "passed": self.passed, "data": self.data}
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    ok: bool
-    clauses: tuple[Clause, ...]
+class ClauseList(list):
+    """Clauses in the order they were checked."""
+
+    def add(self, cid: str, statement: str, passed: bool, **data) -> None:
+        self.append(Clause(cid, statement, bool(passed), data))
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self)
 
     @property
     def first_failing(self) -> Optional[str]:
-        for c in self.clauses:
-            if not c.passed:
-                return c.id
-        return None
+        return next((c.id for c in self if not c.passed), None)
+
+
+@dataclass(frozen=True)
+class RecognitionResult:
+    ok: bool
+    clauses: ClauseList
 
 
 def _span_of_central_pair(group: FiniteGroup, u: Element, v: Element,
@@ -86,42 +94,36 @@ def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
     gen = closure(group.ambient, (a, b), guard=group.order + 1)
     if gen.element_set() != group.element_set():
         raise ValueError("the pair (a, b) does not generate the group")
-    clauses: list[Clause] = []
-
-    def add(cid: str, statement: str, passed: bool, **data) -> bool:
-        clauses.append(Clause(cid, statement, bool(passed), data))
-        return bool(passed)
-
-    ok = add("parameters", "parameters satisfy n > m >= k >= 3",
-             n > m >= k >= 3, n=n, m=m, k=k)
+    clauses = ClauseList()
+    clauses.add("parameters", "parameters satisfy n > m >= k >= 3",
+                n > m >= k >= 3, n=n, m=m, k=k)
     oa = group.order_of(a)
-    ok = add("order-a", "first generator has order 2^n",
-             oa == 2 ** n, order=oa, expected=2 ** n) and ok
+    clauses.add("order-a", "first generator has order 2^n",
+                oa == 2 ** n, order=oa, expected=2 ** n)
     ob = group.order_of(b)
-    ok = add("order-b", "second generator has order 2^m",
-             ob == 2 ** m, order=ob, expected=2 ** m) and ok
+    clauses.add("order-b", "second generator has order 2^m",
+                ob == 2 ** m, order=ob, expected=2 ** m)
     a2, b2 = group.mul(a, a), group.mul(b, b)
-    ok = add("a-square-central", "square of the first generator is central",
-             group.is_central(a2)) and ok
-    ok = add("b-square-central", "square of the second generator is central",
-             group.is_central(b2)) and ok
+    clauses.add("a-square-central", "square of the first generator is central",
+                group.is_central(a2))
+    clauses.add("b-square-central", "square of the second generator is central",
+                group.is_central(b2))
     der = derived_subgroup(group)
-    ok = add("derived-order", "derived subgroup has order 2^(k-1)",
-             der.order == 2 ** (k - 1), order=der.order,
-             expected=2 ** (k - 1)) and ok
+    clauses.add("derived-order", "derived subgroup has order 2^(k-1)",
+                der.order == 2 ** (k - 1), order=der.order,
+                expected=2 ** (k - 1))
     if clauses[3].passed and clauses[4].passed:
         span = _span_of_central_pair(group, a2, b2,
                                      max(oa // 2, 1), max(ob // 2, 1))
         meet = span & der.element_set()
-        triv = meet == {group.identity}
-        ok = add("central-squares-meet-derived-trivially",
-                 "<a^2, b^2> intersects the derived subgroup trivially",
-                 triv, intersection_size=len(meet)) and ok
+        clauses.add("central-squares-meet-derived-trivially",
+                    "<a^2, b^2> intersects the derived subgroup trivially",
+                    meet == {group.identity}, intersection_size=len(meet))
     else:
-        ok = add("central-squares-meet-derived-trivially",
-                 "<a^2, b^2> intersects the derived subgroup trivially",
-                 False, skipped="squares not central; span not enumerable as powers") and ok
-    return RecognitionResult(ok=ok, clauses=tuple(clauses))
+        clauses.add("central-squares-meet-derived-trivially",
+                    "<a^2, b^2> intersects the derived subgroup trivially",
+                    False, skipped="squares not central; span not enumerable as powers")
+    return RecognitionResult(ok=clauses.ok, clauses=clauses)
 
 
 def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[tuple[Element, Element]]:
@@ -330,7 +332,7 @@ def isomorphic_bruteforce(a_group: FiniteGroup, b_group: FiniteGroup,
 
 
 __all__ = [
-    "Clause", "RecognitionResult", "OracleBoundExceeded", "DEFAULT_ORACLE_BOUND",
+    "Clause", "ClauseList", "RecognitionResult", "OracleBoundExceeded", "DEFAULT_ORACLE_BOUND",
     "recognize_presented_group", "recognize_any_pair",
     "find_presentation_witness", "isomorphic_bruteforce",
 ]

@@ -13,6 +13,9 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .ambient import GuardExceeded
+from .groups import TABLE_BUDGET_BYTES
+
 
 def wreath_cyclic_table(p: int) -> tuple[np.ndarray, tuple[int, int]]:
     """Cayley table of C_p wr C_p = (C_p)^p : C_p, with a generating pair.
@@ -21,12 +24,19 @@ def wreath_cyclic_table(p: int) -> tuple[np.ndarray, tuple[int, int]]:
     (v1, j1)(v2, j2) = (v1 + shift^j1(v2), j1 + j2) where shift rotates
     coordinates.  Index 0 is the identity; the returned generator pair is
     (top cycle, first base coordinate), which generates the whole group.
+    Raises :class:`GuardExceeded` before building anything when the int64
+    table would take more than ``TABLE_BUDGET_BYTES``.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
+    size = p ** (p + 1)
+    if size * size * 8 > TABLE_BUDGET_BYTES:
+        raise GuardExceeded(
+            f"the table of C_{p} wr C_{p} (order {size}) needs "
+            f"{size * size * 8} bytes, above the table budget of "
+            f"{TABLE_BUDGET_BYTES}")
     elems = [v + (j,) for v in iter_product(range(p), repeat=p) for j in range(p)]
     index = {e: i for i, e in enumerate(elems)}
-    size = len(elems)
     table = np.empty((size, size), dtype=np.int64)
     for i, e1 in enumerate(elems):
         v1, j1 = e1[:p], e1[p]

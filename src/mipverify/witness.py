@@ -5,6 +5,11 @@ the unit group isomorphic to G and spanning F2[H]; transporting G's basis
 through derivation words then yields an explicit algebra isomorphism
 F2[G] -> F2[H].  :func:`verify_witness` certifies every step and returns an
 :class:`IsomorphismCertificate` with the full basis-image matrix.
+
+This module does the algebra work only.  The unit subgroup <x, beta> is
+handed to the group engine as a ``regular`` ambient (:func:`unit_group`),
+so its structure is checked by the same recognition as any other group,
+and independence modulo A^2 is read off coordinates in H/Phi(H).
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ambient import Element, make_ambient
+from .ambient import Element, regular_ambient
 from .algebra import (AlgebraElement, FpMatrix, GroupAlgebra, is_unit,
-                      unit_inverse, unit_order)
-from .groups import FiniteGroup, closure
-from .isomorphism import Clause
+                      unit_order)
+from .groups import FiniteGroup, closure, frattini_coordinates
+from .isomorphism import ClauseList, recognize_presented_group
 
 DEFAULT_SAMPLE_SIZE = 1024
 EXHAUSTIVE_LIMIT = 512
@@ -27,24 +32,23 @@ EXHAUSTIVE_LIMIT = 512
 
 @dataclass(frozen=True)
 class UnitGroupSubgroup:
-    """A finite subgroup of the normalized units, with derivation words."""
+    """A finite subgroup of the normalized units, in discovery order.
+
+    Element i (other than the identity, element 0) equals
+    elements[bfs_parent[i]] * generators[bfs_gen[i]], and columns[j][i] is
+    the position of elements[i] * generators[j].
+    """
 
     algebra: GroupAlgebra
     elements: tuple[AlgebraElement, ...]
     generators: tuple[AlgebraElement, ...]
-    words: tuple[tuple[int, ...], ...]
     bfs_parent: tuple[int, ...]
     bfs_gen: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index(self, u: AlgebraElement) -> Optional[int]:
-        for i, v in enumerate(self.elements):
-            if v == u:
-                return i
-        return None
 
 
 def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
@@ -65,9 +69,9 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
     one = algebra.one()
     seen = {one.key: 0}
     elements = [one]
-    words: list[tuple[int, ...]] = [()]
     parents = [0]
     genidx = [0]
+    columns: list[list[int]] = [[] for _ in gens]
     frontier = [0]
     while frontier:
         nxt = []
@@ -77,46 +81,30 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
                 if prod.key not in seen:
                     seen[prod.key] = len(elements)
                     elements.append(prod)
-                    words.append(words[pos] + (j,))
                     parents.append(pos)
                     genidx.append(j)
                     nxt.append(seen[prod.key])
                     if len(elements) > bound:
                         raise RuntimeError(
                             f"unit closure exceeded {bound} elements")
+                columns[j].append(seen[prod.key])
         frontier = nxt
     return UnitGroupSubgroup(algebra=algebra, elements=tuple(elements),
-                             generators=gens, words=tuple(words),
-                             bfs_parent=tuple(parents), bfs_gen=tuple(genidx))
+                             generators=gens, bfs_parent=tuple(parents),
+                             bfs_gen=tuple(genidx),
+                             columns=tuple(map(tuple, columns)))
 
 
-def unit_group_table(subgroup: UnitGroupSubgroup) -> np.ndarray:
-    """Cayley table of a unit subgroup via batched exact matrix products."""
-    alg = subgroup.algebra
-    if alg.p != 2:
-        raise ValueError("unit_group_table is implemented for p = 2")
-    units = subgroup.elements
-    size = len(units)
-    dim = alg.dim
-    vecs = np.stack([u.vec() for u in units]).astype(np.float32)
-    table_h = alg.group.cayley_table()
-    index = {u.key: i for i, u in enumerate(units)}
-    out = np.empty((size, size), dtype=np.int32)
-    rows = np.arange(dim)[:, None]
-    scatter_cols = table_h.T
-    cbuf = np.empty((dim, dim), dtype=np.float32)
-    for i, u in enumerate(units):
-        cbuf[:] = 0.0
-        cbuf[rows, scatter_cols] = u.vec()[None, :].astype(np.float32)
-        prod = (vecs @ cbuf).astype(np.int64) & 1
-        packed = np.packbits(prod.astype(np.uint8), axis=1, bitorder="little")
-        for j in range(size):
-            key = int.from_bytes(packed[j].tobytes(), "little")
-            pos = index.get(key)
-            if pos is None:
-                raise RuntimeError("unit subgroup is not closed; arithmetic bug")
-            out[j, i] = pos  # row j, column i: units[j] * units[i]
-    return out
+def unit_group(subgroup: UnitGroupSubgroup) -> FiniteGroup:
+    """The unit subgroup as a group on its points (i,), i = discovery number.
+
+    Built on a ``regular`` ambient from the generator columns, so group
+    tooling (recognition, the brute-force oracle, Cayley tables) runs on
+    unit multiplication; element i of the result is subgroup.elements[i].
+    """
+    ambient = regular_ambient(subgroup.algebra.p, subgroup.columns,
+                              subgroup.bfs_parent, subgroup.bfs_gen)
+    return closure(ambient, [(col[0],) for col in subgroup.columns])
 
 
 # -- witness constructions ------------------------------------------------------
@@ -170,61 +158,6 @@ def build_beta_general(FH: GroupAlgebra, zeta: AlgebraElement, x_t: Element,
     return zeta + ext + FH.embed(H.mul(x_t, z))
 
 
-# -- unit-subgroup structure helpers ---------------------------------------------
-
-
-def _unit_comm(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return unit_inverse(b * a) * (a * b)
-
-
-def _unit_mulclose(algebra: GroupAlgebra, seeds: Sequence[AlgebraElement],
-                   bound: int) -> list[AlgebraElement]:
-    one = algebra.one()
-    seen = {one.key: one}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for a in seeds:
-                prod = u * a
-                if prod.key not in seen:
-                    seen[prod.key] = prod
-                    nxt.append(prod)
-                    if len(seen) > bound:
-                        raise RuntimeError("unit subgroup closure exceeded bound")
-        frontier = nxt
-    return list(seen.values())
-
-
-def _unit_normal_closure(algebra: GroupAlgebra, seeds: Sequence[AlgebraElement],
-                         conjugators: Sequence[AlgebraElement],
-                         bound: int) -> list[AlgebraElement]:
-    inv_conj = [unit_inverse(c) for c in conjugators]
-    orbit: dict = {}
-    frontier = []
-    one = algebra.one()
-    for u in seeds:
-        if u != one and u.key not in orbit:
-            orbit[u.key] = u
-            frontier.append(u)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for c, ci in zip(conjugators, inv_conj):
-                v = ci * u * c
-                if v.key not in orbit:
-                    orbit[v.key] = v
-                    nxt.append(v)
-                    if len(orbit) > bound:
-                        raise RuntimeError("unit normal closure exceeded bound")
-        frontier = nxt
-    return _unit_mulclose(algebra, list(orbit.values()), bound)
-
-
-def _unit_power_order(u: AlgebraElement) -> int:
-    return unit_order(u)
-
-
 # -- certification -----------------------------------------------------------------
 
 
@@ -236,18 +169,11 @@ class IsomorphismCertificate:
     dim: int
     beta_order: int
     order_note: Optional[str]
-    clauses: tuple[Clause, ...]
+    clauses: ClauseList
     rank: int
     matrix_keys: tuple[int, ...]
     sample: dict
     valid: bool
-
-    @property
-    def first_failing(self) -> Optional[str]:
-        for c in self.clauses:
-            if not c.passed:
-                return c.id
-        return None
 
 
 def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
@@ -285,10 +211,8 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         raise ValueError(
             f"exhaustive multiplicativity supported up to |G| = {EXHAUSTIVE_LIMIT}")
 
-    clauses: list[Clause] = []
-
-    def add(cid: str, statement: str, passed: bool, **data) -> None:
-        clauses.append(Clause(cid, statement, bool(passed), data))
+    clauses = ClauseList()
+    add = clauses.add
 
     # (a) unit order
     beta_order = unit_order(beta)
@@ -322,14 +246,25 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         add("closure-size", "the unit subgroup <x, beta> has |G| elements",
             subgroup.order == G.order, size=subgroup.order, expected=G.order)
 
-    # (d) structural recognition on the unit pair
-    comm_order = None
+    # (d) structural recognition on the unit pair, by the group engine
     if subgroup is not None and clauses[-1].passed:
-        rec_ok, rec_data = _unit_recognition(FH, subgroup, ex, beta, n, m, k)
-        comm_order = rec_data.get("commutator_order")
+        U = unit_group(subgroup)
+        a, b = U.generators
+        rec = recognize_presented_group(U, a, b, n, m, k)
+        rec_data = {c.id: c.data for c in rec.clauses}
+        meet = rec_data["central-squares-meet-derived-trivially"]
+        data = {"order_a": rec_data["order-a"]["order"],
+                "order_b": rec_data["order-b"]["order"],
+                "commutator_order": U.order_of(U.comm(b, a)),
+                "derived_order": rec_data["derived-order"]["order"],
+                "subclauses": [{"id": c.id, "passed": c.passed}
+                               for c in rec.clauses],
+                "first_failing": rec.clauses.first_failing}
+        if "intersection_size" in meet:
+            data["squares_meet_derived_size"] = meet["intersection_size"]
         add("unit-recognition",
             "the unit subgroup satisfies the structural clauses of the target group",
-            rec_ok, **rec_data)
+            rec.ok, **data)
     else:
         add("unit-recognition",
             "the unit subgroup satisfies the structural clauses of the target group",
@@ -344,22 +279,27 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         add("spanning", "the unit subgroup spans the whole algebra", False,
             skipped="closure unavailable")
 
-    # (f) independence modulo A^2
-    a2 = FH.aug_ideal_power_basis(2)
+    # (f) independence modulo A^2, read off coordinates in H/Phi(H).  Let
+    # theta(sum c_h h) = sum c_h coords(h) mod 2; on the augmentation ideal
+    # A it is onto F_2^d, since theta(h - 1) = coords(h).  Its kernel on A
+    # is A^2 (Jennings 1941):
+    #   A^2 <= ker: A^2 is spanned by (g-1)(h-1) = (gh-1) - (g-1) - (h-1),
+    #     which theta sends to 0 because coords is a homomorphism;
+    #   dim A/A^2 <= d: by the same identity h -> h-1 + A^2 is a
+    #     homomorphism into an elementary abelian 2-group, so it kills
+    #     Phi(H), and its image, which spans A/A^2, comes from d cosets;
+    # so |H|-1-d <= dim A^2 <= dim ker = |H|-1-d.  Over F_2 two vectors are
+    # independent iff both are nonzero and they differ.
+    coords = frattini_coordinates(H)
     one = FH.one()
-    probe = FpMatrix(2, FH.dim)
-    for row in a2.basis_rows():
-        probe.add_row(row)
-    base_rank = probe.rank()
-    xplus = ex + one
-    bplus = beta + one
-    x_indep = probe.add_row(xplus.key)
-    both_indep = probe.add_row(bplus.key)
+    theta_x = (ex + one).vec() @ coords % 2
+    theta_b = (beta + one).vec() @ coords % 2
+    x_outside, beta_outside = bool(theta_x.any()), bool(theta_b.any())
     add("independent-mod-a2",
         "x + 1 and beta + 1 are linearly independent modulo A^2",
-        x_indep and both_indep,
-        a2_dim=base_rank, x_outside=a2.membership(xplus.key) is None,
-        beta_outside=a2.membership(bplus.key) is None)
+        x_outside and beta_outside and not np.array_equal(theta_x, theta_b),
+        a2_dim=H.order - 1 - coords.shape[1], x_outside=x_outside,
+        beta_outside=beta_outside)
 
     # (g) basis transport
     images = _transport_unit_images(FG, FH, (ex, beta))
@@ -380,61 +320,12 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         invertible and mismatches == 0, rank=matrix_rank,
         pairs=checked, mismatches=mismatches, mode=sample["mode"])
 
-    valid = all(c.passed for c in clauses)
+    valid = clauses.ok
     return IsomorphismCertificate(
         params=(n, m, k), dim=FH.dim, beta_order=beta_order,
-        order_note=order_note, clauses=tuple(clauses), rank=matrix_rank,
+        order_note=order_note, clauses=clauses, rank=matrix_rank,
         matrix_keys=tuple(int(u.key) for u in images), sample=sample,
         valid=valid)
-
-
-def _unit_recognition(FH: GroupAlgebra, subgroup: UnitGroupSubgroup,
-                      a: AlgebraElement, b: AlgebraElement,
-                      n: int, m: int, k: int) -> tuple[bool, dict]:
-    """Structural clauses on the unit pair, mirroring group recognition."""
-    data: dict = {}
-    checks: list[tuple[str, bool]] = []
-    checks.append(("parameters", n > m >= k >= 3))
-    oa = unit_order(a)
-    ob = unit_order(b)
-    data["order_a"] = oa
-    data["order_b"] = ob
-    checks.append(("order-a", oa == 2 ** n))
-    checks.append(("order-b", ob == 2 ** m))
-    gens = (a, b)
-
-    def central(u: AlgebraElement) -> bool:
-        return all(u * g == g * u for g in gens)
-
-    a2, b2 = a * a, b * b
-    checks.append(("a-square-central", central(a2)))
-    checks.append(("b-square-central", central(b2)))
-    bound = subgroup.order
-    comm = _unit_comm(b, a)
-    data["commutator_order"] = unit_order(comm)
-    derived = _unit_normal_closure(FH, [comm], gens, bound)
-    data["derived_order"] = len(derived)
-    checks.append(("derived-order", len(derived) == 2 ** (k - 1)))
-    if checks[3][1] and checks[4][1]:
-        span_keys = set()
-        ui = FH.one()
-        for _ in range(max(oa // 2, 1)):
-            uij = ui
-            for _ in range(max(ob // 2, 1)):
-                span_keys.add(uij.key)
-                uij = uij * b2
-            ui = ui * a2
-        derived_keys = {u.key for u in derived}
-        meet = span_keys & derived_keys
-        checks.append(("central-squares-meet-derived-trivially",
-                       meet == {FH.one().key}))
-        data["squares_meet_derived_size"] = len(meet)
-    else:
-        checks.append(("central-squares-meet-derived-trivially", False))
-    data["subclauses"] = [{"id": cid, "passed": passed} for cid, passed in checks]
-    failing = [cid for cid, passed in checks if not passed]
-    data["first_failing"] = failing[0] if failing else None
-    return not failing, data
 
 
 def _transport_unit_images(FG: GroupAlgebra, FH: GroupAlgebra,
@@ -492,20 +383,3 @@ def _exhaustive_multiplicativity(FG: GroupAlgebra, FH: GroupAlgebra,
         expected = bits[table_g[i]]
         mismatches += int((prod != expected).any(axis=1).sum())
     return size * size, mismatches
-
-
-def unit_subgroup_as_table_group(subgroup: UnitGroupSubgroup) -> FiniteGroup:
-    """Rebuild a unit subgroup as an explicit table-backed FiniteGroup.
-
-    Lets group-level tooling (e.g. the brute-force isomorphism oracle) run
-    directly on unit-group multiplication.
-    """
-    table = unit_group_table(subgroup)
-    gen_positions = []
-    for g in subgroup.generators:
-        pos = next(i for i, u in enumerate(subgroup.elements) if u == g)
-        gen_positions.append(pos)
-    ambient = make_ambient(subgroup.algebra.p, "table", 1, 0, 0,
-                           table=table, table_generators=gen_positions)
-    gens = [(pos, 0, 0) for pos in gen_positions]
-    return closure(ambient, gens)

@@ -10,10 +10,17 @@ The group layer itself is table-free and vectorized; its earlier
 implementations live on here as oracles: a dict-based one-at-a-time
 closure, element orders and conjugacy classes read from the Cayley table,
 a per-element coset scan for the maximal subgroups, the greedy
-absorption of seeds one closure at a time, and the pairwise closure test
-of an element set.  The ideal dimensions of the invariant report are a
-closed form in the program; here they come from two eliminations, the
-program's FpMatrix and a dense numpy one that shares no code with it.
+absorption of seeds one closure at a time, the pairwise closure test
+of an element set, and the Cayley table built one row product at a time.
+The ideal dimensions of the invariant report are a closed form in the
+program; here they come from two eliminations, the program's FpMatrix and a
+dense numpy one that shares no code with it.
+
+The witness runs its group theory on the group engine; its earlier
+algebra-element versions are oracles here: the unit-pair recognition by
+products, inverses and normal closure of units, the unit Cayley table by
+float32 matrix products, and independence modulo A^2 by eliminating the
+basis of A^2.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from mipverify.algebra import AlgebraElement, FpMatrix, GroupAlgebra
+from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
+                               unit_inverse, unit_order)
 from mipverify.ambient import Element, GuardExceeded, int_log, make_ambient
 from mipverify.family import FamilyInstance, build_family
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
@@ -344,6 +352,124 @@ def pairwise_closed(ambient, elements: Sequence[Element]) -> bool:
         if pos.max() >= keys.size or not np.array_equal(keys[pos], prod_keys):
             return False
     return True
+
+
+def row_cayley_table(group: FiniteGroup) -> np.ndarray:
+    """Cayley table from one row product and one key search per element."""
+    arr = group.array()
+    table = np.empty((group.order, group.order), dtype=np.int32)
+    for i, g in enumerate(group.elements):
+        keys = group.ambient.encode(group.ambient.mul_rows(g, arr))
+        table[i] = np.searchsorted(group.keys(), keys)
+    return table
+
+
+def _unit_mulclose(algebra: GroupAlgebra, seeds: Sequence[AlgebraElement],
+                   bound: int) -> List[AlgebraElement]:
+    one = algebra.one()
+    seen = {one.key: one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for a in seeds:
+                prod = u * a
+                if prod.key not in seen:
+                    seen[prod.key] = prod
+                    nxt.append(prod)
+                    assert len(seen) <= bound, "unit subgroup closure exceeded bound"
+        frontier = nxt
+    return list(seen.values())
+
+
+def algebra_unit_recognition(FH: GroupAlgebra, bound: int, a: AlgebraElement,
+                             b: AlgebraElement, n: int, m: int,
+                             k: int) -> Tuple[bool, dict]:
+    """Clause (d) of the witness on algebra elements: unit orders, central
+    squares, the derived subgroup as the normal closure of [b, a] under
+    conjugation by a and b, and <a^2, b^2> meeting it trivially."""
+    data: dict = {}
+    checks: List[Tuple[str, bool]] = [("parameters", n > m >= k >= 3)]
+    oa, ob = unit_order(a), unit_order(b)
+    data["order_a"], data["order_b"] = oa, ob
+    checks += [("order-a", oa == 2 ** n), ("order-b", ob == 2 ** m)]
+    gens = (a, b)
+    a2, b2 = a * a, b * b
+    checks += [("a-square-central", all(a2 * g == g * a2 for g in gens)),
+               ("b-square-central", all(b2 * g == g * b2 for g in gens))]
+    comm = unit_inverse(a * b) * (b * a)
+    data["commutator_order"] = unit_order(comm)
+    orbit = {comm.key: comm} if comm != FH.one() else {}
+    frontier = list(orbit.values())
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for c in gens:
+                v = unit_inverse(c) * u * c
+                if v.key not in orbit:
+                    orbit[v.key] = v
+                    nxt.append(v)
+        frontier = nxt
+    derived = _unit_mulclose(FH, list(orbit.values()), bound)
+    data["derived_order"] = len(derived)
+    checks.append(("derived-order", len(derived) == 2 ** (k - 1)))
+    if checks[3][1] and checks[4][1]:
+        span = set()
+        ui = FH.one()
+        for _ in range(max(oa // 2, 1)):
+            uij = ui
+            for _ in range(max(ob // 2, 1)):
+                span.add(uij.key)
+                uij = uij * b2
+            ui = ui * a2
+        meet = span & {u.key for u in derived}
+        checks.append(("central-squares-meet-derived-trivially",
+                       meet == {FH.one().key}))
+        data["squares_meet_derived_size"] = len(meet)
+    else:
+        checks.append(("central-squares-meet-derived-trivially", False))
+    data["subclauses"] = [{"id": cid, "passed": ok} for cid, ok in checks]
+    failing = [cid for cid, ok in checks if not ok]
+    data["first_failing"] = failing[0] if failing else None
+    return not failing, data
+
+
+def matmul_unit_table(subgroup) -> np.ndarray:
+    """Cayley table T[i, j] = index(units[i] * units[j]) of a unit subgroup
+    of an F_2 group algebra by float32 matrix products: row h of C_i is
+    units[i] * h, so row j of V @ C_i is units[i] * units[j] (exact, every
+    entry is a count below 2^24)."""
+    alg = subgroup.algebra
+    units = subgroup.elements
+    size = len(units)
+    vecs = np.stack([u.vec() for u in units]).astype(np.float32)
+    index = {u.key: i for i, u in enumerate(units)}
+    out = np.empty((size, size), dtype=np.int32)
+    rows = np.arange(alg.dim)[:, None]
+    scatter_cols = alg.group.cayley_table().T
+    cbuf = np.empty((alg.dim, alg.dim), dtype=np.float32)
+    for i, u in enumerate(units):
+        cbuf[:] = 0.0
+        cbuf[rows, scatter_cols] = u.vec()[None, :].astype(np.float32)
+        prod = (vecs @ cbuf).astype(np.int64) & 1
+        packed = np.packbits(prod.astype(np.uint8), axis=1, bitorder="little")
+        for j in range(size):
+            out[i, j] = index[int.from_bytes(packed[j].tobytes(), "little")]
+    return out
+
+
+def eliminated_a2_independence(FH: GroupAlgebra, u: AlgebraElement,
+                               v: AlgebraElement) -> dict:
+    """Clause (f) data by elimination: the basis of A^2 from
+    aug_ideal_power_basis(2), then u and v added one after the other."""
+    a2 = FH.aug_ideal_power_basis(2)
+    probe = FpMatrix(2, FH.dim, a2.basis_rows())
+    a2_dim = probe.rank()
+    u_indep = probe.add_row(u.key)
+    v_indep = probe.add_row(v.key)
+    return {"passed": u_indep and v_indep, "a2_dim": a2_dim,
+            "x_outside": not a2.contains(u.key),
+            "beta_outside": not a2.contains(v.key)}
 
 
 def eliminated_ideal_dims(FG: GroupAlgebra, N: FiniteGroup) -> Tuple[int, int]:

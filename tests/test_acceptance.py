@@ -17,7 +17,7 @@ import pytest
 
 from mipverify.algebra import GroupAlgebra, is_unit, jennings_dimension_polynomial
 from mipverify.family import build_family, compare_variants, verify_structure
-from mipverify.groups import (derived_subgroup, exponent, intersection,
+from mipverify.groups import (derived_subgroup, intersection,
                               jennings_factor_orders)
 from mipverify.invariants import abelian_type, compute_N, invariant_report
 from mipverify.isomorphism import isomorphic_bruteforce
@@ -47,7 +47,7 @@ def test_criterion_1_structure_433(inst433):
     checks = {
         "orders": inst433.G.order == 512 and inst433.H.order == 512,
         "derived": der_g.order == 4 and der_h.order == 4
-                   and exponent(der_g) == 4 and exponent(der_h) == 4,
+                   and der_g.exponent() == 4 and der_h.exponent() == 4,
         "class": data["derived-and-class"]["class_g"] == 3
                  and data["derived-and-class"]["class_h"] == 3,
         "frattini": next(c.passed for c in report.clauses
@@ -124,7 +124,7 @@ def test_criterion_4_k3_witness(inst433, FG433, FH433):
     ok = cert.valid and elapsed < 300
     _line(4, ok, f"k3-variant witness d^2 + zx[z,x](1+z) at (4,3,3): "
                  f"valid certificate [{elapsed:.1f}s]")
-    assert cert.valid, cert.first_failing
+    assert cert.valid, cert.clauses.first_failing
     assert elapsed < 300
 
 

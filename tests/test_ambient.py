@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from mipverify import ambient as ambient_mod
-from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, check_prime_power,
-                               int_log, make_ambient, round_up_power)
+from mipverify.algebra import GroupAlgebra
+from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, int_log,
+                               make_ambient, regular_ambient, round_up_power)
+from mipverify.family import build_family
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
+from mipverify.witness import build_beta, unit_closure
 
 
 AMBIENTS = {
@@ -50,12 +53,21 @@ def test_power_matches_repeated_multiplication(name):
         assert amb.power(a, -1) == amb.inv(a)
 
 
+def _witness_unit_ambient():
+    """The regular ambient of the witness unit group <x, beta> at (4,3,3)."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    FH = GroupAlgebra(inst.H)
+    sub = unit_closure(FH, [FH.embed(inst.x), build_beta(FH, inst.x, inst.z)])
+    return regular_ambient(2, sub.columns, sub.bfs_parent, sub.bfs_gen)
+
+
 _WREATH_TABLE, _WREATH_GENS = wreath_cyclic_table(3)
 ARRAY_AMBIENTS = dict(AMBIENTS, **{
     # k = 2: the quaternion carry t^2 = r^2 is hit often
     "quaternion-k2": make_ambient(2, "quaternion", 2, 3, 2),
     "table": make_ambient(3, "table", 1, 2, 1, table=_WREATH_TABLE,
                           table_generators=_WREATH_GENS),
+    "regular": _witness_unit_ambient(),
 })
 
 
@@ -209,6 +221,26 @@ def test_table_associativity_defect_in_one_row_block(bad_row, z):
             size, bad_row, z, z), table_generators=(1, 2))
 
 
+def test_regular_ambient_c4_and_validation():
+    col, parent, via = [1, 2, 3, 0], [0, 0, 1, 2], [0, 0, 0, 0]
+    amb = regular_ambient(2, [col], parent, via)  # C4, generator i -> i+1
+    assert [amb.mul((i,), (j,)) for i in range(4) for j in range(4)] == \
+        [((i + j) % 4,) for i in range(4) for j in range(4)]
+    assert [amb.inv((i,)) for i in range(4)] == [(0,), (3,), (2,), (1,)]
+    with pytest.raises(ValueError, match="prime"):
+        regular_ambient(4, [col], parent, via)
+    with pytest.raises(ValueError, match="power of p"):
+        regular_ambient(3, [col], parent, via)
+    with pytest.raises(ValueError, match="permutations"):
+        regular_ambient(2, [[1, 2, 3, 3]], parent, via)
+    with pytest.raises(ValueError, match="breadth-first tree"):
+        regular_ambient(2, [col], [0, 0, 3, 2], via)  # parent after child
+    with pytest.raises(ValueError, match="breadth-first tree"):
+        regular_ambient(2, [col], [0, 0, 0, 2], via)  # 0 * s is 1, not 2
+    with pytest.raises(ValueError, match="unknown variant"):
+        make_ambient(2, "regular", 1, 1, 1)
+
+
 def test_wreath_table_is_wreath_product():
     wt, wgens = wreath_cyclic_table(3)
     assert wt.shape == (81, 81)
@@ -221,12 +253,17 @@ def test_wreath_table_is_wreath_product():
     assert amb.comm(s1, conj) == amb.identity  # base stays abelian
 
 
+def test_wreath_table_budget():
+    with pytest.raises(GuardExceeded, match="table budget"):
+        wreath_cyclic_table(5)  # 15625^2 int64 entries, 1.95 GB
+
+
 def test_int_log_and_powers():
     assert int_log(2, 8) == 3
     assert int_log(3, 81) == 4
     assert round_up_power(2, 5) == 3  # smallest e with 2^e >= 5
     assert round_up_power(2, 8) == 3
-    assert check_prime_power(2, 16) == 4
+    assert int_log(2, 16) == 4
     with pytest.raises(ValueError):
-        check_prime_power(2, 12)
+        int_log(2, 12)
     assert DEFAULT_GUARD == 2 ** 22

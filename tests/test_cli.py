@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,17 @@ def test_table_budget_exit_two(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "table budget" in captured.err
+
+
+def test_wreath_table_over_budget_exit_two(capsys):
+    start = time.monotonic()
+    code = main(["invariants", "--p", "5", "--n", "1", "--m", "1", "--k", "1",
+                 "--variant", "wreath"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - start < 5
+    assert code == 2 and captured.out == ""
+    assert "table budget of 1073741824" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_bound_reaches_structure_report():

@@ -49,7 +49,7 @@ def test_bad_parameters_rejected():
 def test_verify_structure_all_clauses(inst433):
     report = verify_structure(inst433)
     assert [c.id for c in report.clauses] == CLAUSE_IDS
-    assert report.ok and report.first_failing is None
+    assert report.ok and report.clauses.first_failing is None
     data = {c.id: c.data for c in report.clauses}
     assert data["orders"]["order_g"] == 512
     assert data["derived-and-class"]["derived_order"] == 4
@@ -66,7 +66,7 @@ def test_exponent_gap_at_5_3_3_and_5_4_3():
         inst = build_family(2, "dihedral", n, m, k)
         assert inst.G.order == order and inst.H.order == order
         report = verify_structure(inst)
-        assert report.ok, report.first_failing
+        assert report.ok, report.clauses.first_failing
         gap = {c.id: c.data for c in report.clauses}["exponent-gap-non-isomorphic"]
         assert gap["exp_g_meet_m"] == 2 ** n
         assert gap["exp_h_meet_m"] == 2 ** (n - 1)

@@ -10,7 +10,8 @@ from mipverify import groups as groups_mod
 from mipverify.ambient import GuardExceeded, make_ambient
 from mipverify.groups import (center, centralizer_index, closure,
                               commutator_subgroup, conjugacy_classes,
-                              derived_subgroup, exponent, frattini,
+                              derived_subgroup, frattini,
+                              frattini_coordinates,
                               generated_subgroup, intersection,
                               jennings_factor_orders, jennings_series,
                               lower_central_series, maximal_subgroups,
@@ -19,7 +20,8 @@ from mipverify.groups import (center, centralizer_index, closure,
 
 from conftest import (coset_scan_maximal_subgroups, dict_closure,
                       greedy_generators, naive_closure, pairwise_closed,
-                      table_conjugacy_classes, table_element_orders)
+                      row_cayley_table, table_conjugacy_classes,
+                      table_element_orders)
 
 
 def _catalog_map(catalog):
@@ -172,9 +174,9 @@ def test_jennings_series_shape(catalog):
 
 def test_exponent(catalog):
     groups = _catalog_map(catalog)
-    assert exponent(groups["C8"]) == 8
-    assert exponent(groups["V4"]) == 2
-    assert exponent(groups["Q8"]) == 4
+    assert groups["C8"].exponent() == 8
+    assert groups["V4"].exponent() == 2
+    assert groups["Q8"].exponent() == 4
     assert groups["heis27"].exponent() == 3
 
 
@@ -261,6 +263,33 @@ def test_words_read_off_the_bfs_tree(catalog):
     fat = subgroup_from_elements(D16.ambient, D16.elements)
     ident = fat.identity_index
     assert fat.words == tuple(() if i == ident else (i,) for i in range(fat.order))
+
+
+def test_cayley_table_matches_row_oracle(layer_groups):
+    for name, grp in layer_groups:
+        fresh = closure(grp.ambient, grp.generators)  # no cached table
+        assert np.array_equal(fresh.cayley_table(), row_cayley_table(grp)), name
+    G = dict(layer_groups)["dihedral-G-433"]
+    sub = maximal_subgroups(G)[1]  # every element its own generator
+    assert len(sub.generators) == sub.order
+    assert np.array_equal(sub.cayley_table(), row_cayley_table(sub))
+
+
+def test_frattini_coordinates_homomorphism_onto_with_kernel_phi(layer_groups):
+    for name, grp in layer_groups:
+        p = grp.p
+        coords = frattini_coordinates(grp)
+        d = coords.shape[1]
+        assert coords.shape == (grp.order, d), name
+        assert coords.min(initial=0) >= 0 and coords.max(initial=0) < p, name
+        # f(g a) = f(g) + f(a) for every g and generator a gives f(gh) =
+        # f(g) + f(h) for all h, by induction on the word of h
+        for a, col in zip(grp.generators, grp.right_columns(grp.generators)):
+            assert np.array_equal(coords[col],
+                                  (coords + coords[grp.index(a)]) % p), name
+        assert len({tuple(r) for r in coords.tolist()}) == p ** d, name
+        kernel = {grp.elements[i] for i in np.flatnonzero(~coords.any(axis=1))}
+        assert kernel == frattini(grp).element_set(), name
 
 
 def test_cayley_table_budget(catalog, monkeypatch):

@@ -1,14 +1,20 @@
 """Unit-witness construction, certification clauses, and unit-group tooling."""
 
+import random
+
+import numpy as np
 import pytest
 
 from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
+from mipverify.cli import _make_zeta
 from mipverify.family import build_family
 from mipverify.invariants import abelian_type
 from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
-                               unit_closure, unit_group_table,
-                               unit_subgroup_as_table_group, verify_witness)
+                               unit_closure, unit_group, verify_witness)
+
+from conftest import (algebra_unit_recognition, eliminated_a2_independence,
+                      matmul_unit_table)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "unit-recognition", "spanning", "independent-mod-a2",
@@ -43,7 +49,7 @@ def test_beta_order_and_square(FH433, inst433, beta433):
 
 def test_certificate_valid(cert433):
     assert cert433.valid
-    assert cert433.first_failing is None
+    assert cert433.clauses.first_failing is None
     assert [c.id for c in cert433.clauses] == CLAUSE_IDS
     assert cert433.beta_order == 8
     assert cert433.order_note is None
@@ -94,7 +100,7 @@ def test_negative_control_embedded_z(FG433, FH433, inst433):
     bad = FH433.embed(inst433.z)
     cert = verify_witness(FG433, FH433, bad, (4, 3, 3))
     assert not cert.valid
-    assert cert.first_failing == "beta-square-central"
+    assert cert.clauses.first_failing == "beta-square-central"
     status = {c.id: c.passed for c in cert.clauses}
     assert status == {"beta-order": True, "beta-square-central": False,
                       "closure-size": True, "unit-recognition": False,
@@ -199,7 +205,7 @@ def test_unit_closure_of_group_basis(FH433, inst433):
     gens = [FH433.embed(inst433.x), FH433.embed(inst433.z)]
     sub = unit_closure(FH433, gens)
     assert sub.order == 512
-    assert sub.index(FH433.one()) == 0
+    assert sub.elements[0] == FH433.one()
 
 
 def test_unit_closure_guards(catalog, FH433, FG433):
@@ -233,16 +239,90 @@ def test_unit_group_of_c4_structure(catalog):
     assert unit_order(u2) == 2
     sub = unit_closure(FC4, [u1, u2])
     assert sub.order == 8  # all augmentation-1 elements
-    table = unit_group_table(sub)
-    assert table.shape == (8, 8)
-    tgroup = unit_subgroup_as_table_group(sub)
-    assert tgroup.order == 8 and tgroup.is_abelian()
-    assert abelian_type(tgroup) == (4, 2)
+    group = unit_group(sub)
+    assert group.cayley_table().shape == (8, 8)
+    assert np.array_equal(group.cayley_table(), matmul_unit_table(sub))
+    assert group.order == 8 and group.is_abelian()
+    assert abelian_type(group) == (4, 2)
 
 
 def test_unit_subgroup_isomorphism_oracle(FG433, FH433, beta433, inst433):
     sub = unit_closure(FH433, [FH433.embed(inst433.x), beta433])
     assert sub.order == 512
-    tgroup = unit_subgroup_as_table_group(sub)
-    assert isomorphic_bruteforce(tgroup, inst433.G)
-    assert not isomorphic_bruteforce(tgroup, inst433.H)
+    group = unit_group(sub)
+    assert np.array_equal(group.cayley_table(), matmul_unit_table(sub))
+    assert isomorphic_bruteforce(group, inst433.G)
+    assert not isomorphic_bruteforce(group, inst433.H)
+
+
+def test_unit_group_products_match_algebra(FH433, beta433, inst433):
+    """Point i * j walks j's word: it must be the algebra product, deep
+    words included, and the precomputed inverses must be inverses."""
+    sub = unit_closure(FH433, [FH433.embed(inst433.x), beta433])
+    group = unit_group(sub)
+    amb = group.ambient
+    assert group.elements == tuple((i,) for i in range(sub.order))
+    rng = random.Random(5)
+    pairs = [(rng.randrange(sub.order), rng.randrange(sub.order))
+             for _ in range(200)]
+    lefts = np.array([[i] for i, _ in pairs])
+    rights = np.array([[j] for _, j in pairs])
+    got = amb.mul_array(lefts, rights)[:, 0]
+    for (i, j), ij in zip(pairs, got):
+        assert sub.elements[i] * sub.elements[j] == sub.elements[ij]
+    deepest = int(np.argmax((amb.words != len(amb.columns) - 1).sum(axis=1)))
+    for i in range(sub.order):
+        assert sub.elements[amb.mul((i,), (deepest,))[0]] == \
+            sub.elements[i] * sub.elements[deepest]
+        assert sub.elements[amb.inv((i,))[0]] * sub.elements[i] == FH433.one()
+
+
+def _witness_pairs(FH, inst, n, m, k):
+    """The witness units of the clause-(d) oracle test, by name."""
+    H = FH.group
+    pairs = {"standard": build_beta(FH, inst.x, inst.z)}
+    if (n, m, k) == (4, 3, 3):
+        d_sq = H.power(inst.named["d"], 2)
+        pairs["k3"] = build_beta_k3(FH, inst.x, inst.z, d_sq, k)
+        zeta = _make_zeta(FH, inst, "class-sum", 7, m)
+        pairs["general-class-sum"] = build_beta_general(FH, zeta, inst.x,
+                                                        inst.z, m)
+        pairs["embedded-z"] = FH.embed(inst.z)
+    return pairs
+
+
+@pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3)], ids=["433", "543"])
+def test_unit_recognition_matches_algebra_oracle(nmk):
+    inst = build_family(2, "dihedral", *nmk)
+    FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
+    ex = FH.embed(inst.x)
+    for name, beta in _witness_pairs(FH, inst, *nmk).items():
+        cert = verify_witness(FG, FH, beta, nmk, sample_size=1)
+        clause = {c.id: c for c in cert.clauses}["unit-recognition"]
+        ok, data = algebra_unit_recognition(FH, inst.G.order, ex, beta, *nmk)
+        assert clause.data == data, name
+        assert clause.passed == ok, name
+        assert ok == (name != "embedded-z"), name
+
+
+def test_independence_mod_a2_matches_elimination(FG433, FH433, inst433):
+    H = FH433.group
+    d_sq = H.power(inst433.named["d"], 2)
+    zeta = FH433.embed(H.power(inst433.named["c"], 8))
+    betas = {
+        "standard": build_beta(FH433, inst433.x, inst433.z),
+        "k3": build_beta_k3(FH433, inst433.x, inst433.z, d_sq, 3),
+        "general": build_beta_general(FH433, zeta, inst433.x, inst433.z, 3),
+        "x": FH433.embed(inst433.x),  # the pair is dependent
+        "d-squared": FH433.embed(d_sq),  # d^2 lies in Phi(H): beta+1 in A^2
+    }
+    one = FH433.one()
+    for name, beta in betas.items():
+        cert = verify_witness(FG433, FH433, beta, (4, 3, 3), sample_size=1)
+        clause = {c.id: c for c in cert.clauses}["independent-mod-a2"]
+        want = eliminated_a2_independence(FH433, FH433.embed(inst433.x) + one,
+                                          beta + one)
+        assert clause.passed == want.pop("passed"), name
+        assert clause.data == want, name
+        assert clause.passed == (name not in ("x", "d-squared")), name
+        assert clause.data["beta_outside"] == (name != "d-squared"), name
