@@ -6,16 +6,18 @@ through derivation words then yields an explicit algebra isomorphism
 F2[G] -> F2[H].  :func:`verify_witness` certifies every step and returns an
 :class:`IsomorphismCertificate` with the full basis-image matrix.
 
-This module does the algebra work only.  The unit subgroup <x, beta> is
-handed to the group engine as a ``regular`` ambient (:func:`unit_group`),
-so its structure is checked by the same recognition as any other group,
-and independence modulo A^2 is read off coordinates in H/Phi(H).
+This module does the algebra work only.  The closure of <x, beta> records
+each unit times each generator; on those columns the subgroup is a
+``regular`` ambient for the group engine (:func:`unit_group`), and the
+transport of G's basis and its multiplicativity are index work.
+Independence modulo A^2 is read off coordinates in H/Phi(H).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,13 +53,23 @@ class UnitGroupSubgroup:
         return len(self.elements)
 
 
+# Bytes of unpacked coefficients in one block of the vectorized closure,
+# and pairs in one block of the multiplicativity count.
+_CLOSURE_BLOCK_BYTES = 2 ** 24
+_PAIR_BLOCK = 2 ** 14
+
+
 def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
                  safety_factor: int = 4) -> UnitGroupSubgroup:
-    """Breadth-first closure of unit generators under multiplication.
+    """Breadth-first closure of unit generators of F2[H] under multiplication.
 
-    Deterministic: FIFO discovery with generators in the given order.
-    Raises RuntimeError when the closure exceeds dim * safety_factor, which
-    signals a non-unit generator or an arithmetic bug.
+    One level at a time on unpacked coefficient columns: (v h)[index(g)] =
+    v[index(g h^-1)], so right multiplication by a unit u XORs the gathers
+    of v by the right columns of h^-1 over h in supp(u).  Products are
+    deduplicated on packed keys in (frontier position, generator) order:
+    the FIFO order of a one-at-a-time search.  Raises RuntimeError when the
+    closure exceeds dim * safety_factor, which signals a non-unit generator
+    or an arithmetic bug.
     """
     gens = tuple(generators)
     for u in gens:
@@ -65,31 +77,46 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
             raise ValueError("generator from a different algebra")
         if not is_unit(u):
             raise ValueError("unit_closure requires unit generators")
-    bound = algebra.dim * safety_factor
-    one = algebra.one()
-    seen = {one.key: 0}
-    elements = [one]
-    parents = [0]
-    genidx = [0]
+    if algebra.p != 2:
+        raise ValueError("unit_closure works over F2")
+    H, dim = algebra.group, algebra.dim
+    bound = dim * safety_factor
+    gathers = [np.stack(H.right_columns([H.inv(H.elements[j])
+                                         for j in u.support()]))
+               for u in gens]
+    block = max(1, _CLOSURE_BLOCK_BYTES // (dim * (len(gens) + 2)))
+    nbytes = (dim + 7) // 8
+    keys = [algebra.one().key]
+    seen = {keys[0]: 0}  # packed key -> discovery number
+    parents, genidx = [0], [0]
     columns: list[list[int]] = [[] for _ in gens]
     frontier = [0]
-    while frontier:
+    while gens and frontier:
         nxt = []
-        for pos in frontier:
-            for j, a in enumerate(gens):
-                prod = elements[pos] * a
-                if prod.key not in seen:
-                    seen[prod.key] = len(elements)
-                    elements.append(prod)
-                    parents.append(pos)
-                    genidx.append(j)
-                    nxt.append(seen[prod.key])
-                    if len(elements) > bound:
-                        raise RuntimeError(
-                            f"unit closure exceeded {bound} elements")
-                columns[j].append(seen[prod.key])
+        for lo in range(0, len(frontier), block):
+            ids = frontier[lo:lo + block]
+            raw = b"".join(keys[i].to_bytes(nbytes, "little") for i in ids)
+            part = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, nbytes),
+                                 axis=1, count=dim, bitorder="little").T.copy()
+            # column c of cand: unit ids[c // len(gens)] times gens[c % len(gens)]
+            cand = np.stack([reduce(np.bitwise_xor, (np.take(part, g, axis=0)
+                                                     for g in gather))
+                             for gather in gathers], axis=2).reshape(dim, -1)
+            for c, row in enumerate(np.packbits(cand, axis=0, bitorder="little").T):
+                key = int.from_bytes(row.tobytes(), "little")
+                idx = seen.get(key)
+                if idx is None:
+                    idx = seen[key] = len(keys)
+                    keys.append(key)
+                    parents.append(ids[c // len(gens)])
+                    genidx.append(c % len(gens))
+                    nxt.append(idx)
+                    if len(keys) > bound:
+                        raise RuntimeError(f"unit closure exceeded {bound} elements")
+                columns[c % len(gens)].append(idx)
         frontier = nxt
-    return UnitGroupSubgroup(algebra=algebra, elements=tuple(elements),
+    return UnitGroupSubgroup(algebra=algebra,
+                             elements=tuple(AlgebraElement(algebra, k) for k in keys),
                              generators=gens, bfs_parent=tuple(parents),
                              bfs_gen=tuple(genidx),
                              columns=tuple(map(tuple, columns)))
@@ -188,8 +215,10 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     clauses hold for that unit subgroup on the pair (x, beta); (e) the unit
     subgroup spans F2[H]; (f) x+1 and beta+1 are independent modulo the
     square of the augmentation ideal; (g) basis transport along G's
-    derivation words is bijective and multiplicative (seeded sample, or
-    exhaustively over all |G|^2 pairs when requested and |G| <= 512).
+    derivation words is bijective and multiplicative: proved from the
+    generator columns on every run, and evaluated in the unit group on a
+    seeded sample of pairs, or on all |G|^2 pairs when requested and
+    |G| <= 512.
     """
     if not exhaustive and sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
@@ -233,22 +262,21 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         beta_sq.is_central(), fixed_by_x=conj_sq == beta_sq)
 
     # (c) closure size
-    closure_error = None
-    subgroup: Optional[UnitGroupSubgroup] = None
+    subgroup: Optional[UnitGroupSubgroup]
     try:
         subgroup = unit_closure(FH, (ex, beta))
     except RuntimeError as exc:
-        closure_error = str(exc)
-    if subgroup is None:
-        add("closure-size", "the unit subgroup <x, beta> has |G| elements",
-            False, error=closure_error)
+        subgroup, data = None, {"error": str(exc)}
     else:
-        add("closure-size", "the unit subgroup <x, beta> has |G| elements",
-            subgroup.order == G.order, size=subgroup.order, expected=G.order)
+        U = unit_group(subgroup)
+        data = {"size": subgroup.order, "expected": G.order}
+    add("closure-size", "the unit subgroup <x, beta> has |G| elements",
+        subgroup is not None and subgroup.order == G.order, **data)
 
     # (d) structural recognition on the unit pair, by the group engine
+    skipped = {"skipped": "closure unavailable"}
+    passed, data = False, skipped
     if subgroup is not None and clauses[-1].passed:
-        U = unit_group(subgroup)
         a, b = U.generators
         rec = recognize_presented_group(U, a, b, n, m, k)
         rec_data = {c.id: c.data for c in rec.clauses}
@@ -262,22 +290,17 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
                 "first_failing": rec.clauses.first_failing}
         if "intersection_size" in meet:
             data["squares_meet_derived_size"] = meet["intersection_size"]
-        add("unit-recognition",
-            "the unit subgroup satisfies the structural clauses of the target group",
-            rec.ok, **data)
-    else:
-        add("unit-recognition",
-            "the unit subgroup satisfies the structural clauses of the target group",
-            False, skipped="closure unavailable")
+        passed = rec.ok
+    add("unit-recognition",
+        "the unit subgroup satisfies the structural clauses of the target group",
+        passed, **data)
 
     # (e) spanning
+    passed, data = False, skipped
     if subgroup is not None:
         span = FpMatrix(2, FH.dim, (u.key for u in subgroup.elements))
-        add("spanning", "the unit subgroup spans the whole algebra",
-            span.rank() == FH.dim, rank=span.rank(), dim=FH.dim)
-    else:
-        add("spanning", "the unit subgroup spans the whole algebra", False,
-            skipped="closure unavailable")
+        passed, data = span.rank() == FH.dim, {"rank": span.rank(), "dim": FH.dim}
+    add("spanning", "the unit subgroup spans the whole algebra", passed, **data)
 
     # (f) independence modulo A^2, read off coordinates in H/Phi(H).  Let
     # theta(sum c_h h) = sum c_h coords(h) mod 2; on the augmentation ideal
@@ -301,85 +324,60 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         a2_dim=H.order - 1 - coords.shape[1], x_outside=x_outside,
         beta_outside=beta_outside)
 
-    # (g) basis transport
-    images = _transport_unit_images(FG, FH, (ex, beta))
-    mx = FpMatrix(2, FH.dim, (u.key for u in images))
-    matrix_rank = mx.rank()
-    invertible = matrix_rank == G.order == FH.dim
-    if exhaustive:
-        checked, mismatches = _exhaustive_multiplicativity(FG, FH, images)
-        sample = {"mode": "exhaustive", "pairs": checked,
-                  "mismatches": mismatches, "seed": seed}
-    else:
-        checked, mismatches = _sampled_multiplicativity(FG, FH, images,
-                                                        seed, sample_size)
-        sample = {"mode": "sampled", "pairs": checked,
-                  "mismatches": mismatches, "seed": seed}
+    # (g) basis transport on U's points: pi carries G's elements along their
+    # words, so the images are U's elements in pi's order.  pi(g a) =
+    # pi(g) a for both generators a and all g gives pi(g h) = pi(g) pi(h)
+    # by induction on the word of h; U's columns are exact products, so the
+    # linear extension is an algebra map.  The requested pairs are also
+    # evaluated, in U.
+    sample = {"mode": "exhaustive" if exhaustive else "sampled",
+              "pairs": 0, "mismatches": 0, "seed": seed}
+    matrix_rank, images, passed, data = 0, [], False, skipped
+    if subgroup is not None:
+        pi, column_mismatches = transport(G, subgroup)
+        images = [subgroup.elements[i] for i in pi]
+        # a bijection onto U gives clause (e)'s rows, reordered
+        if not np.array_equal(np.sort(pi), np.arange(U.order)):
+            span = FpMatrix(2, FH.dim, (u.key for u in images))
+        matrix_rank = span.rank()
+        if exhaustive:
+            lefts, rights = np.divmod(np.arange(G.order ** 2), G.order)
+        else:
+            rng = random.Random(seed)
+            lefts, rights = np.array([rng.randrange(G.order) for _ in
+                                      range(2 * sample_size)]).reshape(-1, 2).T
+        for lo in range(0, lefts.size, _PAIR_BLOCK):
+            i, j = lefts[lo:lo + _PAIR_BLOCK], rights[lo:lo + _PAIR_BLOCK]
+            gij = G.indices_of_rows(G.ambient.mul_array(G.array()[i], G.array()[j]))
+            uij = U.ambient.mul_array(pi[i][:, None], pi[j][:, None])[:, 0]
+            sample["mismatches"] += int(np.count_nonzero(pi[gij] != uij))
+        sample["pairs"] = int(lefts.size)
+        passed = (matrix_rank == G.order == FH.dim
+                  and sample["mismatches"] == column_mismatches == 0)
+        data = {"rank": matrix_rank, "pairs": sample["pairs"],
+                "mismatches": sample["mismatches"], "mode": sample["mode"]}
     add("basis-transport",
         "derivation-word transport is bijective and multiplicative",
-        invertible and mismatches == 0, rank=matrix_rank,
-        pairs=checked, mismatches=mismatches, mode=sample["mode"])
+        passed, **data)
 
-    valid = clauses.ok
     return IsomorphismCertificate(
         params=(n, m, k), dim=FH.dim, beta_order=beta_order,
         order_note=order_note, clauses=clauses, rank=matrix_rank,
         matrix_keys=tuple(int(u.key) for u in images), sample=sample,
-        valid=valid)
+        valid=clauses.ok)
 
 
-def _transport_unit_images(FG: GroupAlgebra, FH: GroupAlgebra,
-                           img_gens: tuple[AlgebraElement, ...]) -> list[AlgebraElement]:
-    """Images of every canonical basis element of F2[G] under word transport."""
-    G = FG.group
-    images: list[Optional[AlgebraElement]] = [None] * G.order
-    images[G.identity_index] = FH.one()
-    for i in G.bfs_order:
-        if i == G.identity_index:
-            continue
-        images[i] = images[G.bfs_parent[i]] * img_gens[G.bfs_gen[i]]
-    return images  # type: ignore[return-value]
+def transport(G: FiniteGroup,
+              subgroup: UnitGroupSubgroup) -> tuple[np.ndarray, int]:
+    """G's basis carried into the unit subgroup along G's derivation words.
 
-
-def _sampled_multiplicativity(FG: GroupAlgebra, FH: GroupAlgebra,
-                              images: Sequence[AlgebraElement], seed: int,
-                              sample_size: int) -> tuple[int, int]:
-    G = FG.group
-    table = G.cayley_table()
-    rng = random.Random(seed)
-    size = G.order
-    mismatches = 0
-    for _ in range(sample_size):
-        i = rng.randrange(size)
-        j = rng.randrange(size)
-        if images[i] * images[j] != images[int(table[i, j])]:
-            mismatches += 1
-    return sample_size, mismatches
-
-
-def _exhaustive_multiplicativity(FG: GroupAlgebra, FH: GroupAlgebra,
-                                 images: Sequence[AlgebraElement]) -> tuple[int, int]:
-    """Check image(g)*image(g') = image(gg') for all pairs, batched exactly.
-
-    Row j of U @ C_i is the coefficient vector of image_i * image_j, where
-    C_i[h] is image_i translated by the basis element h; float32 matmuls are
-    exact here because every entry is an integer count below 2^24.
+    Returns pi, where pi[i] is the point reached by reading element i's
+    word in the subgroup's generators, and the number of generator-column
+    mismatches: pairs (g, a), a a generator, with pi(g a) != pi(g) a.
     """
-    G = FG.group
-    size = G.order
-    dim = FH.dim
-    table_g = G.cayley_table()
-    table_h = FH.group.cayley_table()
-    vecs = np.stack([u.vec() for u in images]).astype(np.float32)
-    bits = np.stack([u.vec() for u in images])
-    rows = np.arange(dim)[:, None]
-    scatter_cols = table_h.T
-    cbuf = np.empty((dim, dim), dtype=np.float32)
-    mismatches = 0
-    for i in range(size):
-        cbuf[:] = 0.0
-        cbuf[rows, scatter_cols] = vecs[i][None, :]
-        prod = (vecs @ cbuf).astype(np.int64) & 1
-        expected = bits[table_g[i]]
-        mismatches += int((prod != expected).any(axis=1).sum())
-    return size * size, mismatches
+    pi = np.zeros(G.order, dtype=np.int64)
+    for i in G.bfs_order[1:]:
+        pi[i] = subgroup.columns[G.bfs_gen[i]][pi[G.bfs_parent[i]]]
+    return pi, sum(int(np.count_nonzero(pi[col_g] != np.asarray(col_u)[pi]))
+                   for col_g, col_u in zip(G.right_columns(G.generators),
+                                           subgroup.columns))

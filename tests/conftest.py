@@ -20,11 +20,17 @@ The witness runs its group theory on the group engine; its earlier
 algebra-element versions are oracles here: the unit-pair recognition by
 products, inverses and normal closure of units, the unit Cayley table by
 float32 matrix products, and independence modulo A^2 by eliminating the
-basis of A^2.
+basis of A^2.  The witness multiplies units only in its vectorized
+closure, and carries G's basis and checks multiplicativity on the unit
+group's generator columns; the oracles for these are the closure one
+algebra product at a time, the transport by algebra products along G's
+tree, the generator check, seeded pairs and all pairs by algebra products
+(the last by float32 matrix products).
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from itertools import product as iter_product
@@ -40,6 +46,7 @@ from mipverify.family import FamilyInstance, build_family
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
+from mipverify.witness import UnitGroupSubgroup
 
 # --- naive oracles -------------------------------------------------------------
 
@@ -456,6 +463,113 @@ def matmul_unit_table(subgroup) -> np.ndarray:
         for j in range(size):
             out[i, j] = index[int.from_bytes(packed[j].tobytes(), "little")]
     return out
+
+
+def scalar_unit_closure(algebra: GroupAlgebra,
+                        generators: Sequence[AlgebraElement],
+                        safety_factor: int = 4) -> UnitGroupSubgroup:
+    """Breadth-first closure of units one product at a time, by
+    ``AlgebraElement.__mul__``: FIFO discovery with generators tried in
+    order, the bound checked after every new element."""
+    gens = tuple(generators)
+    bound = algebra.dim * safety_factor
+    one = algebra.one()
+    seen = {one.key: 0}
+    elements = [one]
+    parents = [0]
+    genidx = [0]
+    columns: List[List[int]] = [[] for _ in gens]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for pos in frontier:
+            for j, a in enumerate(gens):
+                prod = elements[pos] * a
+                if prod.key not in seen:
+                    seen[prod.key] = len(elements)
+                    elements.append(prod)
+                    parents.append(pos)
+                    genidx.append(j)
+                    nxt.append(seen[prod.key])
+                    if len(elements) > bound:
+                        raise RuntimeError(
+                            f"unit closure exceeded {bound} elements")
+                columns[j].append(seen[prod.key])
+        frontier = nxt
+    return UnitGroupSubgroup(algebra=algebra, elements=tuple(elements),
+                             generators=gens, bfs_parent=tuple(parents),
+                             bfs_gen=tuple(genidx),
+                             columns=tuple(map(tuple, columns)))
+
+
+def product_transport_images(FG: GroupAlgebra, FH: GroupAlgebra,
+                             img_gens: Sequence[AlgebraElement]) -> List[AlgebraElement]:
+    """Images of G's basis along its derivation words, one algebra product
+    per tree edge."""
+    G = FG.group
+    images: List[Optional[AlgebraElement]] = [None] * G.order
+    images[G.identity_index] = FH.one()
+    for i in G.bfs_order:
+        if i == G.identity_index:
+            continue
+        images[i] = images[G.bfs_parent[i]] * img_gens[G.bfs_gen[i]]
+    return images  # type: ignore[return-value]
+
+
+def product_generator_mismatches(FG: GroupAlgebra,
+                                 images: Sequence[AlgebraElement],
+                                 img_gens: Sequence[AlgebraElement]) -> int:
+    """Number of (g, a), a a generator of G, with image(g a) != image(g) *
+    image(a), by group multiplication and algebra products."""
+    G = FG.group
+    return sum(images[G.index(G.mul(g, a))] != images[i] * img_a
+               for i, g in enumerate(G.elements)
+               for a, img_a in zip(G.generators, img_gens))
+
+
+def sampled_product_mismatches(FG: GroupAlgebra,
+                               images: Sequence[AlgebraElement], seed: int,
+                               sample_size: int) -> int:
+    """Seeded pairs (i, j), drawn i then j, with image(g_i) * image(g_j) !=
+    image(g_i g_j), by algebra products and G's Cayley table."""
+    G = FG.group
+    table = G.cayley_table()
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(sample_size):
+        i = rng.randrange(G.order)
+        j = rng.randrange(G.order)
+        if images[i] * images[j] != images[int(table[i, j])]:
+            mismatches += 1
+    return mismatches
+
+
+def float32_pair_mismatches(FG: GroupAlgebra, FH: GroupAlgebra,
+                            images: Sequence[AlgebraElement]) -> int:
+    """All pairs with image(g) * image(g') != image(g g'), batched exactly.
+
+    Row j of U @ C_i is the coefficient vector of image_i * image_j, where
+    C_i[h] is image_i translated by the basis element h; float32 matmuls are
+    exact here because every entry is an integer count below 2^24.
+    """
+    G = FG.group
+    size = G.order
+    dim = FH.dim
+    table_g = G.cayley_table()
+    table_h = FH.group.cayley_table()
+    vecs = np.stack([u.vec() for u in images]).astype(np.float32)
+    bits = np.stack([u.vec() for u in images])
+    rows = np.arange(dim)[:, None]
+    scatter_cols = table_h.T
+    cbuf = np.empty((dim, dim), dtype=np.float32)
+    mismatches = 0
+    for i in range(size):
+        cbuf[:] = 0.0
+        cbuf[rows, scatter_cols] = vecs[i][None, :]
+        prod = (vecs @ cbuf).astype(np.int64) & 1
+        expected = bits[table_g[i]]
+        mismatches += int((prod != expected).any(axis=1).sum())
+    return mismatches
 
 
 def eliminated_a2_independence(FH: GroupAlgebra, u: AlgebraElement,

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, serialization, exports."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -122,6 +123,34 @@ def test_witness_byte_identical_with_matrix():
     assert cert["valid"] is True and cert["rank"] == 512
     assert len(cert["matrix_rows"]) == 512
     assert all(len(row) == 128 for row in cert["matrix_rows"])
+
+
+# sha256 of the witness report at (4,3,3), seed 0, sample size 1024, with
+# the extra arguments below, as produced by the earlier certificate that
+# multiplied algebra elements pair by pair; the generator-column
+# certificate must reproduce these reports byte for byte.
+WITNESS_REPORT_SHA256 = {
+    (): "e581d1fec59b5942f743e742a88b4a61c06ecab34056c7ace967e9905d2f7a21",
+    ("--exhaustive",):
+        "f0e559643bc6a00cd59a6bd6b684dcef8e29f01545df37d595851306c5ecb44e",
+    ("--beta", "general", "--zeta", "class-sum"):
+        "f276ea08fc6a911ff0fe82eafc9c0c3c2c697f685518d47b1224b3d53918b9f6",
+    ("--beta", "general", "--zeta", "class-sum", "--exhaustive"):
+        "26ac9ae88b7bcb42453a8553044d27801b19a1e73c3b370bbff8d658e9497024",
+    ("--beta", "k3"):
+        "b605dee5f13ecedd9edf8108e0a2299a286f1bd71789c8cb94e2ec0b415b487a",
+}
+
+
+@pytest.mark.parametrize("extra", list(WITNESS_REPORT_SHA256),
+                         ids=lambda extra: "-".join(a.strip("-") for a in extra)
+                         or "standard")
+def test_witness_report_golden_digest(extra):
+    r = run_cli(["witness", "--n", "4", "--m", "3", "--k", "3", "--seed", "0",
+                 "--sample-size", "1024", *extra])
+    assert r.returncode == 0
+    digest = hashlib.sha256(r.stdout.encode("ascii")).hexdigest()
+    assert digest == WITNESS_REPORT_SHA256[extra]
 
 
 def test_output_file_matches_stdout(tmp_path):

@@ -1,9 +1,13 @@
 """Unit-witness construction, certification clauses, and unit-group tooling."""
 
+import dataclasses
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+
+import mipverify.witness as witness_mod
 
 from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
 from mipverify.cli import _make_zeta
@@ -11,10 +15,14 @@ from mipverify.family import build_family
 from mipverify.invariants import abelian_type
 from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
-                               unit_closure, unit_group, verify_witness)
+                               transport, unit_closure, unit_group,
+                               verify_witness)
 
 from conftest import (algebra_unit_recognition, eliminated_a2_independence,
-                      matmul_unit_table)
+                      float32_pair_mismatches, matmul_unit_table,
+                      product_generator_mismatches, product_transport_images,
+                      sampled_product_mismatches, scalar_unit_closure,
+                      small_group_catalog)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "unit-recognition", "spanning", "independent-mod-a2",
@@ -212,10 +220,14 @@ def test_unit_closure_guards(catalog, FH433, FG433):
     groups = dict(catalog)
     FV4 = GroupAlgebra(groups["V4"])
     gens = [FV4.embed(g) for g in groups["V4"].generators]
-    # the unit group of F2[V4] has order 8 > dim * safety_factor for factor 1
-    with pytest.raises(RuntimeError):
-        all_units = [FV4.from_indices(ix) for ix in _all_odd_supports(4)]
+    # the unit group of F2[V4] has order 8 > dim * safety_factor for factor 1,
+    # refused with the message of the one-product-at-a-time closure
+    all_units = [FV4.from_indices(ix) for ix in _all_odd_supports(4)]
+    with pytest.raises(RuntimeError) as got:
         unit_closure(FV4, all_units, safety_factor=1)
+    with pytest.raises(RuntimeError) as want:
+        scalar_unit_closure(FV4, all_units, safety_factor=1)
+    assert str(got.value) == str(want.value) == "unit closure exceeded 4 elements"
     with pytest.raises(ValueError):  # non-unit generator
         unit_closure(FV4, [FV4.zero()])
     with pytest.raises(ValueError):  # generator from another algebra
@@ -326,3 +338,130 @@ def test_independence_mod_a2_matches_elimination(FG433, FH433, inst433):
         assert clause.data == want, name
         assert clause.passed == (name not in ("x", "d-squared")), name
         assert clause.data["beta_outside"] == (name != "d-squared"), name
+
+
+# -- the vectorized closure and the generator-column certificate -------------
+
+
+@lru_cache(maxsize=None)
+def _witness_case(name):
+    """(F2[G], F2[H], x, beta) of a named witness; quaternion is the
+    standard witness on the quaternion ambient, all at (4,3,3) but
+    standard-543."""
+    nmk = (5, 4, 3) if name == "standard-543" else (4, 3, 3)
+    variant = "quaternion" if name == "quaternion" else "dihedral"
+    inst = build_family(2, variant, *nmk)
+    FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
+    if name == "k3":
+        beta = build_beta_k3(FH, inst.x, inst.z,
+                             FH.group.power(inst.named["d"], 2), 3)
+    elif name == "general":
+        zeta = _make_zeta(FH, inst, "class-sum", 7, nmk[1])
+        beta = build_beta_general(FH, zeta, inst.x, inst.z, nmk[1])
+    elif name == "embedded-z":
+        beta = FH.embed(inst.z)
+    else:
+        beta = build_beta(FH, inst.x, inst.z)
+    return FG, FH, FH.embed(inst.x), beta
+
+
+def _c4_units():
+    C4 = dict(small_group_catalog())["C4"]
+    FC4 = GroupAlgebra(C4)
+    c = C4.generators[0]
+    return FC4, (FC4.embed(c),
+                 FC4.from_elements([c, C4.power(c, 2), C4.power(c, 3)]))
+
+
+@pytest.mark.parametrize("name", ["standard", "standard-543", "k3", "general",
+                                  "quaternion", "c4-units"])
+def test_unit_closure_matches_scalar_oracle(name):
+    """Discovery order, tree and columns equal the one-product-at-a-time
+    closure's, field by field."""
+    if name == "c4-units":
+        algebra, gens = _c4_units()
+    else:
+        _, algebra, ex, beta = _witness_case(name)
+        gens = (ex, beta)
+    got = unit_closure(algebra, gens)
+    want = scalar_unit_closure(algebra, gens)
+    for field in ("elements", "bfs_parent", "bfs_gen", "columns"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("name", ["standard", "k3", "general", "quaternion"])
+def test_transport_and_pairs_match_product_oracles(name):
+    """The basis images are the product transport's, the exhaustive count
+    is the float32 all-pairs count, and a seeded sample counts what
+    algebra products count on the same draws."""
+    FG, FH, ex, beta = _witness_case(name)
+    images = product_transport_images(FG, FH, (ex, beta))
+    cert = verify_witness(FG, FH, beta, (4, 3, 3), exhaustive=True)
+    assert cert.valid
+    assert cert.matrix_keys == tuple(u.key for u in images)
+    assert cert.sample["pairs"] == 512 * 512
+    assert cert.sample["mismatches"] == float32_pair_mismatches(FG, FH, images) == 0
+    sub = unit_closure(FH, (ex, beta))
+    assert transport(FG.group, sub)[1] == \
+        product_generator_mismatches(FG, images, (ex, beta)) == 0
+    sampled = verify_witness(FG, FH, beta, (4, 3, 3), seed=3, sample_size=64)
+    assert sampled.sample["mismatches"] == \
+        sampled_product_mismatches(FG, images, 3, 64) == 0
+
+
+def test_generator_columns_reject_embedded_z():
+    """With beta = z the transport is no homomorphism: the generator-column
+    check counts what algebra products count, and the sampled count agrees
+    with products on the same draws."""
+    FG, FH, ex, bad = _witness_case("embedded-z")
+    images = product_transport_images(FG, FH, (ex, bad))
+    sub = unit_closure(FH, (ex, bad))
+    pi, mismatches = transport(FG.group, sub)
+    assert [sub.elements[i] for i in pi] == images
+    assert mismatches == product_generator_mismatches(FG, images, (ex, bad)) > 0
+    cert = verify_witness(FG, FH, bad, (4, 3, 3))
+    assert cert.sample["mismatches"] == sampled_product_mismatches(FG, images, 0, 1024)
+    assert cert.matrix_keys == tuple(u.key for u in images)
+
+
+def test_generator_check_alone_fails_the_certificate(monkeypatch):
+    """Swap two entries of beta's column that neither G's tree nor U's tree
+    reads: pi, the images and their rank stay, a one-pair sample misses it,
+    and only the generator-column check catches it."""
+    FG, FH, ex, beta = _witness_case("standard")
+    G = FG.group
+    sub = unit_closure(FH, (ex, beta))
+    pi, _ = transport(G, sub)
+    read = {int(pi[G.bfs_parent[i]]) for i in G.bfs_order[1:] if G.bfs_gen[i] == 1}
+    read |= {sub.bfs_parent[i] for i in range(1, sub.order) if sub.bfs_gen[i] == 1}
+    p, q = [i for i in range(sub.order) if i not in read][:2]
+    col = list(sub.columns[1])
+    col[p], col[q] = col[q], col[p]
+    broken = dataclasses.replace(sub, columns=(sub.columns[0], tuple(col)))
+    broken_pi, mismatches = transport(G, broken)
+    assert np.array_equal(broken_pi, pi) and mismatches == 2
+    monkeypatch.setattr(witness_mod, "unit_closure", lambda *args, **kw: broken)
+    cert = verify_witness(FG, FH, beta, (4, 3, 3), sample_size=1)
+    clause = {c.id: c for c in cert.clauses}["basis-transport"]
+    assert clause.data == {"rank": 512, "pairs": 1, "mismatches": 0,
+                           "mode": "sampled"}
+    assert not clause.passed and not cert.valid
+
+
+def test_closure_unavailable_skips_transport(FG433, FH433, beta433, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("unit closure exceeded 2048 elements")
+
+    monkeypatch.setattr(witness_mod, "unit_closure", refuse)
+    cert = verify_witness(FG433, FH433, beta433, (4, 3, 3))
+    clauses = {c.id: c for c in cert.clauses}
+    assert clauses["closure-size"].data == {
+        "error": "unit closure exceeded 2048 elements"}
+    for cid in ("closure-size", "unit-recognition", "spanning",
+                "basis-transport"):
+        assert not clauses[cid].passed, cid
+    for cid in ("unit-recognition", "spanning", "basis-transport"):
+        assert clauses[cid].data == {"skipped": "closure unavailable"}, cid
+    assert cert.rank == 0 and cert.matrix_keys == () and not cert.valid
+    assert cert.sample == {"mode": "sampled", "pairs": 0, "mismatches": 0,
+                           "seed": 0}
