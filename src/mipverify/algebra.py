@@ -3,15 +3,16 @@
 Elements carry their coefficient vector in a compact immutable key: an int
 bitmask over the canonical basis for p = 2 (so addition is XOR and basis-row
 reduction is word-parallel), or a bytes string of residues for odd p.
-Multiplication iterates over the sparser operand's support and accumulates
-translated coefficient vectors through the group's Cayley table; left and
-right translations are permutations, so the scatter updates never collide.
+Products run on the group engine with no Cayley table: the group elements of
+all support pairs are multiplied by the ambient's broadcasting product, in
+blocks of pairs of bounded size, located by their keys, and their
+coefficient products are summed exactly as integers and reduced mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +20,69 @@ from .ambient import Element, round_up_power
 from .groups import FiniteGroup, conjugacy_classes
 
 RowLike = Union[int, np.ndarray, "AlgebraElement"]
+
+# Bytes of int64 element rows (two factors and their product per pair) in
+# one block of support-pair products.
+_PRODUCT_BLOCK_BYTES = 2 ** 20
+
+
+def _pair_blocks(group: FiniteGroup,
+                 reps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (item i, offset 0 <= o < reps[i]), in blocks.
+
+    A block holds as many pairs as two factor rows and a product row each
+    fit in ``_PRODUCT_BLOCK_BYTES``; yields the items and offsets of one
+    block at a time.
+    """
+    step = max(1, _PRODUCT_BLOCK_BYTES // (24 * group.ambient.width))
+    ends = np.cumsum(reps)
+    total = int(ends[-1]) if reps.size else 0
+    for lo in range(0, total, step):
+        pair = np.arange(lo, min(lo + step, total))
+        item = np.searchsorted(ends, pair, side="right")
+        yield item, pair - (ends[item] - reps[item])
+
+
+def _reduce_terms(keys: np.ndarray, coeffs: np.ndarray,
+                  p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients (residues 0..p-1) of equal keys mod p.
+
+    Returns the keys in ascending order with their nonzero sums.  Each
+    distinct (key, coefficient) pair is counted by ``np.unique``, so the sums
+    are exact integers.
+    """
+    if not keys.size:
+        return keys, coeffs
+    combined, counts = np.unique(keys * p + coeffs, return_counts=True)
+    keys, coeffs = np.divmod(combined, p)
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(coeffs * counts, first) % p
+    keep = sums != 0
+    return keys[first][keep], sums[keep]
+
+
+def _class_sum_matches(owners: np.ndarray, elems: np.ndarray,
+                       coeffs: np.ndarray, count: int, class_of: np.ndarray,
+                       class_sizes: np.ndarray) -> np.ndarray:
+    """For each of ``count`` owners, the class whose sum its terms form, or -1.
+
+    The terms (owner, element, coefficient) are sorted by owner, with
+    distinct elements per owner.  Owner o's terms are the class sum of C_j
+    when every coefficient is 1, every element lies in C_j and there are
+    exactly |C_j| terms.
+    """
+    out = np.full(count, -1, dtype=np.int64)
+    if not owners.size:
+        return out
+    first = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+    target = class_of[elems]
+    lo = np.minimum.reduceat(target, first)
+    hi = np.maximum.reduceat(target, first)
+    ones = np.logical_and.reduceat(coeffs == 1, first)
+    terms = np.diff(np.r_[first, owners.size])
+    ok = (lo == hi) & ones & (terms == class_sizes[lo])
+    out[owners[first[ok]]] = lo[ok]
+    return out
 
 
 class GroupAlgebra:
@@ -90,15 +154,39 @@ class GroupAlgebra:
         return list(self._class_sums)
 
     def class_sum_pth_power_count(self) -> int:
-        """Number of class sums equal to the p-th power of a different class sum."""
-        sums = self.class_sums()
-        keys = {u.key: i for i, u in enumerate(sums)}
-        hit: set[int] = set()
-        for i, u in enumerate(sums):
-            j = keys.get((u ** self.p).key)
-            if j is not None and j != i:
-                hit.add(j)
-        return len(hit)
+        """Number of class sums equal to the p-th power of a different class sum.
+
+        The p-th powers of all class sums are built in one batched pass:
+        the terms (class i, element g, coefficient) of every class's current
+        power are multiplied on the right by each member of class i, p - 1
+        times, and equal (class, product) keys are summed mod p.
+        """
+        p, dim = self.p, self.dim
+        classes = conjugacy_classes(self.group)
+        sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
+        members = np.concatenate([np.array(cls, dtype=np.int64) for cls in classes])
+        starts = np.cumsum(sizes) - sizes
+        class_of = np.empty(dim, dtype=np.int64)
+        class_of[members] = np.repeat(np.arange(sizes.size), sizes)
+        owners, elems = class_of[members], members
+        coeffs = np.ones(dim, dtype=np.int64)
+        arr = self.group.array()
+        for _ in range(p - 1):
+            # term t meets every member of its owner's class
+            keys, sums = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+            for term, offset in _pair_blocks(self.group, sizes[owners]):
+                prods = self.group.indices_of_rows(self.group.ambient.mul_array(
+                    arr[elems[term]], arr[members[starts[owners[term]] + offset]]))
+                block = _reduce_terms(owners[term] * dim + prods, coeffs[term], p)
+                keys.append(block[0])
+                sums.append(block[1])
+            merged, coeffs = _reduce_terms(np.concatenate(keys),
+                                           np.concatenate(sums), p)
+            owners, elems = np.divmod(merged, dim)
+        matches = _class_sum_matches(owners, elems, coeffs, sizes.size,
+                                     class_of, sizes)
+        hits = matches[(matches >= 0) & (matches != np.arange(sizes.size))]
+        return int(np.unique(hits).size)
 
     # -- augmentation-ideal filtration ------------------------------------------
 
@@ -126,9 +214,11 @@ class GroupAlgebra:
                 prev = self._aug_power_bases[step - 1]
                 gens = [g for g in self.group.generators
                         if g != self.group.identity]
-                table = self.group.cayley_table()
+                arr = self.group.array()
                 for a in gens:
-                    row_perm = table[self.group.index(a)]
+                    # left translation by a: i -> index(a * elements[i])
+                    row_perm = self.group.indices_of_rows(
+                        self.group.ambient.mul_rows(a, arr))
                     for v in prev.basis_rows():
                         vec = self._as_vec(v)
                         translated = np.zeros(self.dim, dtype=np.uint8)
@@ -228,43 +318,43 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, bytes(s.astype(np.uint8).tobytes()))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """Product over support pairs: the group products of a block of
+        pairs at a time, with the coefficient products counted per product
+        element."""
         self._require_same(other)
         alg = self.algebra
-        table = alg.group.cayley_table()
-        if alg.p == 2:
-            a, b = self, other
-            if a.support_size() > b.support_size():
-                # accumulate over right support using table columns instead
-                acc = np.zeros(alg.dim, dtype=np.uint8)
-                avec = a.vec()
-                for j in np.flatnonzero(b.vec()):
-                    acc[table[:, j]] ^= avec
-                return AlgebraElement(alg, pack_bits(acc))
-            acc = np.zeros(alg.dim, dtype=np.uint8)
-            bvec = b.vec()
-            for i in np.flatnonzero(a.vec()):
-                acc[table[i]] ^= bvec
-            return AlgebraElement(alg, pack_bits(acc))
+        p, dim, group = alg.p, alg.dim, alg.group
+        arr = group.array()
         avec, bvec = self.vec(), other.vec()
-        acc = np.zeros(alg.dim, dtype=np.int64)
-        if np.count_nonzero(avec) <= np.count_nonzero(bvec):
-            for i in np.flatnonzero(avec):
-                acc[table[i]] += int(avec[i]) * bvec
-        else:
-            for j in np.flatnonzero(bvec):
-                acc[table[:, j]] += int(bvec[j]) * avec
-        acc %= alg.p
-        return AlgebraElement(alg, bytes(acc.astype(np.uint8).tobytes()))
+        ia, ib = np.flatnonzero(avec), np.flatnonzero(bvec)
+        ca, cb = avec[ia].astype(np.int64), bvec[ib].astype(np.int64)
+        # counts[p * g + c]: pairs with product g and coefficient product c
+        counts = np.zeros(dim * p, dtype=np.int64)
+        for i, j in _pair_blocks(group, np.full(ia.size, ib.size)):
+            prods = group.indices_of_rows(group.ambient.mul_array(arr[ia[i]], arr[ib[j]]))
+            counts += np.bincount(prods * p + ca[i] * cb[j] % p, minlength=dim * p)
+        coeffs = (counts.reshape(dim, p) @ np.arange(p)) % p
+        if p == 2:
+            return AlgebraElement(alg, pack_bits(coeffs.astype(np.uint8)))
+        return AlgebraElement(alg, bytes(coeffs.astype(np.uint8).tobytes()))
 
     def __pow__(self, e: int) -> "AlgebraElement":
+        """Repeated squaring from the lowest set bit of e, with no squaring
+        after the highest: u ** 2 takes one product, u ** 3 two."""
         if e < 0:
             raise ValueError("negative powers: use unit_inverse")
-        acc = self.algebra.one()
+        if e == 0:
+            return self.algebra.one()
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        acc = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 acc = acc * base
-            base = base * base
             e >>= 1
         return acc
 

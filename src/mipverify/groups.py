@@ -12,9 +12,9 @@ The layer works on int64 element rows with the ambient's broadcasting
 product: closure runs one breadth-first level at a time, element orders
 come from repeated p-th powers of all rows, and coset and conjugacy-class
 labels from orbit minima under permutation columns.  No O(|G|^2) Cayley
-table is built here; :meth:`FiniteGroup.cayley_table` exists for the group
-algebra, the exports and the brute-force oracle, and refuses a table above
-``TABLE_BUDGET_BYTES``.
+table is built here, nor by the group algebra, whose products run on the
+same rows; :meth:`FiniteGroup.cayley_table` exists for the exports and the
+isomorphism tooling, and refuses a table above ``TABLE_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -615,6 +615,11 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     Returns the chain down to (and including) the trivial subgroup.
     """
     p = group.p
+    amb = group.ambient
+    # inverses are (exponent - 1)-th powers
+    inv_exp = group.exponent() - 1
+    gens = np.array(group.small_generators(), dtype=np.int64).reshape(-1, amb.width)
+    gens_inv = amb.power_array(gens, inv_exp)
     series = [group]
     i = 2
     # terms may legitimately repeat; the chain still reaches 1 in finitely
@@ -622,10 +627,16 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     while series[-1].order > 1:
         prev = series[-1]
         half = series[(i + p - 1) // p - 1]
-        seeds = {group.comm(h, a) for h in prev.elements
-                 for a in group.small_generators()}
-        seeds.update(group.power(g, p) for g in half.elements)
-        series.append(normal_closure(group, sorted(seeds)))
+        # [h, a] = h^-1 a^-1 h a for every h in prev and generator a, and
+        # the p-th powers of half
+        hs = np.repeat(prev.array(), len(gens), axis=0)
+        hs_inv = np.repeat(amb.power_array(prev.array(), inv_exp), len(gens), axis=0)
+        a, a_inv = np.tile(gens, (prev.order, 1)), np.tile(gens_inv, (prev.order, 1))
+        comms = amb.mul_array(amb.mul_array(amb.mul_array(hs_inv, a_inv), hs), a)
+        seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
+        # keys ascend with tuple order: the distinct seeds, sorted
+        first = np.unique(amb.encode(seeds), return_index=True)[1]
+        series.append(normal_closure(group, list(map(tuple, seeds[first].tolist()))))
         i += 1
         if i > p * group.order + 2:
             raise RuntimeError("Jennings series failed to terminate")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ambient import Element, regular_ambient
+from .ambient import Element, GuardExceeded, regular_ambient
 from .algebra import (AlgebraElement, FpMatrix, GroupAlgebra, is_unit,
                       unit_order)
 from .groups import FiniteGroup, closure, frattini_coordinates
@@ -30,6 +30,9 @@ from .isomorphism import ClauseList, recognize_presented_group
 
 DEFAULT_SAMPLE_SIZE = 1024
 EXHAUSTIVE_LIMIT = 512
+# Largest memory for the packed units of the closure and of clause (e)'s
+# elimination that verify_witness takes on.
+UNIT_BUDGET_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,8 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     derivation words is bijective and multiplicative: proved from the
     generator columns on every run, and evaluated in the unit group on a
     seeded sample of pairs, or on all |G|^2 pairs when requested and
-    |G| <= 512.
+    |G| <= 512.  Raises :class:`GuardExceeded` before any clause when the
+    packed units of (c) and (e) would take more than ``UNIT_BUDGET_BYTES``.
     """
     if not exhaustive and sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
@@ -239,6 +243,13 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     if exhaustive and G.order > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive multiplicativity supported up to |G| = {EXHAUSTIVE_LIMIT}")
+    # the closure keeps |G| packed units, and the elimination a reduced row
+    # and a combination of the added rows for each of them
+    need = 3 * G.order * ((FH.dim + 7) // 8)
+    if need > UNIT_BUDGET_BYTES:
+        raise GuardExceeded(
+            f"the unit closure and spanning elimination for |G| = {G.order} "
+            f"need about {need} bytes, above the unit budget of {UNIT_BUDGET_BYTES}")
 
     clauses = ClauseList()
     add = clauses.add

@@ -16,6 +16,10 @@ The ideal dimensions of the invariant report are a closed form in the
 program; here they come from two eliminations, the program's FpMatrix and a
 dense numpy one that shares no code with it.
 
+Algebra products multiply support pairs on the group engine; the product
+through the Cayley table they replaced is an oracle here, and so are the
+Jennings series seeds collected one scalar commutator and power at a time.
+
 The witness runs its group theory on the group engine; its earlier
 algebra-element versions are oracles here: the unit-pair recognition by
 products, inverses and normal closure of units, the unit Cayley table by
@@ -44,7 +48,7 @@ from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
 from mipverify.ambient import Element, GuardExceeded, int_log, make_ambient
 from mipverify.family import FamilyInstance, build_family
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
-                              frattini, generated_subgroup)
+                              frattini, generated_subgroup, normal_closure)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import UnitGroupSubgroup
 
@@ -651,6 +655,42 @@ def dense_ideal_dims(G: FiniteGroup, N: FiniteGroup) -> Tuple[int, int]:
                 for g in G.elements]
     return (dense_rank_mod_p(np.array(in_rows), G.p),
             dense_rank_mod_p(np.array(in_rows + der_rows), G.p))
+
+
+def table_product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
+    """Product through the Cayley table: the sparser operand's support
+    scatters translated copies of the other operand's coefficient vector
+    (row i of the table is left translation by elements[i], column j right
+    translation by elements[j])."""
+    alg = u.algebra
+    table = alg.group.cayley_table()
+    uvec, vvec = u.vec().astype(np.int64), v.vec().astype(np.int64)
+    acc = np.zeros(alg.dim, dtype=np.int64)
+    if np.count_nonzero(uvec) <= np.count_nonzero(vvec):
+        for i in np.flatnonzero(uvec):
+            acc[table[i]] += uvec[i] * vvec
+    else:
+        for j in np.flatnonzero(vvec):
+            acc[table[:, j]] += vvec[j] * uvec
+    return alg.from_vec(acc % alg.p)
+
+
+def set_jennings_series(group: FiniteGroup) -> List[FiniteGroup]:
+    """Dimension subgroups with seeds from scalar commutators and powers,
+    collected in a set and sorted."""
+    p = group.p
+    series = [group]
+    i = 2
+    while series[-1].order > 1:
+        prev = series[-1]
+        half = series[(i + p - 1) // p - 1]
+        seeds = {group.comm(h, a) for h in prev.elements
+                 for a in group.small_generators()}
+        seeds.update(group.power(g, p) for g in half.elements)
+        series.append(normal_closure(group, sorted(seeds)))
+        i += 1
+        assert i <= p * group.order + 2, "Jennings series failed to terminate"
+    return series
 
 
 def pairwise_class_sum_count(alg: GroupAlgebra) -> int:

@@ -5,14 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from mipverify.algebra import (FpMatrix, GroupAlgebra,
+import mipverify.algebra as algebra_mod
+import mipverify.groups as groups_mod
+
+from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
                                jennings_dimension_polynomial, is_unit,
                                pack_bits, unit_inverse, unit_order,
                                unpack_bits)
 from mipverify.groups import conjugacy_classes, jennings_factor_orders
 
 from conftest import (naive_product, naive_power, pairwise_class_sum_count,
-                      regular_rep_is_unit)
+                      regular_rep_is_unit, table_product)
 
 
 def _random_element(alg, rng, density=0.5):
@@ -71,6 +74,67 @@ def test_powers_match_naive(catalog):
             assert u ** e == naive_power(u, e)
 
 
+@pytest.mark.parametrize("name", ["D8", "heis27"])
+def test_power_product_count(catalog, monkeypatch, name):
+    """u ** e takes bit_length(e) - 1 squarings and popcount(e) - 1 more
+    products: no squaring after the highest bit, no product by one."""
+    alg = _algebras(catalog, [name])[0]
+    u = _random_element(alg, random.Random(9))
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for e in range(10):
+        calls.clear()
+        assert u ** e == naive_power(u, e), e
+        expected = e.bit_length() + bin(e).count("1") - 2 if e else 0
+        assert len(calls) == expected, e
+
+
+def _random_operand(alg, rng, density):
+    """Random element of the given support density, with random nonzero
+    coefficients at odd p."""
+    vec = np.array([rng.randrange(1, alg.p) if rng.random() < density else 0
+                    for _ in range(alg.dim)])
+    return alg.from_vec(vec)
+
+
+# a tiny block splits every product over many blocks, mid-row too
+@pytest.mark.parametrize("block_pairs", [None, 100], ids=["default", "tiny"])
+@pytest.mark.parametrize("name", ["dihedral-G-433", "dihedral-H-433",
+                                  "heisenberg-G-211", "c9c9-G-211"])
+def test_product_matches_table_product(layer_groups, monkeypatch, name,
+                                       block_pairs):
+    grp = dict(layer_groups)[name]
+    alg = GroupAlgebra(grp)
+    if block_pairs is not None:
+        monkeypatch.setattr(algebra_mod, "_PRODUCT_BLOCK_BYTES",
+                            24 * grp.ambient.width * block_pairs)
+    rng = random.Random(10)
+    sparse, dense = 0.02, 0.6
+    for _ in range(3):
+        g = alg.embed(grp.elements[rng.randrange(grp.order)])
+        pairs = [(_random_operand(alg, rng, sparse), _random_operand(alg, rng, sparse)),
+                 (_random_operand(alg, rng, sparse), _random_operand(alg, rng, dense)),
+                 (_random_operand(alg, rng, dense), _random_operand(alg, rng, sparse)),
+                 (_random_operand(alg, rng, dense), _random_operand(alg, rng, dense)),
+                 (g, _random_operand(alg, rng, dense)),
+                 (_random_operand(alg, rng, dense), g),
+                 (alg.zero(), _random_operand(alg, rng, dense))]
+        for u, v in pairs:
+            assert u * v == table_product(u, v)
+
+
+def test_product_builds_no_table(catalog, monkeypatch):
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
+    rng = random.Random(11)
+    for alg in _algebras(catalog, ["Q16", "heis27"]):
+        u, v = _random_element(alg, rng), _random_element(alg, rng)
+        assert u * v == naive_product(u, v)
+        assert alg.aug_quotient_dims() == jennings_dimension_polynomial(
+            jennings_factor_orders(alg.group), alg.p)
+
+
 def test_unit_criterion_vs_regular_representation(catalog):
     rng = random.Random(5)
     for alg in _algebras(catalog, ["D8", "Q8", "C9", "heis27"]):
@@ -119,11 +183,46 @@ def test_class_sums_are_central_and_partition(catalog):
         assert total == alg.from_indices(range(alg.dim))
 
 
-def test_class_sum_pth_power_count_vs_pairwise_oracle(catalog):
-    for name in ("C4", "D8", "Q8", "D16", "C9", "heis27"):
-        alg = GroupAlgebra(dict(catalog)[name])
+def test_class_sum_pth_power_count_vs_pairwise_oracle(layer_groups):
+    for name, grp in layer_groups:
+        alg = GroupAlgebra(grp)
         assert alg.class_sum_pth_power_count() == \
             pairwise_class_sum_count(alg), name
+
+
+def test_class_sum_count_in_tiny_blocks(layer_groups, monkeypatch):
+    """Five pairs per block: terms of one class power span blocks."""
+    for name, grp in layer_groups:
+        monkeypatch.setattr(algebra_mod, "_PRODUCT_BLOCK_BYTES",
+                            24 * grp.ambient.width * 5)
+        alg = GroupAlgebra(grp)
+        assert alg.class_sum_pth_power_count() == \
+            pairwise_class_sum_count(alg), name
+
+
+def test_class_sum_matches_need_whole_classes(catalog):
+    """Terms match class C_j only with coefficient 1 on all of C_j."""
+    grp = dict(catalog)["heis27"]
+    classes = conjugacy_classes(grp)
+    sizes = np.array([len(c) for c in classes])
+    class_of = np.empty(grp.order, dtype=np.int64)
+    for j, cls in enumerate(classes):
+        class_of[list(cls)] = j
+    j = int(np.flatnonzero(sizes == 3)[0])
+    other = int(np.flatnonzero(sizes == 3)[1])
+    whole = np.array(classes[j])
+    cases = [  # owner: (elements, coefficients)
+        (whole, [1, 1, 1]),                                # C_j
+        (whole[:2], [1, 1]),                               # part of C_j
+        (whole, [1, 2, 1]),                                # a coefficient 2
+        (np.r_[whole, classes[other][0]], [1, 1, 1, 1]),   # C_j and more
+        (np.array(classes[0]), [1])]                       # the identity
+    owners = np.concatenate([[o] * len(c[1]) for o, c in enumerate(cases)])
+    elems = np.concatenate([c[0] for c in cases])
+    coeffs = np.concatenate([c[1] for c in cases])
+    got = algebra_mod._class_sum_matches(owners, elems, coeffs, len(cases) + 1,
+                                         class_of, sizes)
+    assert got.tolist() == [j, -1, -1, -1, 0, -1]
 
 
 def test_aug_ideal_filtration_c4(catalog):

@@ -232,6 +232,17 @@ def test_wreath_table_over_budget_exit_two(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_witness_764_over_unit_budget_exit_two(capsys):
+    """At |G| = 2^16 the witness is refused before its unit closure."""
+    start = time.monotonic()
+    code = main(["witness", "--n", "7", "--m", "6", "--k", "4", "--no-matrix"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - start < 60
+    assert code == 2 and captured.out == ""
+    assert "unit budget of 1073741824" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_bound_reaches_structure_report():
     base = ["family", "--n", "4", "--m", "3", "--k", "3"]
     below = run_cli(base + ["--oracle-bound", "511"])

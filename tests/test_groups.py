@@ -20,8 +20,8 @@ from mipverify.groups import (center, centralizer_index, closure,
 
 from conftest import (coset_scan_maximal_subgroups, dict_closure,
                       greedy_generators, naive_closure, pairwise_closed,
-                      row_cayley_table, table_conjugacy_classes,
-                      table_element_orders)
+                      row_cayley_table, set_jennings_series,
+                      table_conjugacy_classes, table_element_orders)
 
 
 def _catalog_map(catalog):
@@ -158,6 +158,16 @@ def test_jennings_series_c4():
     series = jennings_series(C4)
     assert [s.order for s in series] == [4, 2, 1]
     assert jennings_factor_orders(C4) == [2, 2]
+
+
+def test_jennings_series_matches_set_oracle(layer_groups):
+    """Vectorized seeds give the same terms, generators and words."""
+    for name, grp in layer_groups:
+        got, want = jennings_series(grp), set_jennings_series(grp)
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert (a.elements, a.generators, a.bfs_parent, a.bfs_gen) == \
+                (b.elements, b.generators, b.bfs_parent, b.bfs_gen), name
 
 
 def test_jennings_series_shape(catalog):

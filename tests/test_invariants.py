@@ -2,6 +2,7 @@
 
 import pytest
 
+from mipverify import groups as groups_mod
 from mipverify.algebra import FpMatrix, GroupAlgebra
 from mipverify.ambient import make_ambient
 from mipverify.family import build_family
@@ -189,6 +190,30 @@ def test_ideal_dims_543_pair_golden():
         rep = invariant_report(G, GroupAlgebra(G))
         assert rep.group_order == 2048 and rep.n_order == 2048
         assert rep.ideal_dims == (2047, 2047)
+
+
+def test_report_543_pair_builds_no_table(monkeypatch):
+    """The (5,4,3) reports, golden field by field, with no Cayley table."""
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
+    inst = build_family(2, "dihedral", 5, 4, 3)
+    common = {
+        "p": 2, "group_order": 2048,
+        "n": {"order": 2048, "abelian": False, "index": 1},
+        "bjz_factors": [4, 8, 1, 8, 1, 1, 1, 4, 1, 1, 1, 1, 1, 1, 1, 2],
+        "ideal_dims": [2047, 2047], "class_sum_pth_power_count": 64,
+        "phi_minus_zn": 256, "phi_minus_zg": 256, "abelian_type_n": None,
+        "class_size_census": [[2, 128]], "proposition_inapplicable": True}
+    gen_a = {"generator": 0, "order": 32, "p_th_power_central": True,
+             "centralizer_index": 4, "index_equals_p": None}
+    sehgal = {"G": [gen_a, {"generator": 1, "order": 16,
+                            "p_th_power_central": True,
+                            "centralizer_index": 4, "index_equals_p": None}],
+              "H": [gen_a, {"generator": 1, "order": 16,
+                            "p_th_power_central": False,
+                            "centralizer_index": 2, "index_equals_p": True}]}
+    for name, G in (("G", inst.G), ("H", inst.H)):
+        rep = invariant_report(G, GroupAlgebra(G), name).as_dict()
+        assert rep == dict(common, identifier=name, sehgal_census=sehgal[name])
 
 
 def test_derived_ideal_dimension_433(inst433, FG433):

@@ -7,9 +7,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import mipverify.groups as groups_mod
 import mipverify.witness as witness_mod
 
 from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
+from mipverify.ambient import GuardExceeded
 from mipverify.cli import _make_zeta
 from mipverify.family import build_family
 from mipverify.invariants import abelian_type
@@ -207,6 +209,31 @@ def test_order_note_at_543():
     assert cert.valid
     assert cert.beta_order == 16
     assert cert.order_note is not None and "2^k" in cert.order_note
+
+
+def test_witness_builds_no_table(monkeypatch):
+    """The standard pair at (5,4,3) and the general beta with a class-sum
+    zeta at (4,3,3), seed 7, certify with no Cayley table."""
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
+    inst = build_family(2, "dihedral", 5, 4, 3)
+    FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
+    assert verify_witness(FG, FH, build_beta(FH, inst.x, inst.z),
+                          (5, 4, 3)).valid
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
+    zeta = _make_zeta(FH, inst, "class-sum", 7, 3)
+    beta = build_beta_general(FH, zeta, inst.x, inst.z, 3)
+    assert verify_witness(FG, FH, beta, (4, 3, 3), seed=7).valid
+
+
+def test_unit_budget_refuses_before_any_clause(FG433, FH433, beta433,
+                                              monkeypatch):
+    # (4,3,3) needs 3 * 512 * 64 bytes of packed units
+    monkeypatch.setattr(witness_mod, "UNIT_BUDGET_BYTES", 3 * 512 * 64 - 1)
+    with pytest.raises(GuardExceeded, match="unit budget of 98303"):
+        verify_witness(FG433, FH433, beta433, (4, 3, 3))
+    monkeypatch.setattr(witness_mod, "UNIT_BUDGET_BYTES", 3 * 512 * 64)
+    assert verify_witness(FG433, FH433, beta433, (4, 3, 3)).valid
 
 
 def test_unit_closure_of_group_basis(FH433, inst433):
