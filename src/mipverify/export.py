@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .family import FamilyInstance
 
 PRESENTATION_TEMPLATE = """\
@@ -69,28 +71,34 @@ def gap_script(n: int, m: int, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_csv(group) -> str:
-    table = group.cayley_table()
-    return "\n".join(",".join(str(int(v)) for v in row) for row in table) + "\n"
-
-
 def write_exports(inst: FamilyInstance, outdir: str) -> list[str]:
-    """Write all export files; returns the relative file names written."""
+    """Write all export files; returns the relative file names written.
+
+    The tables are streamed one row at a time, each entry's decimal label
+    gathered from one array of labels.
+    """
     if inst.H is None:
         raise ValueError("exports are defined for the 2-case family")
     n, m, k = inst.nmk
     os.makedirs(outdir, exist_ok=True)
-    files = {
-        "g_table.csv": table_csv(inst.G),
-        "h_table.csv": table_csv(inst.H),
-        "presentations.txt": presentation_text(n, m, k),
-        "check.g": gap_script(n, m, k),
-    }
-    for name in sorted(files):
-        with open(os.path.join(outdir, name), "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write(files[name])
-    return sorted(files)
+    texts = {"presentations.txt": presentation_text(n, m, k),
+             "check.g": gap_script(n, m, k)}
+    # both tables before any file, so a refused table writes nothing
+    tables = {"g_table.csv": inst.G.cayley_table(),
+              "h_table.csv": inst.H.cayley_table()}
+    for name, text in texts.items():
+        with _open(outdir, name) as fh:
+            fh.write(text)
+    labels = np.array([str(i) for i in range(inst.G.order)], dtype=object)
+    for name, table in tables.items():
+        with _open(outdir, name) as fh:
+            for row in table:
+                fh.write(",".join(labels[row].tolist()) + "\n")
+    return sorted(texts | tables)
 
 
-__all__ = ["presentation_text", "gap_script", "table_csv", "write_exports"]
+def _open(outdir: str, name: str):
+    return open(os.path.join(outdir, name), "w", encoding="ascii", newline="\n")
+
+
+__all__ = ["presentation_text", "gap_script", "write_exports"]

@@ -2,7 +2,8 @@
 
 A :class:`FiniteGroup` stores a sorted element list (canonical order = tuple
 order), an index map, the generating set, and for every element a derivation
-word over the generators obtained from breadth-first closure.  All subgroup
+word over the generators obtained from breadth-first closure, with the
+boundaries of the closure's levels.  All subgroup
 constructions (derived subgroup, lower central series, Frattini and power
 subgroups, center, centralizers, Jennings series) reduce to breadth-first
 closure over explicit generator sets, so every returned group carries valid
@@ -11,7 +12,10 @@ words by construction.
 The layer works on int64 element rows with the ambient's broadcasting
 product: closure runs one breadth-first level at a time, element orders
 come from repeated p-th powers of all rows, and coset and conjugacy-class
-labels from orbit minima under permutation columns.  No O(|G|^2) Cayley
+labels from orbit minima under permutation columns.  A group caches what
+several checks read: its Frattini subgroup, its conjugacy classes, and
+the small generators a closure or a maximal subgroup was built from.  No
+O(|G|^2) Cayley
 table is built here, nor by the group algebra, whose products run on the
 same rows; :meth:`FiniteGroup.cayley_table` exists for the exports and the
 isomorphism tooling, and refuses a table above ``TABLE_BUDGET_BYTES``.
@@ -31,6 +35,8 @@ Word = tuple[int, ...]
 
 # Largest Cayley table (int32 entries) that FiniteGroup.cayley_table builds.
 TABLE_BUDGET_BYTES = 2 ** 30
+# Table entries filled, and left-column products taken, in one block.
+_BLOCK_ENTRIES = 2 ** 18
 
 
 @dataclass
@@ -41,10 +47,13 @@ class FiniteGroup:
     elements: tuple[Element, ...]
     generators: tuple[Element, ...]
     # breadth-first derivation: element i (other than the identity) equals
-    # elements[bfs_parent[i]] * generators[bfs_gen[i]]
+    # elements[bfs_parent[i]] * generators[bfs_gen[i]]; the elements of
+    # level l are bfs_order[bfs_levels[l]:bfs_levels[l + 1]], and every
+    # parent lies on an earlier level
     bfs_order: tuple[int, ...]
     bfs_parent: tuple[int, ...]
     bfs_gen: tuple[int, ...]
+    bfs_levels: tuple[int, ...]
     _index: dict[Element, int] = field(repr=False, default_factory=dict)
     _array: Optional[np.ndarray] = field(repr=False, default=None)
     _words: Optional[tuple[Word, ...]] = field(repr=False, default=None)
@@ -53,6 +62,9 @@ class FiniteGroup:
     _orders: Optional[np.ndarray] = field(repr=False, default=None)
     _central_mask: Optional[np.ndarray] = field(repr=False, default=None)
     _small_gens: Optional[tuple[Element, ...]] = field(repr=False, default=None)
+    _frattini: Optional["FiniteGroup"] = field(repr=False, default=None)
+    _classes: Optional[tuple[tuple[int, ...], ...]] = field(repr=False, default=None)
+    _class_label: Optional[np.ndarray] = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not self._index:
@@ -153,12 +165,12 @@ class FiniteGroup:
     def cayley_table(self) -> np.ndarray:
         """Full multiplication table T[i, j] = index(elements[i] * elements[j]).
 
-        Column j is right translation by elements[j]: the identity's column
-        is the identity permutation, and along the breadth-first tree
-        elements[i] = elements[parent] * generator, so column i is the
-        generator's column read at the parent's column.  Raises
-        :class:`GuardExceeded` before allocating when the table would take
-        more than ``TABLE_BUDGET_BYTES``.
+        Filled one breadth-first level at a time, whole rows at once: the
+        identity's row is the identity permutation, and elements[i] =
+        elements[parent] * generator gives row i = row(parent) read at the
+        generator's left column j -> index(generator * elements[j]).
+        Raises :class:`GuardExceeded` before allocating when the table would
+        take more than ``TABLE_BUDGET_BYTES``.
         """
         if self._table is None:
             size = self.order
@@ -168,13 +180,50 @@ class FiniteGroup:
                     f"Cayley table of a group of order {size} needs {nbytes} "
                     f"bytes, above the table budget of {TABLE_BUDGET_BYTES}")
             table = np.empty((size, size), dtype=np.int32)
-            table[:, self.identity_index] = np.arange(size)
-            columns = self.right_columns(self.generators)
-            for i in self.bfs_order[1:]:
-                table[:, i] = columns[self.bfs_gen[i]][table[:, self.bfs_parent[i]]]
+            order = np.asarray(self.bfs_order)
+            parent = np.asarray(self.bfs_parent)
+            via = np.asarray(self.bfs_gen)
+            table[order[0]] = np.arange(size)
+            step = max(1, _BLOCK_ENTRIES // size)
+            # element-set groups have |G| generators: their left columns
+            # are taken block by block, like the rows they become
+            gen_left = (self.left_columns(self.generators)
+                        if len(self.generators) <= step else None)
+            for lo, hi in zip(self.bfs_levels[1:-1], self.bfs_levels[2:]):
+                for start in range(lo, hi, step):
+                    rows = order[start:min(hi, start + step)]
+                    left = (gen_left[via[rows]] if gen_left is not None else
+                            self.left_columns([self.generators[j] for j in via[rows]]))
+                    table[rows] = table[parent[rows][:, None], left]
             table.setflags(write=False)
             self._table = table
         return self._table
+
+    def left_columns(self, factors: Sequence[Element]) -> np.ndarray:
+        """Row r is the permutation j -> index(factors[r] * elements[j])."""
+        arr = self.array()
+        lefts = np.array(factors, dtype=np.int64).reshape(-1, arr.shape[1])
+        rows = self.ambient.mul_array(np.repeat(lefts, self.order, axis=0),
+                                      np.tile(arr, (lefts.shape[0], 1)))
+        return self.indices_of_rows(rows).astype(np.int32).reshape(-1, self.order)
+
+    def transport(self, columns: np.ndarray, origin: int) -> np.ndarray:
+        """Every element's word read from ``origin`` along ``columns``.
+
+        ``columns[j]`` is a permutation of some target's points standing for
+        generator j.  Returns pi with pi[identity] = origin and pi[i] =
+        columns[bfs_gen[i]][pi[bfs_parent[i]]], one level at a time.
+        """
+        columns = np.asarray(columns)
+        order = np.asarray(self.bfs_order)
+        parent = np.asarray(self.bfs_parent)
+        via = np.asarray(self.bfs_gen)
+        pi = np.empty(self.order, dtype=columns.dtype)
+        pi[order[0]] = origin
+        for lo, hi in zip(self.bfs_levels[1:-1], self.bfs_levels[2:]):
+            level = order[lo:hi]
+            pi[level] = columns[via[level], pi[parent[level]]]
+        return pi
 
     def right_columns(self, factors: Sequence[Element]) -> list[np.ndarray]:
         """For each a in ``factors``, the permutation i -> index(elements[i] * a)."""
@@ -209,13 +258,15 @@ class FiniteGroup:
         return self._orders
 
     def small_generators(self) -> tuple[Element, ...]:
-        """A short generating sequence (greedy over canonical order; cached).
+        """A short generating sequence (cached).
 
-        Groups wrapped from explicit element sets (intersections,
-        centralizers, hyperplane preimages) store every element as a
-        generator; structural operations reduce to this sequence so that
-        conjugation and commutator seed sets stay proportional to log|G|
-        instead of |G|.
+        Groups built by closure keep the generators they were built from,
+        and maximal subgroups carry theirs.  Groups wrapped from other
+        explicit element sets (intersections, centralizers, centers) store
+        every element as a generator; for them this is the greedy sequence
+        over canonical order.  Structural operations reduce to this sequence
+        so that conjugation and commutator seed sets stay proportional to
+        log|G| instead of |G|.
         """
         if self._small_gens is None:
             if len(self.generators) <= 3:
@@ -268,14 +319,16 @@ class FiniteGroup:
 
 
 def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
-         bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Breadth-first closure, one whole level at a time.
 
     Returns the element rows in discovery order with, for each, the
     discovery number of its parent and the generator that led to it (0 and
-    0 for the identity).  Within a level the candidates are ordered by
-    parent and then by generator, and each new element keeps its first
-    candidate, so the order is the FIFO order of a one-at-a-time search.
+    0 for the identity), and the level boundaries: level l holds discovery
+    numbers levels[l] to levels[l + 1] - 1.  Within a level the candidates
+    are ordered by parent and then by generator, and each new element keeps
+    its first candidate, so the order is the FIFO order of a one-at-a-time
+    search.
     """
     for g in gens:
         if len(g) != ambient.width or any(not (0 <= v < r) for v, r in zip(g, ambient.radices)):
@@ -288,7 +341,7 @@ def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
     first = np.empty(ambient.order, dtype=np.int64)
     frontier = np.zeros((1, width), dtype=np.int64)
     rows, parents, via = [frontier], [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
-    count = 1
+    levels = [0, 1]
     while frontier.shape[0] and len(gens):
         cand = ambient.mul_array(np.repeat(frontier, len(gens), axis=0),
                                  np.tile(gen_rows, (frontier.shape[0], 1)))
@@ -296,29 +349,27 @@ def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
         fresh = np.flatnonzero(~seen[keys])
         first[keys[fresh[::-1]]] = fresh[::-1]
         new = fresh[first[keys[fresh]] == fresh]
-        if count + new.size > bound:
+        if levels[-1] + new.size > bound:
             raise GuardExceeded(f"closure exceeded guard {bound}")
         seen[keys[new]] = True
-        parents.append(count - frontier.shape[0] + new // len(gens))
+        parents.append(levels[-2] + new // len(gens))
         via.append(new % len(gens))
         frontier = cand[new]
         rows.append(frontier)
-        count += new.size
-    return np.concatenate(rows), np.concatenate(parents), np.concatenate(via)
+        if new.size:
+            levels.append(levels[-1] + new.size)
+    return (np.concatenate(rows), np.concatenate(parents), np.concatenate(via),
+            tuple(levels))
 
 
-def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
-            guard: Optional[int] = None) -> FiniteGroup:
-    """Subgroup generated by ``generators``, by breadth-first multiplication.
+def _from_bfs(ambient: AmbientDescriptor, gens: tuple[Element, ...],
+              bfs: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
+              ) -> FiniteGroup:
+    """The group found by a breadth-first closure, in canonical order.
 
-    Elements are discovered FIFO with generators tried in the given order, so
-    the derivation words are deterministic; the stored element list is then
-    sorted into canonical (tuple) order.  ``guard`` bounds the subgroup size
-    (default: ambient order).
+    ``gens`` are kept as the group's small generators as well.
     """
-    gens = tuple(generators)
-    bound = ambient.order if guard is None else min(guard, ambient.order)
-    rows, parent, via = _bfs(ambient, gens, bound)
+    rows, parent, via, levels = bfs
     keys = ambient.encode(rows)
     order = np.argsort(keys)
     # discovery number -> canonical index
@@ -332,9 +383,24 @@ def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
     return FiniteGroup(ambient=ambient, elements=elements, generators=gens,
                        bfs_order=tuple(index_of.tolist()),
                        bfs_parent=tuple(index_of[parent[order]].tolist()),
-                       bfs_gen=tuple(via[order].tolist()),
+                       bfs_gen=tuple(via[order].tolist()), bfs_levels=levels,
                        _index=dict(zip(elements, range(order.size))),
-                       _array=arr, _keys=sorted_keys)
+                       _array=arr, _keys=sorted_keys, _small_gens=gens)
+
+
+def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
+            guard: Optional[int] = None) -> FiniteGroup:
+    """Subgroup generated by ``generators``, by breadth-first multiplication.
+
+    Elements are discovered FIFO with generators tried in the given order, so
+    the derivation words are deterministic; the stored element list is then
+    sorted into canonical (tuple) order.  ``guard`` bounds the subgroup size
+    (default: ambient order).  The generators are also the group's small
+    generators.
+    """
+    gens = tuple(generators)
+    bound = ambient.order if guard is None else min(guard, ambient.order)
+    return _from_bfs(ambient, gens, _bfs(ambient, gens, bound))
 
 
 def generated_subgroup(ambient: AmbientDescriptor, seeds: Iterable[Element],
@@ -343,20 +409,22 @@ def generated_subgroup(ambient: AmbientDescriptor, seeds: Iterable[Element],
 
     Absorbs seeds one at a time in canonical order, skipping those already
     contained in the closure so far; the essential seeds become the
-    generating set.  This keeps breadth-first closure cheap when the seed
-    set is much larger than a minimal generating set (powers of all
-    elements, commutator seeds, ...).
+    generating set, and the closure of the last absorption step is the
+    result.  This keeps breadth-first closure cheap when the seed set is
+    much larger than a minimal generating set (powers of all elements,
+    commutator seeds, ...).
     """
     bound = ambient.order if guard is None else min(guard, ambient.order)
     ordered = sorted(set(seeds))
     seed_keys = ambient.encode(np.array(ordered, dtype=np.int64).reshape(-1, ambient.width))
     have = seed_keys == 0  # the identity
     essential: list[Element] = []
+    bfs = _bfs(ambient, essential, bound)
     while not have.all():
         essential.append(ordered[int(np.argmin(have))])
-        reached = ambient.encode(_bfs(ambient, essential, bound)[0])
-        have = np.isin(seed_keys, reached)
-    return closure(ambient, essential, guard)
+        bfs = _bfs(ambient, essential, bound)
+        have = np.isin(seed_keys, ambient.encode(bfs[0]))
+    return _from_bfs(ambient, tuple(essential), bfs)
 
 
 def subgroup_from_elements(ambient: AmbientDescriptor,
@@ -381,9 +449,11 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
     bfs_order = (ident_idx,) + tuple(i for i in range(len(elems)) if i != ident_idx)
     bfs_parent = tuple(ident_idx for _ in elems)
     bfs_gen = tuple(range(len(elems)))
+    # every element on one level below the identity
+    levels = (0, 1, len(elems)) if len(elems) > 1 else (0, 1)
     group = FiniteGroup(ambient=ambient, elements=elems, generators=elems,
                         bfs_order=bfs_order, bfs_parent=bfs_parent,
-                        bfs_gen=bfs_gen, _index=index)
+                        bfs_gen=bfs_gen, bfs_levels=levels, _index=index)
     if verify:
         try:
             gens = group._greedy_generators()
@@ -459,9 +529,11 @@ def power_subgroup(group: FiniteGroup, s: int) -> FiniteGroup:
 
 
 def frattini(group: FiniteGroup) -> FiniteGroup:
-    """Frattini subgroup of a finite p-group: G' G^p."""
-    seeds = derived_subgroup(group).generators + tuple(_powers(group, group.p))
-    return generated_subgroup(group.ambient, seeds, guard=group.order)
+    """Frattini subgroup of a finite p-group: G' G^p (computed once per group)."""
+    if group._frattini is None:
+        seeds = derived_subgroup(group).generators + tuple(_powers(group, group.p))
+        group._frattini = generated_subgroup(group.ambient, seeds, guard=group.order)
+    return group._frattini
 
 
 def center(group: FiniteGroup) -> FiniteGroup:
@@ -519,32 +591,32 @@ def _orbit_minima(columns: Sequence[np.ndarray], size: int) -> np.ndarray:
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes as sorted index tuples, ordered by minimal element."""
-    arr = group.array()
-    # columns of the conjugation maps g -> a^-1 g a for each generator
-    conj_cols = [group.indices_of_rows(group.ambient.mul_cols(
-                     group.ambient.mul_rows(group.inv(a), arr), a))
-                 for a in group.small_generators()]
-    label = _orbit_minima(conj_cols, group.order)
-    members = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[members])) + 1
-    return [tuple(cls.tolist()) for cls in np.split(members, starts)]
+    """Conjugacy classes as sorted index tuples, ordered by minimal element.
+
+    Computed once per group; the class labels (each element's smallest
+    conjugate) are kept on the group with them.
+    """
+    if group._classes is None:
+        arr = group.array()
+        # columns of the conjugation maps g -> a^-1 g a for each generator
+        conj_cols = [group.indices_of_rows(group.ambient.mul_cols(
+                         group.ambient.mul_rows(group.inv(a), arr), a))
+                     for a in group.small_generators()]
+        label = _orbit_minima(conj_cols, group.order)
+        label.setflags(write=False)
+        members = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(np.diff(label[members])) + 1
+        group._class_label = label
+        group._classes = tuple(tuple(cls.tolist())
+                               for cls in np.split(members, starts))
+    return list(group._classes)
 
 
 def centralizer_index(group: FiniteGroup, g: Element) -> int:
-    """|G : C_G(g)| = size of the conjugacy class of g."""
-    orbit = {g}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for a in group.small_generators():
-                h2 = group.conj(h, a)
-                if h2 not in orbit:
-                    orbit.add(h2)
-                    nxt.append(h2)
-        frontier = nxt
-    return len(orbit)
+    """|G : C_G(g)| = size of the conjugacy class of g, an element of G."""
+    conjugacy_classes(group)
+    label = group._class_label
+    return int(np.count_nonzero(label == label[group.index(g)]))
 
 
 def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
@@ -556,6 +628,12 @@ def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
     with elements[i] Phi = b_1^e_1 ... b_d^e_d Phi, so the rows form a
     homomorphism onto F_p^d whose kernel is Phi(G).
     """
+    return _frattini_basis(group)[0]
+
+
+def _frattini_basis(group: FiniteGroup) -> tuple[np.ndarray, list[int]]:
+    """:func:`frattini_coordinates` and the indices of the basis elements
+    b_1, ..., b_d, whose coordinate rows are the unit vectors."""
     p = group.p
     phi = frattini(group)
     # Phi-coset of every element, numbered by its smallest element
@@ -568,8 +646,10 @@ def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
     span_coords = np.zeros((1, 0), dtype=np.int64)
     in_span = np.zeros(reps.size, dtype=bool)
     in_span[span] = True
+    basis: list[int] = []
     while not in_span.all():
-        b = group.elements[reps[int(np.argmin(in_span))]]
+        basis.append(int(reps[int(np.argmin(in_span))]))
+        b = group.elements[basis[-1]]
         # the coset of c*b for every coset c
         step = coset[group.indices_of_rows(group.ambient.mul_cols(rep_rows, b))]
         parts, part_coords = [span], [span_coords]
@@ -585,26 +665,42 @@ def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
         raise RuntimeError("Frattini quotient rank inconsistent with order")
     coset_coords = np.empty_like(span_coords)
     coset_coords[span] = span_coords
-    return coset_coords[coset]
+    return coset_coords[coset], basis
 
 
 def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     """All maximal subgroups (index p), via hyperplanes of G/Frattini.
 
+    M_w is the preimage of the hyperplane w.e = 0, where w is taken up to
+    scalars with first nonzero entry w_j0 = 1.  It carries as small
+    generators the generators of Phi(G) and b_i * b_j0^(-w_i) for i != j0,
+    with b_j the basis of :func:`frattini_coordinates`.  These generate
+    M_w: each lies in M_w, since its coordinates e_i - w_i e_j0 have dot
+    product w_i - w_i w_j0 = 0 with w; those d - 1 vectors are
+    independent, so they span ker w, of dimension d - 1; and Phi(G), the
+    kernel of the coordinates, is generated too.  A subgroup containing
+    Phi(G) and mapping onto ker w is all of M_w.
+
     Returned sorted by element lists, so the order is deterministic.
     """
-    p = group.p
-    elem_coords = frattini_coordinates(group)
+    p, amb = group.p, group.ambient
+    elem_coords, basis = _frattini_basis(group)
     rank = elem_coords.shape[1]
+    b = [group.elements[i] for i in basis]
+    phi_gens = frattini(group).generators
     # hyperplane normals up to scalar: first nonzero coefficient equal 1
     subgroups = []
     for w in iter_product(range(p), repeat=rank):
-        nz = next((v for v in w if v), None)
-        if nz != 1:
+        j0 = next((j for j, v in enumerate(w) if v), None)
+        if j0 is None or w[j0] != 1:
             continue
         dots = (elem_coords @ np.array(w, dtype=np.int64)) % p
         elems = [group.elements[i] for i in np.flatnonzero(dots == 0).tolist()]
-        subgroups.append(subgroup_from_elements(group.ambient, elems, verify=False))
+        sub = subgroup_from_elements(amb, elems, verify=False)
+        sub._small_gens = phi_gens + tuple(
+            amb.mul(b[i], amb.power(amb.inv(b[j0]), w[i]))
+            for i in range(rank) if i != j0)
+        subgroups.append(sub)
     subgroups.sort(key=lambda s: s.elements)
     return subgroups
 

@@ -6,7 +6,8 @@ Three independent routes to (non-)isomorphism evidence:
   designated generating pair (orders, central squares, derived-subgroup size,
   trivial intersection) that pin the group's isomorphism type.
 * :func:`find_presentation_witness` -- exhaustive search for a generating pair
-  satisfying an explicit defining relation set.
+  satisfying an explicit defining relation set, with generation read off
+  the Frattini quotient.
 * :func:`isomorphic_bruteforce` -- exhaustive generator-image transport oracle.
 
 The oracle enumerates image pairs in canonical element order, prunes with
@@ -24,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ambient import Element
-from .groups import FiniteGroup, closure, derived_subgroup
+from .groups import (FiniteGroup, closure, derived_subgroup,
+                     frattini_coordinates)
 
 DEFAULT_ORACLE_BOUND = 2 ** 12
 
@@ -168,6 +170,24 @@ def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[t
 # -- presentation witnesses ---------------------------------------------------
 
 
+def _generates(coords: np.ndarray, p: int, a: int, bs: np.ndarray) -> np.ndarray:
+    """Mask of the b in ``bs`` for which the pair (a, b) generates the group.
+
+    ``coords`` are the group's :func:`frattini_coordinates`, with d <= 2
+    columns.  By Burnside's basis theorem the pair generates iff its two
+    rows span F_p^d: for d = 2 iff their determinant is nonzero mod p (at
+    p = 2: both rows nonzero and distinct), for d = 1 iff some row is
+    nonzero.
+    """
+    d = coords.shape[1]
+    ca, cb = coords[a], coords[bs]
+    if d == 2:
+        return (ca[0] * cb[:, 1] - ca[1] * cb[:, 0]) % p != 0
+    if d == 1:
+        return (ca[0] != 0) | (cb[:, 0] != 0)
+    return np.ones(len(bs), dtype=bool)
+
+
 def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
                               relations: str = "g") -> Optional[tuple[Element, Element]]:
     """First pair (a, b) in canonical order satisfying the defining relations.
@@ -177,12 +197,19 @@ def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
     replaces the last relation by u^b = u.  Additionally requires
     |a| = 2^n, |b| = 2^m and that (a, b) generate the group, which pins the
     presented group of order 2^(n+m+k-1) exactly.
+
+    Generation is read off G/Phi(G) = F_p^d (Burnside's basis theorem):
+    (a, b) generates G iff their coordinate rows span F_p^d, i.e. have rank
+    d.  So no pair generates when d > 2, and the answer is None.
     """
     if relations not in ("g", "h"):
         raise ValueError("relations must be 'g' or 'h'")
     expected = 2 ** (n + m + k - 1)
     if group.order != expected:
         raise ValueError(f"group order {group.order} != 2^(n+m+k-1) = {expected}")
+    coords = frattini_coordinates(group)
+    if coords.shape[1] > 2:
+        return None
     size = group.order
     table = group.cayley_table()
     invp = group.inverse_permutation()
@@ -218,12 +245,10 @@ def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
         mask &= u_conj_b == (invp[u] if relations == "g" else u)
         # nontrivial commutator: rules out abelian degenerate witnesses
         mask &= u != ident
-        for ib in bs[mask]:
-            a_el = group.elements[ia]
-            b_el = group.elements[int(ib)]
-            gen = closure(group.ambient, (a_el, b_el), guard=size + 1)
-            if gen.order == size:
-                return a_el, b_el
+        mask &= _generates(coords, group.p, ia, bs)
+        hits = bs[mask]
+        if hits.size:
+            return group.elements[ia], group.elements[int(hits[0])]
     return None
 
 
@@ -249,25 +274,11 @@ def _pair_profile(group: FiniteGroup, a: Element, b: Element) -> tuple:
     )
 
 
-def _transport_images(a_group: FiniteGroup, b_table: np.ndarray,
-                      img_gens: Sequence[int], b_ident: int) -> np.ndarray:
-    """Image indices of every element of A under word transport."""
-    size = a_group.order
-    img = np.empty(size, dtype=np.int32)
-    img[a_group.identity_index] = b_ident
-    parent = a_group.bfs_parent
-    gen = a_group.bfs_gen
-    for i in a_group.bfs_order:
-        if i == a_group.identity_index:
-            continue
-        img[i] = b_table[img[parent[i]], img_gens[gen[i]]]
-    return img
-
-
 def _check_candidate(a_group: FiniteGroup, a_cols: list[np.ndarray],
                      b_group: FiniteGroup, b_table: np.ndarray,
                      img_gens: Sequence[int]) -> bool:
-    img = _transport_images(a_group, b_table, img_gens, b_group.identity_index)
+    # the image of every element of A under word transport
+    img = a_group.transport(b_table[:, list(img_gens)].T, b_group.identity_index)
     if np.unique(img).size != a_group.order:
         return False
     for j, col in enumerate(a_cols):

@@ -386,9 +386,7 @@ def transport(G: FiniteGroup,
     word in the subgroup's generators, and the number of generator-column
     mismatches: pairs (g, a), a a generator, with pi(g a) != pi(g) a.
     """
-    pi = np.zeros(G.order, dtype=np.int64)
-    for i in G.bfs_order[1:]:
-        pi[i] = subgroup.columns[G.bfs_gen[i]][pi[G.bfs_parent[i]]]
+    pi = G.transport(np.array(subgroup.columns, dtype=np.int64), 0)
     return pi, sum(int(np.count_nonzero(pi[col_g] != np.asarray(col_u)[pi]))
                    for col_g, col_u in zip(G.right_columns(G.generators),
                                            subgroup.columns))

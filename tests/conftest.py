@@ -11,7 +11,10 @@ implementations live on here as oracles: a dict-based one-at-a-time
 closure, element orders and conjugacy classes read from the Cayley table,
 a per-element coset scan for the maximal subgroups, the greedy
 absorption of seeds one closure at a time, the pairwise closure test
-of an element set, and the Cayley table built one row product at a time.
+of an element set, the Cayley table built one row product at a time,
+the presentation search that tests each candidate pair for generation by
+closure, and the centralizer index as an orbit walked one element at a
+time.
 The ideal dimensions of the invariant report are a closed form in the
 program; here they come from two eliminations, the program's FpMatrix and a
 dense numpy one that shares no code with it.
@@ -373,6 +376,63 @@ def row_cayley_table(group: FiniteGroup) -> np.ndarray:
         keys = group.ambient.encode(group.ambient.mul_rows(g, arr))
         table[i] = np.searchsorted(group.keys(), keys)
     return table
+
+
+def closure_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
+                                 relations: str) -> Optional[tuple]:
+    """First pair in canonical order satisfying the defining relations, each
+    relation-satisfying candidate tested for generation by a closure (one
+    closure for all pairs inside a proper subgroup already closed)."""
+    table = group.cayley_table()
+    invp = group.inverse_permutation()
+    orders = group.element_orders()
+    ident = group.identity_index
+    half_pow = np.arange(group.order)
+    for _ in range(k - 1):
+        half_pow = table[half_pow, half_pow]
+    bs = np.flatnonzero(orders == 2 ** m)
+    # proper subgroups <a, b> closed so far, as masks: a pair inside one of
+    # them generates no more than it
+    closed: List[np.ndarray] = []
+    for ia in np.flatnonzero(orders == 2 ** n).tolist():
+        inv_a = int(invp[ia])
+        u = table[table[table[invp[bs], inv_a], bs], ia]
+        mask = (half_pow[u] == ident) & (u != ident)
+        mask &= table[table[inv_a, bs], ia] == table[bs, u]
+        mask &= table[table[inv_a, u], ia] == invp[u]
+        mask &= table[table[invp[bs], u], bs] == (invp[u] if relations == "g" else u)
+        covered = np.zeros(group.order, dtype=bool)
+        for sub in closed:
+            if sub[ia]:
+                covered |= sub
+        for ib in bs[mask].tolist():
+            if covered[ib]:
+                continue
+            a, b = group.elements[ia], group.elements[ib]
+            sub = closure(group.ambient, (a, b), guard=group.order + 1)
+            if sub.order == group.order:
+                return a, b
+            closed.append(np.zeros(group.order, dtype=bool))
+            closed[-1][group.indices_of_rows(sub.array())] = True
+            covered |= closed[-1]
+    return None
+
+
+def orbit_centralizer_index(group: FiniteGroup, g: Element) -> int:
+    """|G : C_G(g)| as the size of g's orbit under conjugation by the
+    generators, walked one element at a time."""
+    orbit = {g}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for a in group.small_generators():
+                h2 = group.conj(h, a)
+                if h2 not in orbit:
+                    orbit.add(h2)
+                    nxt.append(h2)
+        frontier = nxt
+    return len(orbit)
 
 
 def _unit_mulclose(algebra: GroupAlgebra, seeds: Sequence[AlgebraElement],

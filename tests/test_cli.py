@@ -367,6 +367,26 @@ def test_export_deterministic(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+# sha256 of each file of `export --n 4 --m 3 --k 3`, as written when each
+# table was built as one string and written whole.
+EXPORT_433_SHA256 = {
+    "g_table.csv": "af19517c2e8aa4c17db22d81c90b10a846f4d5e117af391aad73d4272d67a5a4",
+    "h_table.csv": "31e1ac5f0bc9a4748d0ce59de18481a8ba021461801698289757d56ff19a2d3a",
+    "presentations.txt":
+        "43762fb9d4cd2c8eae6d730b0e0be0a923c204e396d24b97252074975645c8d6",
+    "check.g": "f607149a2bde098247b9f8a62f9c9cda889b5c82c2b850f6ff1990ed85c4c81d",
+}
+
+
+def test_export_golden_digests(tmp_path):
+    r = run_cli(["export", "--n", "4", "--m", "3", "--k", "3",
+                 "--outdir", str(tmp_path)])
+    assert r.returncode == 0
+    assert sorted(json.loads(r.stdout)["files"]) == sorted(EXPORT_433_SHA256)
+    for name, digest in EXPORT_433_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_console_entry_point():
     """The declared console script resolves to cli:main and runs --help."""
     tomllib = pytest.importorskip("tomllib")

@@ -1,5 +1,7 @@
 """Family construction and clause-by-clause structural verification."""
 
+import sys
+
 import pytest
 
 from mipverify import groups as groups_mod
@@ -156,3 +158,20 @@ def test_structure_654_builds_no_table(monkeypatch):
     gap = data["exponent-gap-non-isomorphic"]
     assert (gap["exp_g_meet_m"], gap["exp_h_meet_m"]) == (64, 32)
     assert gap["oracle_ran"] is False
+
+
+def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
+    """Phi(G), Phi(H) and Phi(P) are each closed once: clause (iii) and the
+    maximal subgroups of G and H share them."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    closed_for = []
+    generated = groups_mod.generated_subgroup
+
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "frattini":
+            closed_for.append(caller.f_locals["group"])
+        return generated(*args, **kwargs)
+    monkeypatch.setattr(groups_mod, "generated_subgroup", counting)
+    assert verify_structure(inst).ok
+    assert sorted(map(id, closed_for)) == sorted(map(id, (inst.G, inst.H, inst.P)))

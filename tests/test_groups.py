@@ -7,7 +7,9 @@ import pytest
 import numpy as np
 
 from mipverify import groups as groups_mod
+from mipverify.algebra import GroupAlgebra
 from mipverify.ambient import GuardExceeded, make_ambient
+from mipverify.family import build_family
 from mipverify.groups import (center, centralizer_index, closure,
                               commutator_subgroup, conjugacy_classes,
                               derived_subgroup, frattini,
@@ -17,9 +19,11 @@ from mipverify.groups import (center, centralizer_index, closure,
                               lower_central_series, maximal_subgroups,
                               nilpotency_class, normal_closure,
                               power_subgroup, subgroup_from_elements)
+from mipverify.witness import build_beta, unit_closure, unit_group
 
 from conftest import (coset_scan_maximal_subgroups, dict_closure,
-                      greedy_generators, naive_closure, pairwise_closed,
+                      greedy_generators, naive_closure,
+                      orbit_centralizer_index, pairwise_closed,
                       row_cayley_table, set_jennings_series,
                       table_conjugacy_classes, table_element_orders)
 
@@ -379,3 +383,61 @@ def test_subgroup_from_elements_matches_pairwise_oracle(layer_groups):
                 sub = subgroup_from_elements(grp.ambient, elements)
                 assert sub.small_generators() == \
                     greedy_generators(grp.ambient, elements), (name, kind)
+
+
+def test_bfs_levels_hold_the_word_lengths(layer_groups):
+    """Level l of the breadth-first tree holds the elements whose words
+    have length l, for closures and for groups wrapped from element sets."""
+    for name, grp in layer_groups:
+        for g in (grp, subgroup_from_elements(grp.ambient, grp.elements, verify=False)):
+            levels = g.bfs_levels
+            assert levels[0] == 0 and levels[1] == 1 and levels[-1] == g.order, name
+            for depth, (lo, hi) in enumerate(zip(levels[:-1], levels[1:])):
+                assert hi > lo, name
+                assert {len(g.words[i]) for i in g.bfs_order[lo:hi]} == {depth}, name
+
+
+def test_transport_along_right_columns_reads_table_rows(layer_groups):
+    """Transport from h along the group's own right columns lands on h*g
+    for every g: row h of the table."""
+    for name, grp in layer_groups:
+        table = row_cayley_table(grp)
+        cols = np.stack(grp.right_columns(grp.generators))
+        for h in {0, grp.order // 2, grp.order - 1}:
+            assert np.array_equal(grp.transport(cols, h), table[h]), name
+
+
+def test_cayley_table_matches_row_oracle_on_unit_group():
+    """The level-wise table on the regular ambient of the witness units."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    FH = GroupAlgebra(inst.H)
+    U = unit_group(unit_closure(FH, [FH.embed(inst.x), build_beta(FH, inst.x, inst.z)]))
+    assert U.ambient.variant == "regular" and len(U.bfs_levels) > 3
+    assert np.array_equal(U.cayley_table(), row_cayley_table(U))
+
+
+def test_maximal_subgroups_carry_generators(layer_groups, monkeypatch):
+    """The carried generators of every maximal subgroup close to exactly
+    its elements, and is_abelian reads them with no closure, agreeing with
+    the greedy generators of the same element set."""
+    subs, want = [], []
+    for name, grp in layer_groups:
+        for sub in maximal_subgroups(grp):
+            gens = sub.small_generators()
+            assert len(gens) < max(sub.order, 4), name
+            assert np.array_equal(closure(grp.ambient, gens).keys(), sub.keys()), name
+            subs.append(sub)
+            want.append(subgroup_from_elements(sub.ambient, sub.elements).is_abelian())
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure run")
+    monkeypatch.setattr(groups_mod, "_bfs", no_closure)
+    assert [sub.is_abelian() for sub in subs] == want
+
+
+def test_centralizer_index_matches_orbit_oracle(layer_groups):
+    for name, grp in layer_groups:
+        for cls in conjugacy_classes(grp):
+            rep = grp.elements[cls[0]]
+            assert centralizer_index(grp, rep) == len(cls) == \
+                orbit_centralizer_index(grp, rep), name

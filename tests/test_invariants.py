@@ -1,5 +1,7 @@
 """Algebra-determined invariant reports and their frozen values."""
 
+import sys
+
 import pytest
 
 from mipverify import groups as groups_mod
@@ -303,3 +305,21 @@ def test_g_meet_m_fields(inst433):
     gm = intersection(inst433.G, inst433.M)
     assert abelian_type(gm) == (16, 4, 4)
     assert abelian_type_census_check(gm, (16, 4, 4))
+
+
+def test_conjugacy_classes_once_per_group(monkeypatch):
+    """The report, the class sums, their p-th power count and the
+    centralizer indices read one orbit computation of the classes."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    FG = GroupAlgebra(inst.G)
+    orbit_minima = groups_mod._orbit_minima
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(sys._getframe(1).f_code.co_name)
+        return orbit_minima(*args, **kwargs)
+    monkeypatch.setattr(groups_mod, "_orbit_minima", counting)
+    invariant_report(inst.G, FG)
+    FG.class_sums()
+    FG.class_sum_pth_power_count()
+    assert runs == ["conjugacy_classes"]

@@ -1,13 +1,18 @@
 """Recognition clauses and the brute-force isomorphism oracle."""
 
+import random
+
+import numpy as np
 import pytest
 
 from mipverify.family import build_family
-from mipverify.groups import closure, generated_subgroup
-from mipverify.isomorphism import (OracleBoundExceeded,
+from mipverify.groups import closure, frattini_coordinates, generated_subgroup
+from mipverify.isomorphism import (OracleBoundExceeded, _generates,
                                    find_presentation_witness,
                                    isomorphic_bruteforce, recognize_any_pair,
                                    recognize_presented_group)
+
+from conftest import closure_presentation_witness
 
 
 def _by_name(catalog):
@@ -93,3 +98,55 @@ def test_witness_pair_satisfies_relations(inst433):
     assert G.conj(u, a) == G.inv(u)
     assert G.conj(u, b) == G.inv(u)
     assert closure(G.ambient, [a, b]).order == G.order
+
+
+@pytest.fixture(scope="module")
+def presented_instances():
+    return [build_family(2, variant, *nmk)
+            for nmk in ((4, 3, 3), (5, 4, 3))
+            for variant in ("dihedral", "semidihedral", "quaternion")]
+
+
+def test_presentation_witness_matches_closure_oracle(presented_instances):
+    """Generation read off G/Phi(G) picks the pair that one closure per
+    relation-satisfying candidate picks, for both relation sets."""
+    for inst in presented_instances:
+        n, m, k = inst.nmk
+        for which, grp in (("G", inst.G), ("H", inst.H)):
+            for relations in ("g", "h"):
+                assert find_presentation_witness(grp, n, m, k, relations) == \
+                    closure_presentation_witness(grp, n, m, k, relations), \
+                    (inst.variant, inst.nmk, which, relations)
+
+
+def test_presentation_witness_none_for_three_generator_group(inst433):
+    """<tc, r, d^2> has order 2^9 and needs three generators.  (tc, r)
+    satisfies the "h" relations but generates only 2^7 elements, so no pair
+    of the group is a witness."""
+    amb, named = inst433.ambient, inst433.named
+    a, b = amb.mul(named["t"], named["c"]), named["r"]
+    grp = closure(amb, [a, b, amb.power(named["d"], 2)])
+    assert grp.order == 512 and frattini_coordinates(grp).shape[1] == 3
+    u = grp.comm(b, a)
+    assert (grp.order_of(a), grp.order_of(b), grp.order_of(u)) == (16, 8, 4)
+    assert grp.conj(b, a) == grp.mul(b, u) and grp.conj(u, a) == grp.inv(u)
+    assert grp.conj(u, b) == u
+    assert closure(amb, [a, b]).order == 128
+    for relations in ("g", "h"):
+        assert find_presentation_witness(grp, 4, 3, 3, relations) is None
+        assert closure_presentation_witness(grp, 4, 3, 3, relations) is None
+
+
+def test_burnside_generation_matches_closure(layer_groups):
+    """A pair generates iff its rows in G/Phi(G) span it, checked against
+    closure on random pairs of every group with d <= 2."""
+    rng = random.Random(2024)
+    for name, grp in layer_groups:
+        coords = frattini_coordinates(grp)
+        if coords.shape[1] > 2:
+            continue
+        for a in rng.sample(range(grp.order), min(3, grp.order)):
+            bs = np.array(rng.sample(range(grp.order), min(24, grp.order)))
+            want = [closure(grp.ambient, (grp.elements[a], grp.elements[b])).order
+                    == grp.order for b in bs.tolist()]
+            assert _generates(coords, grp.p, a, bs).tolist() == want, name
