@@ -24,7 +24,7 @@ isomorphism tooling, and refuses a table above ``TABLE_BUDGET_BYTES``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -162,6 +162,11 @@ class FiniteGroup:
             raise KeyError("row outside the group")
         return idx
 
+    def contains(self, other: "FiniteGroup") -> bool:
+        """Whether every element of ``other``, a group in the same ambient,
+        lies in this group (compared on keys)."""
+        return bool(np.isin(other.keys(), self.keys()).all())
+
     def cayley_table(self) -> np.ndarray:
         """Full multiplication table T[i, j] = index(elements[i] * elements[j]).
 
@@ -232,7 +237,8 @@ class FiniteGroup:
                 for a in factors]
 
     def inverse_permutation(self) -> np.ndarray:
-        rows = np.array([self.inv(g) for g in self.elements], dtype=np.int64)
+        """i -> index(elements[i]^-1); the inverse is the (exponent - 1)-th power."""
+        rows = self.ambient.power_array(self.array(), self.exponent() - 1)
         return self.indices_of_rows(rows).astype(np.int32)
 
     def element_orders(self) -> np.ndarray:
@@ -403,9 +409,11 @@ def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
     return _from_bfs(ambient, gens, _bfs(ambient, gens, bound))
 
 
-def generated_subgroup(ambient: AmbientDescriptor, seeds: Iterable[Element],
+def generated_subgroup(ambient: AmbientDescriptor,
+                       seeds: Iterable[Element] | np.ndarray,
                        guard: Optional[int] = None) -> FiniteGroup:
-    """Subgroup generated by a (possibly large, redundant) seed set.
+    """Subgroup generated by a (possibly large, redundant) seed set, given as
+    element tuples or as int64 element rows.
 
     Absorbs seeds one at a time in canonical order, skipping those already
     contained in the closure so far; the essential seeds become the
@@ -415,13 +423,17 @@ def generated_subgroup(ambient: AmbientDescriptor, seeds: Iterable[Element],
     commutator seeds, ...).
     """
     bound = ambient.order if guard is None else min(guard, ambient.order)
-    ordered = sorted(set(seeds))
-    seed_keys = ambient.encode(np.array(ordered, dtype=np.int64).reshape(-1, ambient.width))
+    if not isinstance(seeds, np.ndarray):
+        seeds = list(seeds)
+    rows = np.asarray(seeds, dtype=np.int64).reshape(-1, ambient.width)
+    # keys ascend with tuple order: the distinct seeds, sorted
+    seed_keys, first = np.unique(ambient.encode(rows), return_index=True)
+    ordered = rows[first]
     have = seed_keys == 0  # the identity
     essential: list[Element] = []
     bfs = _bfs(ambient, essential, bound)
     while not have.all():
-        essential.append(ordered[int(np.argmin(have))])
+        essential.append(tuple(ordered[int(np.argmin(have))].tolist()))
         bfs = _bfs(ambient, essential, bound)
         have = np.isin(seed_keys, ambient.encode(bfs[0]))
     return _from_bfs(ambient, tuple(essential), bfs)
@@ -467,22 +479,38 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
 # -- classical subgroups -----------------------------------------------------
 
 
-def normal_closure(group: FiniteGroup, seeds: Sequence[Element]) -> FiniteGroup:
-    """Smallest subgroup containing ``seeds`` normalized by ``group``."""
-    conjugators = group.small_generators()
-    orbit = set()
-    frontier = [g for g in seeds if g != group.identity]
-    orbit.update(frontier)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for a in conjugators:
-                h = group.conj(g, a)
-                if h not in orbit:
-                    orbit.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return generated_subgroup(group.ambient, orbit, guard=group.order)
+def normal_closure(group: FiniteGroup,
+                   seeds: Sequence[Element] | np.ndarray) -> FiniteGroup:
+    """Smallest subgroup containing ``seeds`` (tuples or element rows)
+    normalized by ``group``.
+
+    The conjugation orbit of the nontrivial seeds under the small
+    generators grows one level at a time on rows, deduplicated on keys, and
+    the orbit is the seed set of :func:`generated_subgroup`.
+    """
+    amb = group.ambient
+    gens = group.small_generators()
+    gen_rows = np.array(gens, dtype=np.int64).reshape(-1, amb.width)
+    inv_rows = np.array([amb.inv(a) for a in gens], dtype=np.int64).reshape(-1, amb.width)
+    rows = np.asarray(seeds, dtype=np.int64).reshape(-1, amb.width)
+    keys, first = np.unique(amb.encode(rows), return_index=True)
+    frontier = rows[first[keys != 0]]  # the identity has key 0
+    seen = np.zeros(amb.order, dtype=bool)
+    seen[keys] = True
+    orbit = [frontier]
+    while frontier.shape[0] and len(gens):
+        # a^-1 h a for every small generator a and frontier row h
+        size = frontier.shape[0]
+        cand = amb.mul_array(
+            amb.mul_array(np.repeat(inv_rows, size, axis=0),
+                          np.tile(frontier, (len(gens), 1))),
+            np.repeat(gen_rows, size, axis=0))
+        keys, first = np.unique(amb.encode(cand), return_index=True)
+        fresh = ~seen[keys]
+        seen[keys[fresh]] = True
+        frontier = cand[first[fresh]]
+        orbit.append(frontier)
+    return generated_subgroup(amb, np.concatenate(orbit), guard=group.order)
 
 
 def commutator_subgroup(group: FiniteGroup, left: FiniteGroup) -> FiniteGroup:
@@ -547,15 +575,20 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
 
     ``lower`` must be normalized by both ``group`` and ``upper`` for the result
     to be a subgroup; closure of the filtered set is verified and a violation
-    raises ValueError.
+    raises ValueError.  [g, u] = g^-1 (u^-1 g u) is taken for every row g at
+    once, for each small generator u of ``upper``.
     """
-    lower_set = lower.element_set()
-    if not lower_set <= upper.element_set():
+    if not upper.contains(lower):
         raise ValueError("lower must be contained in upper")
-    ugens = upper.small_generators()
-    elems = [g for g in group.elements
-             if all(group.comm(g, u) in lower_set for u in ugens)]
-    return subgroup_from_elements(group.ambient, elems, verify=True)
+    amb = group.ambient
+    arr = group.array()
+    arr_inv = amb.power_array(arr, group.exponent() - 1)
+    mask = np.ones(group.order, dtype=bool)
+    for u in upper.small_generators():
+        conj = amb.mul_cols(amb.mul_rows(amb.inv(u), arr), u)
+        mask &= np.isin(amb.encode(amb.mul_array(arr_inv, conj)), lower.keys())
+    return subgroup_from_elements(amb, compress(group.elements, mask.tolist()),
+                                  verify=True)
 
 
 def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -730,9 +763,7 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
         a, a_inv = np.tile(gens, (prev.order, 1)), np.tile(gens_inv, (prev.order, 1))
         comms = amb.mul_array(amb.mul_array(amb.mul_array(hs_inv, a_inv), hs), a)
         seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
-        # keys ascend with tuple order: the distinct seeds, sorted
-        first = np.unique(amb.encode(seeds), return_index=True)[1]
-        series.append(normal_closure(group, list(map(tuple, seeds[first].tolist()))))
+        series.append(normal_closure(group, seeds))
         i += 1
         if i > p * group.order + 2:
             raise RuntimeError("Jennings series failed to terminate")

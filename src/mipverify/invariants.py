@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .ambient import int_log
 from .algebra import GroupAlgebra
-from .groups import (FiniteGroup, center, centralizer_index, centralizer_mod,
+from .groups import (FiniteGroup, centralizer_index, centralizer_mod,
                      conjugacy_classes, derived_subgroup, frattini,
                      jennings_factor_orders, power_subgroup)
 
@@ -67,10 +69,10 @@ def ideal_subring_dim(FG: GroupAlgebra, N: FiniteGroup) -> tuple[int, int]:
     So dim I(N) + I(G')F_pG = |G| - |G:G'| + |N:G'| - 1.
     """
     G = FG.group
-    if not N.element_set() <= G.element_set():
+    if not G.contains(N):
         raise ValueError("N must be a subgroup of the algebra's group")
     der = derived_subgroup(G)
-    if not der.element_set() <= N.element_set():
+    if not N.contains(der):
         raise ValueError("N must contain the derived subgroup G'")
     return (N.order - 1,
             G.order - G.order // der.order + N.order // der.order - 1)
@@ -146,17 +148,14 @@ def invariant_report(G: FiniteGroup, FG: GroupAlgebra,
         raise ValueError("FG must be the group algebra of G")
     N = compute_N(G)
     n_abelian = N.is_abelian()
-    phi_n = frattini(N)
-    z_n = center(N)
-    z_g = center(G)
-    phi_set = phi_n.element_set()
-    minus_zn = phi_set - z_n.element_set()
-    minus_zg = phi_set - z_g.element_set()
+    phi_keys = frattini(N).keys()
+    # Phi(N) - Z(N) and Phi(N) - Z(G), as masks over N's and G's elements
+    minus_zn = np.isin(N.keys(), phi_keys) & ~N.central_mask()
+    minus_zg = np.isin(G.keys(), phi_keys) & ~G.central_mask()
 
     census: dict[int, int] = {}
     for cls in conjugacy_classes(G):
-        rep = G.elements[cls[0]]
-        if rep in minus_zg:
+        if minus_zg[cls[0]]:
             census[len(cls)] = census.get(len(cls), 0) + 1
 
     sehgal = []
@@ -182,8 +181,8 @@ def invariant_report(G: FiniteGroup, FG: GroupAlgebra,
         bjz_factors=tuple(jennings_factor_orders(N)),
         ideal_dims=ideal_subring_dim(FG, N),
         class_sum_pth_power_count=FG.class_sum_pth_power_count(),
-        phi_minus_zn=len(minus_zn),
-        phi_minus_zg=len(minus_zg),
+        phi_minus_zn=int(np.count_nonzero(minus_zn)),
+        phi_minus_zg=int(np.count_nonzero(minus_zg)),
         abelian_type_n=abelian_type(N) if n_abelian else None,
         class_size_census=tuple(sorted(census.items())),
         proposition_inapplicable=N.order == G.order,

@@ -9,8 +9,6 @@ odd-p invariants: class 2 forces the derived subgroup to be central.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-
 import numpy as np
 
 from .ambient import GuardExceeded
@@ -35,18 +33,18 @@ def wreath_cyclic_table(p: int) -> tuple[np.ndarray, tuple[int, int]]:
             f"the table of C_{p} wr C_{p} (order {size}) needs "
             f"{size * size * 8} bytes, above the table budget of "
             f"{TABLE_BUDGET_BYTES}")
-    elems = [v + (j,) for v in iter_product(range(p), repeat=p) for j in range(p)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = np.empty((size, size), dtype=np.int64)
-    for i, e1 in enumerate(elems):
-        v1, j1 = e1[:p], e1[p]
-        for jdx, e2 in enumerate(elems):
-            v2, j2 = e2[:p], e2[p]
-            w = tuple((v1[idx] + v2[(idx - j1) % p]) % p for idx in range(p))
-            table[i, jdx] = index[w + ((j1 + j2) % p,)]
-    sigma = index[(0,) * p + (1,)]
-    e0 = index[(1,) + (0,) * (p - 1) + (0,)]
-    return table, (sigma, e0)
+    # index = (v_0 ... v_(p-1) j) read in base p; digits[:, c] is digit c
+    digits = np.stack(np.unravel_index(np.arange(size), (p,) * (p + 1)), axis=1)
+    v, j = digits[:, :p], digits[:, p]
+    # coordinate idx of v1 + shift^j1(v2) is v1[idx] + v2[(idx - j1) % p]:
+    # row i reads v2's coordinate (idx - j1[i]) % p for every column at once
+    key = np.zeros((size, size), dtype=np.int64)
+    for idx in range(p):
+        shifted = v.T[(idx - j) % p]
+        key = key * p + (v[:, idx, None] + shifted) % p
+    table = key * p + (j[:, None] + j[None, :]) % p
+    # sigma = (0, ..., 0; 1) and e0 = (1, 0, ..., 0; 0)
+    return table, (1, p ** p)
 
 
 def semidirect_c9c9_table() -> tuple[np.ndarray, tuple[int, int]]:
@@ -59,25 +57,18 @@ def semidirect_c9c9_table() -> tuple[np.ndarray, tuple[int, int]]:
     group of order p^4 or the wreath product, whose abelian maximal subgroups
     have exponent p.  Generators returned: (top generator, first C9 factor).
     """
-    elems = [(i, j, e) for i in range(9) for j in range(9) for e in range(3)]
-    index = {v: i for i, v in enumerate(elems)}
-
-    def act(i: int, j: int, e: int) -> tuple[int, int]:
-        # companion-matrix action applied e times
-        for _ in range(e % 3):
-            i, j = -j % 9, (i - j) % 9
-        return i, j
-
-    size = len(elems)
-    table = np.empty((size, size), dtype=np.int64)
-    for a, (i1, j1, e1) in enumerate(elems):
-        for b, (i2, j2, e2) in enumerate(elems):
-            # (v1, e1)(v2, e2) = (v1 + act^e1(v2), e1 + e2)
-            i3, j3 = act(i2, j2, e1)
-            table[a, b] = index[((i1 + i3) % 9, (j1 + j3) % 9, (e1 + e2) % 3)]
-    t = index[(0, 0, 1)]
-    a = index[(1, 0, 0)]
-    return table, (t, a)
+    # index = (i * 9 + j) * 3 + e
+    i, j, e = np.unravel_index(np.arange(243), (9, 9, 3))
+    companion = np.array([[0, -1], [1, -1]], dtype=np.int64)
+    powers = np.stack([np.linalg.matrix_power(companion, r) for r in range(3)])
+    # (v1, e1)(v2, e2) = (v1 + act^e1(v2), e1 + e2), with act^e1 the matrix
+    # power picked by every row and applied to every column's v2
+    acted = np.einsum("arc,cb->rab", powers[e], np.stack([i, j]))
+    i3 = (i[:, None] + acted[0]) % 9
+    j3 = (j[:, None] + acted[1]) % 9
+    table = (i3 * 9 + j3) * 3 + (e[:, None] + e[None, :]) % 3
+    # t = (0, 0; 1) and a = (1, 0; 0)
+    return table, (1, 27)
 
 
 __all__ = ["wreath_cyclic_table", "semidirect_c9c9_table"]

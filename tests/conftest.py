@@ -13,8 +13,13 @@ a per-element coset scan for the maximal subgroups, the greedy
 absorption of seeds one closure at a time, the pairwise closure test
 of an element set, the Cayley table built one row product at a time,
 the presentation search that tests each candidate pair for generation by
-closure, and the centralizer index as an orbit walked one element at a
-time.
+closure, the centralizer index as an orbit walked one element at a
+time, the centralizer modulo a subgroup by scalar commutators, and the
+normal closure from an orbit grown as a set.
+
+The table ambient proves associativity by Light's test on the two table
+generators; the n^3 check of all triples is the oracle here, and so are
+the built-in tables filled one entry at a time.
 The ideal dimensions of the invariant report are a closed form in the
 program; here they come from two eliminations, the program's FpMatrix and a
 dense numpy one that shares no code with it.
@@ -433,6 +438,78 @@ def orbit_centralizer_index(group: FiniteGroup, g: Element) -> int:
                     nxt.append(h2)
         frontier = nxt
     return len(orbit)
+
+
+def cubic_associative(table: np.ndarray) -> bool:
+    """(i*j)*k == i*(j*k) for all n^3 triples, a block of rows i at a time
+    (two (rows, n, n) index arrays of at most 2^20 entries each)."""
+    size = table.shape[0]
+    step = max(1, 2 ** 20 // (size * size))
+    for start in range(0, size, step):
+        block = table[start:start + step]
+        if not np.array_equal(table[block, :], block[:, table]):
+            return False
+    return True
+
+
+def loop_wreath_cyclic_table(p: int) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """C_p wr C_p filled one entry at a time from element tuples (v, j)."""
+    elems = [v + (j,) for v in iter_product(range(p), repeat=p) for j in range(p)]
+    index = {e: i for i, e in enumerate(elems)}
+    table = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for i, e1 in enumerate(elems):
+        v1, j1 = e1[:p], e1[p]
+        for jdx, e2 in enumerate(elems):
+            v2, j2 = e2[:p], e2[p]
+            w = tuple((v1[idx] + v2[(idx - j1) % p]) % p for idx in range(p))
+            table[i, jdx] = index[w + ((j1 + j2) % p,)]
+    return table, (index[(0,) * p + (1,)], index[(1,) + (0,) * (p - 1) + (0,)])
+
+
+def loop_semidirect_c9c9_table() -> Tuple[np.ndarray, Tuple[int, int]]:
+    """(C9 x C9) : C3 filled one entry at a time, the action applied e times."""
+    elems = [(i, j, e) for i in range(9) for j in range(9) for e in range(3)]
+    index = {v: i for i, v in enumerate(elems)}
+
+    def act(i: int, j: int, e: int) -> Tuple[int, int]:
+        for _ in range(e % 3):
+            i, j = -j % 9, (i - j) % 9
+        return i, j
+
+    table = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for a, (i1, j1, e1) in enumerate(elems):
+        for b, (i2, j2, e2) in enumerate(elems):
+            i3, j3 = act(i2, j2, e1)
+            table[a, b] = index[((i1 + i3) % 9, (j1 + j3) % 9, (e1 + e2) % 3)]
+    return table, (index[(0, 0, 1)], index[(1, 0, 0)])
+
+
+def scalar_centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
+                           lower: FiniteGroup) -> frozenset:
+    """{g : [g, u] in lower for every small generator u of upper}, one
+    scalar commutator at a time."""
+    lower_set = lower.element_set()
+    return frozenset(g for g in group.elements
+                     if all(group.comm(g, u) in lower_set
+                            for u in upper.small_generators()))
+
+
+def set_normal_closure(group: FiniteGroup, seeds: Sequence[Element]) -> FiniteGroup:
+    """Normal closure from the conjugation orbit grown as a set, one scalar
+    conjugate at a time."""
+    orbit = set()
+    frontier = [g for g in seeds if g != group.identity]
+    orbit.update(frontier)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for a in group.small_generators():
+                h = group.conj(g, a)
+                if h not in orbit:
+                    orbit.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return generated_subgroup(group.ambient, orbit, guard=group.order)
 
 
 def _unit_mulclose(algebra: GroupAlgebra, seeds: Sequence[AlgebraElement],

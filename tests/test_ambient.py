@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from mipverify import ambient as ambient_mod
+from mipverify import tables as tables_mod
 from mipverify.algebra import GroupAlgebra
 from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, int_log,
                                make_ambient, regular_ambient, round_up_power)
 from mipverify.family import build_family
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import build_beta, unit_closure
+
+from conftest import (cubic_associative, loop_semidirect_c9c9_table,
+                      loop_wreath_cyclic_table)
 
 
 AMBIENTS = {
@@ -192,6 +196,9 @@ def test_table_kind_validation():
     with pytest.raises(ValueError):
         make_ambient(3, "table", 1, 1, 1, table=non_assoc,
                      table_generators=(1,))
+    with pytest.raises(ValueError, match="not associative"):
+        make_ambient(3, "table", 1, 1, 1, table=non_assoc,
+                     table_generators=(1, 2))
 
 
 def _null_monoid_table(size, bad_row, z, w):
@@ -211,14 +218,137 @@ def _null_monoid_table(size, bad_row, z, w):
                          ids=["first-block", "last-block"])
 def test_table_associativity_defect_in_one_row_block(bad_row, z):
     size = 243
-    assert ambient_mod._ASSOC_BLOCK_ENTRIES < size ** 3  # several row blocks
+    defect = _null_monoid_table(size, bad_row, z, 2)
+    assert not cubic_associative(defect)
     with pytest.raises(ValueError, match="not associative"):
-        make_ambient(3, "table", 1, 1, 1, table=_null_monoid_table(
-            size, bad_row, z, 2), table_generators=(1, 2))
+        make_ambient(3, "table", 1, 1, 1, table=defect, table_generators=(1, 2))
     # the unmodified monoid passes associativity and fails only later
+    monoid = _null_monoid_table(size, bad_row, z, z)
+    assert cubic_associative(monoid)
     with pytest.raises(ValueError, match="identity exactly once"):
-        make_ambient(3, "table", 1, 1, 1, table=_null_monoid_table(
-            size, bad_row, z, z), table_generators=(1, 2))
+        make_ambient(3, "table", 1, 1, 1, table=monoid, table_generators=(1, 2))
+
+
+def _accepted(table, gens, p):
+    try:
+        ambient_mod._validate_table(table, gens, p)
+    except ValueError:
+        return False
+    return True
+
+
+def _reaches_all(table, gens):
+    """Left-normed products of the generators, grown one set at a time."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [int(table[x, s]) for x in frontier for s in gens
+                    if int(table[x, s]) not in seen]
+        seen.update(frontier)
+    return len(seen) == table.shape[0]
+
+
+def _cycle_switch(table, rng):
+    """Swap rows r1 != r2 (both nonzero) on one cycle of columns that avoids
+    column 0: a Latin square with identity row and column stays one."""
+    size = table.shape[0]
+    r1, r2 = rng.sample(range(1, size), 2)
+    where1 = np.argsort(table[r1])  # value -> column in row r1
+    col, cycle = rng.randrange(1, size), []
+    while col not in cycle:
+        cycle.append(col)
+        col = int(where1[table[r2, col]])
+    if 0 in cycle:
+        return table
+    out = table.copy()
+    out[np.ix_([r1, r2], cycle)] = table[np.ix_([r2, r1], cycle)]
+    return out
+
+
+def _random_loops(rng, count):
+    """Loops of order 8 to 27 with identity 0: cyclic group tables after 0 to
+    3 cycle switches, each with a generating pair found by trial."""
+    loops = []
+    while len(loops) < count:
+        size, p = rng.choice([(8, 2), (9, 3), (16, 2), (25, 5), (27, 3)])
+        idx = np.arange(size)
+        table = (idx[:, None] + idx[None, :]) % size
+        for _ in range(rng.randrange(4)):
+            table = _cycle_switch(table, rng)
+        for _ in range(50):
+            gens = tuple(rng.sample(range(1, size), 2))
+            if _reaches_all(table, gens):
+                loops.append((table, gens, p))
+                break
+    return loops
+
+
+def _nucleus_times_loop():
+    """C3 x Q, Q the loop Z/9 with rows 1 and 4 switched on columns 2, 5, 8.
+
+    (a, w) has index 9a + w.  s = (1, 0) satisfies (x*s)*y == x*(s*y) for
+    all x and y, the loop generator (0, 1) does not, and the two generate.
+    """
+    idx = np.arange(9)
+    loop = (idx[:, None] + idx[None, :]) % 9
+    loop[np.ix_([1, 4], [2, 5, 8])] = loop[np.ix_([4, 1], [2, 5, 8])]
+    a, w = np.divmod(np.arange(27), 9)
+    return ((a[:, None] + a[None, :]) % 3) * 9 + loop[w[:, None], w[None, :]]
+
+
+def test_nucleus_times_loop_needs_both_generators():
+    table = _nucleus_times_loop()
+    assert np.array_equal(np.sort(table, axis=1), np.tile(np.arange(27), (27, 1)))
+    assert np.array_equal(np.sort(table, axis=0), np.tile(np.arange(27), (27, 1)).T)
+    assert not cubic_associative(table)
+    s = 9
+    assert np.array_equal(table[table[:, s]], table[:, table[s]])
+    with pytest.raises(ValueError, match="not associative"):
+        ambient_mod._validate_table(table, (s, 1), 3)
+    # (1, 0) and (2, 0) both pass Light's test but generate only C3 x 1
+    with pytest.raises(ValueError, match="do not generate"):
+        ambient_mod._validate_table(table, (s, 2 * s), 3)
+
+
+def test_light_test_accepts_what_the_cubic_oracle_accepts():
+    rng = random.Random(20261018)
+    cases = [(*wreath_cyclic_table(p), p) for p in (2, 3)]
+    cases.append((*semidirect_c9c9_table(), 3))
+    # single swaps inside one row, off column 0: never a group table
+    for table, gens, p in list(cases):
+        for _ in range(20):
+            r = rng.randrange(1, table.shape[0])
+            c1, c2 = rng.sample(range(1, table.shape[0]), 2)
+            bad = table.copy()
+            bad[r, [c1, c2]] = table[r, [c2, c1]]
+            cases.append((bad, gens, p))
+    first_loop = len(cases)
+    cases += _random_loops(rng, 40)
+    cases.append((_nucleus_times_loop(), (9, 1), 3))
+    cases.append((_nucleus_times_loop(), (1, 9), 3))
+    verdicts = [(_accepted(t, g, p), cubic_associative(t)) for t, g, p in cases]
+    assert all(light == cubic for light, cubic in verdicts)
+    # the built-in tables pass, and the loops include groups and non-groups
+    assert all(v[0] for v in verdicts[:3])
+    loops = verdicts[first_loop:]
+    assert any(v[0] for v in loops) and not all(v[0] for v in loops)
+
+
+@pytest.mark.parametrize("name", ["wreath-2", "wreath-3", "c9c9"])
+def test_vectorized_tables_match_loop_oracles(name):
+    if name == "c9c9":
+        got, want = semidirect_c9c9_table(), loop_semidirect_c9c9_table()
+    else:
+        p = int(name[-1])
+        got, want = wreath_cyclic_table(p), loop_wreath_cyclic_table(p)
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1] and all(type(g) is int for g in got[1])
+
+
+def test_wreath_budget_checked_before_any_array(monkeypatch):
+    monkeypatch.setattr(tables_mod, "np", None)  # any numpy use would fail
+    with pytest.raises(GuardExceeded, match="table budget"):
+        tables_mod.wreath_cyclic_table(5)
 
 
 def test_regular_ambient_c4_and_validation():

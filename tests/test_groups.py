@@ -10,7 +10,8 @@ from mipverify import groups as groups_mod
 from mipverify.algebra import GroupAlgebra
 from mipverify.ambient import GuardExceeded, make_ambient
 from mipverify.family import build_family
-from mipverify.groups import (center, centralizer_index, closure,
+from mipverify.groups import (center, centralizer_index, centralizer_mod,
+                              closure,
                               commutator_subgroup, conjugacy_classes,
                               derived_subgroup, frattini,
                               frattini_coordinates,
@@ -24,7 +25,8 @@ from mipverify.witness import build_beta, unit_closure, unit_group
 from conftest import (coset_scan_maximal_subgroups, dict_closure,
                       greedy_generators, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
-                      row_cayley_table, set_jennings_series,
+                      row_cayley_table, scalar_centralizer_mod,
+                      set_jennings_series, set_normal_closure,
                       table_conjugacy_classes, table_element_orders)
 
 
@@ -441,3 +443,52 @@ def test_centralizer_index_matches_orbit_oracle(layer_groups):
             rep = grp.elements[cls[0]]
             assert centralizer_index(grp, rep) == len(cls) == \
                 orbit_centralizer_index(grp, rep), name
+
+
+def test_inverse_permutation_matches_scalar_inverses(layer_groups):
+    for name, grp in layer_groups:
+        want = [grp.index(grp.inv(g)) for g in grp.elements]
+        got = grp.inverse_permutation()
+        assert got.dtype == np.int32 and got.tolist() == want, name
+
+
+def _centralizer_cases(grp):
+    """(upper, lower) pairs with lower normal in grp and contained in upper."""
+    der = derived_subgroup(grp)
+    phi = frattini(grp)
+    trivial = closure(grp.ambient, [])
+    return [(grp, der), (der, frattini(der)), (grp, phi), (phi, frattini(phi)),
+            (grp, trivial)]
+
+
+def test_centralizer_mod_matches_scalar_oracle(layer_groups):
+    for name, grp in layer_groups:
+        for upper, lower in _centralizer_cases(grp):
+            got = centralizer_mod(grp, upper, lower)
+            assert got.element_set() == \
+                scalar_centralizer_mod(grp, upper, lower), name
+        assert centralizer_mod(grp, grp, closure(grp.ambient, [])).element_set() \
+            == center(grp).element_set(), name
+
+
+def test_centralizer_mod_rejects_lower_outside_upper(catalog):
+    D16 = _catalog_map(catalog)["D16"]
+    with pytest.raises(ValueError, match="contained in upper"):
+        centralizer_mod(D16, derived_subgroup(D16), D16)
+
+
+def test_normal_closure_matches_set_oracle(layer_groups):
+    rng = random.Random(77)
+    for name, grp in layer_groups:
+        gens = grp.small_generators()
+        seed_sets = [[grp.identity], list(gens[:1]),
+                     [grp.comm(a, b) for a in gens for b in gens]]
+        seed_sets += [rng.sample(grp.elements, min(3, grp.order))
+                      for _ in range(3)]
+        for seeds in seed_sets:
+            want = set_normal_closure(grp, seeds)
+            for got in (normal_closure(grp, seeds),
+                        normal_closure(grp, np.array(seeds, dtype=np.int64))):
+                assert got.elements == want.elements, name
+                assert got.generators == want.generators, name
+                assert got.bfs_order == want.bfs_order, name
