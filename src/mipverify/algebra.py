@@ -206,10 +206,8 @@ class GroupAlgebra:
             mx = FpMatrix(self.p, self.dim)
             if step == 1:
                 one = self.one()
-                for g in self.group.elements:
-                    if g == self.group.identity:
-                        continue
-                    mx.add_row(self.embed(g) - one)
+                for i in range(1, self.dim):  # element 0 is the identity
+                    mx.add_row(self.from_indices((i,)) - one)
             else:
                 prev = self._aug_power_bases[step - 1]
                 gens = [g for g in self.group.generators

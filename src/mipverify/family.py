@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .ambient import (AmbientDescriptor, DEFAULT_GUARD, Element,
                       TWO_GENERATOR_VARIANTS, int_log, make_ambient)
 from .groups import (FiniteGroup, closure, derived_subgroup, frattini,
@@ -186,10 +188,8 @@ def verify_structure(inst: FamilyInstance,
     dG, dH, dP = derived_subgroup(G), derived_subgroup(H), derived_subgroup(P)
     K = closure(amb, [t, amb.mul(t, s)], guard=P.order)
     dK = derived_subgroup(K)
-    same_derived = (dG.element_set() == derived_target.element_set()
-                    and dH.element_set() == derived_target.element_set()
-                    and dP.element_set() == derived_target.element_set()
-                    and dK.element_set() == derived_target.element_set())
+    same_derived = all(np.array_equal(sub.keys(), derived_target.keys())
+                       for sub in (dG, dH, dP, dK))
     class_g, class_h = nilpotency_class(G), nilpotency_class(H)
     add("derived-and-class",
         "G' = H' = P' = K' = <(ts)^2> of order 2^(k-1); G and H have class k",
@@ -202,9 +202,7 @@ def verify_structure(inst: FamilyInstance,
     fG, fH, fP = frattini(G), frattini(H), frattini(P)
     add("frattini",
         "Frattini subgroups of G, H, P coincide and equal <(ts)^2, c^2, d^2>",
-        fG.element_set() == frat_target.element_set()
-        and fH.element_set() == frat_target.element_set()
-        and fP.element_set() == frat_target.element_set(),
+        all(np.array_equal(sub.keys(), frat_target.keys()) for sub in (fG, fH, fP)),
         frattini_order=fG.order)
 
     add("m-abelian-maximal", "M is abelian of index 2 in P",
@@ -214,13 +212,13 @@ def verify_structure(inst: FamilyInstance,
     gm = intersection(G, M)
     gm_target = generated_subgroup(amb, [amb.mul(x, y), c2, d2])
     add("g-meet-m", "G meet M = <xy, c^2, d^2> has index 2 in G",
-        gm.element_set() == gm_target.element_set() and 2 * gm.order == G.order,
+        np.array_equal(gm.keys(), gm_target.keys()) and 2 * gm.order == G.order,
         order=gm.order)
 
     hm = intersection(H, M)
     hm_target = generated_subgroup(amb, [z, c2, d2])
     add("h-meet-m", "H meet M = <z, c^2, d^2> has index 2 in H",
-        hm.element_set() == hm_target.element_set() and 2 * hm.order == H.order,
+        np.array_equal(hm.keys(), hm_target.keys()) and 2 * hm.order == H.order,
         order=hm.order)
 
     exp_gm, exp_hm = gm.exponent(), hm.exponent()
@@ -229,8 +227,8 @@ def verify_structure(inst: FamilyInstance,
     g_abelian = [sub for sub in gmax if sub.is_abelian()]
     h_abelian = [sub for sub in hmax if sub.is_abelian()]
     unique = (len(g_abelian) == 1 and len(h_abelian) == 1
-              and g_abelian[0].element_set() == gm.element_set()
-              and h_abelian[0].element_set() == hm.element_set())
+              and np.array_equal(g_abelian[0].keys(), gm.keys())
+              and np.array_equal(h_abelian[0].keys(), hm.keys()))
     gap = exp_gm == 2 ** n and exp_hm == 2 ** (n - 1)
     oracle_ran = G.order <= bound
     oracle_says_nontrivial = None

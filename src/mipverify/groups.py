@@ -1,21 +1,21 @@
 """Concrete finite p-groups inside an ambient product, and subgroup machinery.
 
-A :class:`FiniteGroup` stores a sorted element list (canonical order = tuple
-order), an index map, the generating set, and for every element a derivation
-word over the generators obtained from breadth-first closure, with the
-boundaries of the closure's levels.  All subgroup
-constructions (derived subgroup, lower central series, Frattini and power
-subgroups, center, centralizers, Jennings series) reduce to breadth-first
-closure over explicit generator sets, so every returned group carries valid
-words by construction.
+A :class:`FiniteGroup` stores its elements only as int64 rows sorted by
+mixed-radix key (canonical order = tuple order) and their keys; the
+generating set; and, as integer arrays, each element's breadth-first
+derivation over the generators with the closure's level boundaries.
+Element tuples are built only when :attr:`FiniteGroup.elements` is read.
+All subgroup constructions (derived subgroup, lower central series,
+Frattini and power subgroups, center, centralizers, Jennings series)
+reduce to breadth-first closure over explicit generator sets, so every
+returned group carries valid words by construction.
 
-The layer works on int64 element rows with the ambient's broadcasting
-product: closure runs one breadth-first level at a time, element orders
-come from repeated p-th powers of all rows, and coset and conjugacy-class
-labels from orbit minima under permutation columns.  A group caches what
-several checks read: its Frattini subgroup, its conjugacy classes, and
-the small generators a closure or a maximal subgroup was built from.  No
-O(|G|^2) Cayley
+The layer works on the ambient's broadcasting product of rows: closure
+runs one breadth-first level at a time, a seed set is absorbed into one
+subgroup grown seed by seed, element orders come from repeated p-th
+powers, and coset and conjugacy-class labels from orbit minima under
+permutation columns.  A group caches its Frattini subgroup, its conjugacy
+classes, and the small generators it was built from.  No O(|G|^2) Cayley
 table is built here, nor by the group algebra, whose products run on the
 same rows; :meth:`FiniteGroup.cayley_table` exists for the exports and the
 isomorphism tooling, and refuses a table above ``TABLE_BUDGET_BYTES``.
@@ -24,7 +24,8 @@ isomorphism tooling, and refuses a table above ``TABLE_BUDGET_BYTES``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, product as iter_product
+from functools import cached_property
+from itertools import product as iter_product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,20 +45,19 @@ class FiniteGroup:
     """A subgroup of an ambient product, with canonical element order."""
 
     ambient: AmbientDescriptor
-    elements: tuple[Element, ...]
-    generators: tuple[Element, ...]
+    _array: np.ndarray = field(repr=False)
+    _keys: np.ndarray = field(repr=False)
     # breadth-first derivation: element i (other than the identity) equals
     # elements[bfs_parent[i]] * generators[bfs_gen[i]]; the elements of
     # level l are bfs_order[bfs_levels[l]:bfs_levels[l + 1]], and every
     # parent lies on an earlier level
-    bfs_order: tuple[int, ...]
-    bfs_parent: tuple[int, ...]
-    bfs_gen: tuple[int, ...]
+    bfs_order: np.ndarray
+    bfs_parent: np.ndarray
+    bfs_gen: np.ndarray
     bfs_levels: tuple[int, ...]
-    _index: dict[Element, int] = field(repr=False, default_factory=dict)
-    _array: Optional[np.ndarray] = field(repr=False, default=None)
+    # None when wrapped from an element set: every element is a generator
+    _generators: Optional[tuple[Element, ...]] = field(repr=False, default=None)
     _words: Optional[tuple[Word, ...]] = field(repr=False, default=None)
-    _keys: Optional[np.ndarray] = field(repr=False, default=None)
     _table: Optional[np.ndarray] = field(repr=False, default=None)
     _orders: Optional[np.ndarray] = field(repr=False, default=None)
     _central_mask: Optional[np.ndarray] = field(repr=False, default=None)
@@ -66,15 +66,11 @@ class FiniteGroup:
     _classes: Optional[tuple[tuple[int, ...], ...]] = field(repr=False, default=None)
     _class_label: Optional[np.ndarray] = field(repr=False, default=None)
 
-    def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {g: i for i, g in enumerate(self.elements)}
-
     # -- basics --------------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self._array.shape[0]
 
     @property
     def p(self) -> int:
@@ -86,36 +82,54 @@ class FiniteGroup:
 
     @property
     def identity_index(self) -> int:
-        return self._index[self.identity]
+        return 0  # the identity (the zero row) has key 0, the smallest
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """Element tuples in canonical order, built on first access."""
+        return tuple(map(tuple, self._array.tolist()))
+
+    @property
+    def generators(self) -> tuple[Element, ...]:
+        return self.elements if self._generators is None else self._generators
+
+    def element(self, i: int) -> Element:
+        """Element i as a tuple, read from its row."""
+        return tuple(self._array[i].tolist())
+
+    def _find(self, g: Element) -> int:
+        """Index of g, or -1.  A tuple of the wrong width or with a digit
+        outside its radix is refused: its key could be another element's."""
+        amb = self.ambient
+        if len(g) != amb.width or not all(0 <= v < r for v, r in zip(g, amb.radices)):
+            return -1
+        i = int(self._keys.searchsorted(key := amb.key(g)))
+        return i if i < self.order and self._keys[i] == key else -1
 
     def __contains__(self, g: Element) -> bool:
-        return g in self._index
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        return self._find(g) >= 0
 
     def index(self, g: Element) -> int:
-        return self._index[g]
+        if (i := self._find(g)) < 0:
+            raise KeyError(g)
+        return i
 
     @property
     def words(self) -> tuple[Word, ...]:
         """Derivation word of every element, read off the breadth-first tree."""
         if self._words is None:
+            parent, via = self.bfs_parent.tolist(), self.bfs_gen.tolist()
             words: list[Word] = [()] * self.order
-            for i in self.bfs_order[1:]:
-                words[i] = words[self.bfs_parent[i]] + (self.bfs_gen[i],)
+            for i in self.bfs_order[1:].tolist():
+                words[i] = words[parent[i]] + (via[i],)
             self._words = tuple(words)
         return self._words
 
     def element_set(self) -> frozenset[Element]:
-        return frozenset(self.elements)
+        return frozenset(map(tuple, self._array.tolist()))
 
     def array(self) -> np.ndarray:
-        """Element tuples as an int64 array, one row per element."""
-        if self._array is None:
-            arr = np.array(self.elements, dtype=np.int64)
-            arr.setflags(write=False)
-            self._array = arr
+        """The elements as int64 rows, one row per element."""
         return self._array
 
     def mul(self, g: Element, h: Element) -> Element:
@@ -146,19 +160,14 @@ class FiniteGroup:
 
     def keys(self) -> np.ndarray:
         """Mixed-radix keys of the elements (ascending, like the elements)."""
-        if self._keys is None:
-            keys = self.ambient.encode(self.array())
-            keys.setflags(write=False)
-            self._keys = keys
         return self._keys
 
     def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of product rows known to lie in the group."""
         keys = self.ambient.encode(rows)
-        sorted_keys = self.keys()
-        idx = np.searchsorted(sorted_keys, keys)
-        if idx.size and (idx.max() >= len(sorted_keys) or
-                         not np.array_equal(sorted_keys[idx], keys)):
+        idx = np.searchsorted(self._keys, keys)
+        if idx.size and (idx.max() >= self.order or
+                         not np.array_equal(self._keys[idx], keys)):
             raise KeyError("row outside the group")
         return idx
 
@@ -185,27 +194,27 @@ class FiniteGroup:
                     f"Cayley table of a group of order {size} needs {nbytes} "
                     f"bytes, above the table budget of {TABLE_BUDGET_BYTES}")
             table = np.empty((size, size), dtype=np.int32)
-            order = np.asarray(self.bfs_order)
-            parent = np.asarray(self.bfs_parent)
-            via = np.asarray(self.bfs_gen)
+            order, parent, via = self.bfs_order, self.bfs_parent, self.bfs_gen
             table[order[0]] = np.arange(size)
             step = max(1, _BLOCK_ENTRIES // size)
             # element-set groups have |G| generators: their left columns
             # are taken block by block, like the rows they become
-            gen_left = (self.left_columns(self.generators)
-                        if len(self.generators) <= step else None)
+            gen_rows = (self._array if self._generators is None
+                        else _rows(self.ambient, self._generators))
+            gen_left = self.left_columns(gen_rows) if len(gen_rows) <= step else None
             for lo, hi in zip(self.bfs_levels[1:-1], self.bfs_levels[2:]):
                 for start in range(lo, hi, step):
                     rows = order[start:min(hi, start + step)]
                     left = (gen_left[via[rows]] if gen_left is not None else
-                            self.left_columns([self.generators[j] for j in via[rows]]))
+                            self.left_columns(gen_rows[via[rows]]))
                     table[rows] = table[parent[rows][:, None], left]
             table.setflags(write=False)
             self._table = table
         return self._table
 
-    def left_columns(self, factors: Sequence[Element]) -> np.ndarray:
-        """Row r is the permutation j -> index(factors[r] * elements[j])."""
+    def left_columns(self, factors: Sequence[Element] | np.ndarray) -> np.ndarray:
+        """Row r is the permutation j -> index(factors[r] * elements[j]);
+        ``factors`` are tuples or int64 rows."""
         arr = self.array()
         lefts = np.array(factors, dtype=np.int64).reshape(-1, arr.shape[1])
         rows = self.ambient.mul_array(np.repeat(lefts, self.order, axis=0),
@@ -220,9 +229,7 @@ class FiniteGroup:
         columns[bfs_gen[i]][pi[bfs_parent[i]]], one level at a time.
         """
         columns = np.asarray(columns)
-        order = np.asarray(self.bfs_order)
-        parent = np.asarray(self.bfs_parent)
-        via = np.asarray(self.bfs_gen)
+        order, parent, via = self.bfs_order, self.bfs_parent, self.bfs_gen
         pi = np.empty(self.order, dtype=columns.dtype)
         pi[order[0]] = origin
         for lo, hi in zip(self.bfs_levels[1:-1], self.bfs_levels[2:]):
@@ -270,33 +277,15 @@ class FiniteGroup:
         and maximal subgroups carry theirs.  Groups wrapped from other
         explicit element sets (intersections, centralizers, centers) store
         every element as a generator; for them this is the greedy sequence
-        over canonical order.  Structural operations reduce to this sequence
-        so that conjugation and commutator seed sets stay proportional to
-        log|G| instead of |G|.
+        over canonical order (:func:`_absorb`).  Structural operations reduce
+        to this sequence so that conjugation and commutator seed sets stay
+        proportional to log|G| instead of |G|.
         """
         if self._small_gens is None:
-            if len(self.generators) <= 3:
-                self._small_gens = tuple(self.generators)
-            else:
-                self._small_gens = self._greedy_generators()
+            count = self.order if self._generators is None else len(self._generators)
+            self._small_gens = (tuple(self.generators) if count <= 3 else
+                                _absorb(self.ambient, self._array, self.order, self))
         return self._small_gens
-
-    def _greedy_generators(self) -> tuple[Element, ...]:
-        """Elements taken in canonical order, each one not yet in the
-        subgroup generated by those taken before, until they cover the group.
-
-        Each partial subgroup is closed with the group order as guard and
-        must lie inside the element list, so on an element set that is not
-        closed this raises GuardExceeded or KeyError.
-        """
-        sel: list[Element] = []
-        have = np.zeros(self.order, dtype=bool)
-        have[self.identity_index] = True
-        while not have.all():
-            sel.append(self.elements[int(np.argmin(have))])
-            rows = _bfs(self.ambient, sel, self.order)[0]
-            have[self.indices_of_rows(rows)] = True
-        return tuple(sel)
 
     def central_mask(self) -> np.ndarray:
         """Boolean mask of elements commuting with every generator."""
@@ -324,6 +313,17 @@ class FiniteGroup:
         return int(self.element_orders().max()) if self.order > 1 else 1
 
 
+def _rows(ambient: AmbientDescriptor,
+          elements: Iterable[Element] | np.ndarray) -> np.ndarray:
+    """Element tuples or rows as int64 rows; ValueError on a non-element."""
+    rows = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements),
+                      dtype=np.int64)
+    if rows.size and (rows.shape[-1] != ambient.width or (rows < 0).any()
+                      or (rows >= np.array(ambient.radices)).any()):
+        raise ValueError("rows are not ambient elements")
+    return rows.reshape(-1, ambient.width)
+
+
 def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
          bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Breadth-first closure, one whole level at a time.
@@ -336,11 +336,8 @@ def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
     its first candidate, so the order is the FIFO order of a one-at-a-time
     search.
     """
-    for g in gens:
-        if len(g) != ambient.width or any(not (0 <= v < r) for v, r in zip(g, ambient.radices)):
-            raise ValueError(f"generator {g} is not an ambient element")
     width = ambient.width
-    gen_rows = np.array(gens, dtype=np.int64).reshape(len(gens), width)
+    gen_rows = _rows(ambient, gens)
     seen = np.zeros(ambient.order, dtype=bool)
     seen[0] = True  # the identity, key 0
     # first candidate position of a key within the current level
@@ -368,6 +365,37 @@ def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
             tuple(levels))
 
 
+def _absorb(ambient: AmbientDescriptor, candidates: np.ndarray, bound: int,
+            within: Optional[FiniteGroup] = None) -> tuple[Element, ...]:
+    """Candidate rows taken in order, each one outside the subgroup E = <S>
+    of those taken before, until E holds every candidate.  E is grown, not
+    closed again: taking g adds E g minus E, then what new elements reach by
+    right products with S and g (E itself is closed under S).  Raises
+    GuardExceeded past ``bound`` elements, KeyError on leaving ``within``.
+    """
+    keys = ambient.encode(candidates)
+    seen = np.zeros(ambient.order, dtype=bool)
+    seen[0] = True  # the identity, key 0
+    members, taken = [np.zeros((1, ambient.width), dtype=np.int64)], []
+    while not (have := seen[keys]).all():
+        taken.append(candidates[int(np.argmin(have))])
+        gens = np.stack(taken)
+        cand = ambient.mul_array(np.concatenate(members), gens[-1:])
+        while cand.size:
+            cand_keys = ambient.encode(cand)
+            fresh = np.flatnonzero(~seen[cand_keys])
+            new_keys, first = np.unique(cand_keys[fresh], return_index=True)
+            if sum(map(len, members)) + new_keys.size > bound:
+                raise GuardExceeded(f"closure exceeded guard {bound}")
+            seen[new_keys] = True
+            members.append(cand[fresh[first]])
+            if within is not None:
+                within.indices_of_rows(members[-1])
+            cand = ambient.mul_array(np.repeat(members[-1], len(gens), axis=0),
+                                     np.tile(gens, (len(members[-1]), 1)))
+    return tuple(map(tuple, np.array(taken).tolist()))
+
+
 def _from_bfs(ambient: AmbientDescriptor, gens: tuple[Element, ...],
               bfs: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
               ) -> FiniteGroup:
@@ -381,17 +409,11 @@ def _from_bfs(ambient: AmbientDescriptor, gens: tuple[Element, ...],
     # discovery number -> canonical index
     index_of = np.empty_like(order)
     index_of[order] = np.arange(order.size)
-    arr = rows[order]
-    arr.setflags(write=False)
-    sorted_keys = keys[order]
-    sorted_keys.setflags(write=False)
-    elements = tuple(map(tuple, arr.tolist()))
-    return FiniteGroup(ambient=ambient, elements=elements, generators=gens,
-                       bfs_order=tuple(index_of.tolist()),
-                       bfs_parent=tuple(index_of[parent[order]].tolist()),
-                       bfs_gen=tuple(via[order].tolist()), bfs_levels=levels,
-                       _index=dict(zip(elements, range(order.size))),
-                       _array=arr, _keys=sorted_keys, _small_gens=gens)
+    fields = (rows[order], keys[order], index_of, index_of[parent[order]], via[order])
+    for arr in fields:
+        arr.setflags(write=False)
+    return FiniteGroup(ambient, *fields, bfs_levels=levels,
+                       _generators=gens, _small_gens=gens)
 
 
 def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
@@ -416,62 +438,52 @@ def generated_subgroup(ambient: AmbientDescriptor,
     element tuples or as int64 element rows.
 
     Absorbs seeds one at a time in canonical order, skipping those already
-    contained in the closure so far; the essential seeds become the
-    generating set, and the closure of the last absorption step is the
-    result.  This keeps breadth-first closure cheap when the seed set is
-    much larger than a minimal generating set (powers of all elements,
-    commutator seeds, ...).
+    contained in the subgroup so far, which grows by each absorbed seed
+    (:func:`_absorb`); the essential seeds become the generating set, and
+    one breadth-first closure on them gives the result and its words.  This
+    keeps closure cheap when the seed set is much larger than a minimal
+    generating set (powers of all elements, commutator seeds, ...).
     """
     bound = ambient.order if guard is None else min(guard, ambient.order)
-    if not isinstance(seeds, np.ndarray):
-        seeds = list(seeds)
-    rows = np.asarray(seeds, dtype=np.int64).reshape(-1, ambient.width)
+    rows = _rows(ambient, seeds)
     # keys ascend with tuple order: the distinct seeds, sorted
-    seed_keys, first = np.unique(ambient.encode(rows), return_index=True)
-    ordered = rows[first]
-    have = seed_keys == 0  # the identity
-    essential: list[Element] = []
-    bfs = _bfs(ambient, essential, bound)
-    while not have.all():
-        essential.append(tuple(ordered[int(np.argmin(have))].tolist()))
-        bfs = _bfs(ambient, essential, bound)
-        have = np.isin(seed_keys, ambient.encode(bfs[0]))
-    return _from_bfs(ambient, tuple(essential), bfs)
+    first = np.unique(ambient.encode(rows), return_index=True)[1]
+    essential = _absorb(ambient, rows[first], bound)
+    return _from_bfs(ambient, essential, _bfs(ambient, essential, bound))
 
 
 def subgroup_from_elements(ambient: AmbientDescriptor,
-                           elements: Iterable[Element],
+                           elements: Iterable[Element] | np.ndarray,
                            verify: bool = True) -> FiniteGroup:
     """Wrap a set already known (or verified) to be closed as a FiniteGroup.
 
-    Every element is its own generator (identity gets the empty word), which
-    keeps stored words trivially valid.  With ``verify`` the set S is proved
-    closed at linear cost, and ValueError means the precondition was
-    violated: the greedy generators T of :meth:`FiniteGroup.small_generators`
-    are taken from S, and the subgroup generated by each prefix of T is
-    closed with guard |S| and must lie in S.  So <T> <= S, and T covers S,
+    ``elements`` are tuples or int64 rows.  Every element is its own
+    generator (identity gets the empty word), which keeps stored words
+    trivially valid.  With ``verify`` the set S is proved closed at linear
+    cost, and ValueError means the precondition was violated: the greedy
+    generators T of :meth:`FiniteGroup.small_generators` are taken from S,
+    and the subgroup generated by each prefix of T is grown with guard |S|
+    and must lie in S.  So <T> <= S, and T covers S,
     so S <= <T>: S = <T> is a subgroup.  T is kept as the group's small
     generators.
     """
-    elems = tuple(sorted(set(elements)))
-    if ambient.identity not in elems:
+    rows = _rows(ambient, elements)
+    keys, first = np.unique(ambient.encode(rows), return_index=True)
+    if not keys.size or keys[0] != 0:
         raise ValueError("element set must contain the identity")
-    index = {g: i for i, g in enumerate(elems)}
-    ident_idx = index[ambient.identity]
-    bfs_order = (ident_idx,) + tuple(i for i in range(len(elems)) if i != ident_idx)
-    bfs_parent = tuple(ident_idx for _ in elems)
-    bfs_gen = tuple(range(len(elems)))
+    arr, steps, parent = rows[first], np.arange(keys.size), np.zeros(keys.size, np.int64)
+    for a in (arr, keys, steps, parent):
+        a.setflags(write=False)
     # every element on one level below the identity
-    levels = (0, 1, len(elems)) if len(elems) > 1 else (0, 1)
-    group = FiniteGroup(ambient=ambient, elements=elems, generators=elems,
-                        bfs_order=bfs_order, bfs_parent=bfs_parent,
-                        bfs_gen=bfs_gen, bfs_levels=levels, _index=index)
+    levels = (0, 1, keys.size) if keys.size > 1 else (0, 1)
+    group = FiniteGroup(ambient, arr, keys, bfs_order=steps, bfs_parent=parent,
+                        bfs_gen=steps, bfs_levels=levels)
     if verify:
         try:
-            gens = group._greedy_generators()
+            gens = _absorb(ambient, arr, keys.size, within=group)
         except (GuardExceeded, KeyError):
             raise ValueError("element set is not closed under multiplication") from None
-        if len(elems) > 3:
+        if keys.size > 3:
             group._small_gens = gens
     return group
 
@@ -492,7 +504,7 @@ def normal_closure(group: FiniteGroup,
     gens = group.small_generators()
     gen_rows = np.array(gens, dtype=np.int64).reshape(-1, amb.width)
     inv_rows = np.array([amb.inv(a) for a in gens], dtype=np.int64).reshape(-1, amb.width)
-    rows = np.asarray(seeds, dtype=np.int64).reshape(-1, amb.width)
+    rows = _rows(amb, seeds)
     keys, first = np.unique(amb.encode(rows), return_index=True)
     frontier = rows[first[keys != 0]]  # the identity has key 0
     seen = np.zeros(amb.order, dtype=bool)
@@ -541,32 +553,26 @@ def nilpotency_class(group: FiniteGroup) -> int:
     return len(lower_central_series(group)) - 1
 
 
-def _powers(group: FiniteGroup, q: int) -> list[Element]:
-    """The distinct q-th powers of the group's elements."""
-    rows = group.ambient.power_array(group.array(), q)
-    first = np.unique(group.ambient.encode(rows), return_index=True)[1]
-    return list(map(tuple, rows[first].tolist()))
-
-
 def power_subgroup(group: FiniteGroup, s: int) -> FiniteGroup:
     """Subgroup generated by g^(p^s) for all g in the group."""
     if s < 0:
         raise ValueError("power exponent must be nonnegative")
-    return generated_subgroup(group.ambient, _powers(group, group.p ** s),
-                              guard=group.order)
+    return generated_subgroup(group.ambient, group.ambient.power_array(
+        group.array(), group.p ** s), guard=group.order)
 
 
 def frattini(group: FiniteGroup) -> FiniteGroup:
     """Frattini subgroup of a finite p-group: G' G^p (computed once per group)."""
     if group._frattini is None:
-        seeds = derived_subgroup(group).generators + tuple(_powers(group, group.p))
+        seeds = np.concatenate([_rows(group.ambient, derived_subgroup(group).generators),
+                                group.ambient.power_array(group.array(), group.p)])
         group._frattini = generated_subgroup(group.ambient, seeds, guard=group.order)
     return group._frattini
 
 
 def center(group: FiniteGroup) -> FiniteGroup:
-    elems = [g for g, c in zip(group.elements, group.central_mask()) if c]
-    return subgroup_from_elements(group.ambient, elems, verify=False)
+    return subgroup_from_elements(group.ambient, group.array()[group.central_mask()],
+                                  verify=False)
 
 
 def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
@@ -587,12 +593,11 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
     for u in upper.small_generators():
         conj = amb.mul_cols(amb.mul_rows(amb.inv(u), arr), u)
         mask &= np.isin(amb.encode(amb.mul_array(arr_inv, conj)), lower.keys())
-    return subgroup_from_elements(amb, compress(group.elements, mask.tolist()),
-                                  verify=True)
+    return subgroup_from_elements(amb, arr[mask], verify=True)
 
 
 def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    common = a.element_set() & b.element_set()
+    common = a.array()[np.isin(a.keys(), b.keys(), assume_unique=True)]
     return subgroup_from_elements(a.ambient, common, verify=False)
 
 
@@ -682,7 +687,7 @@ def _frattini_basis(group: FiniteGroup) -> tuple[np.ndarray, list[int]]:
     basis: list[int] = []
     while not in_span.all():
         basis.append(int(reps[int(np.argmin(in_span))]))
-        b = group.elements[basis[-1]]
+        b = group.element(basis[-1])
         # the coset of c*b for every coset c
         step = coset[group.indices_of_rows(group.ambient.mul_cols(rep_rows, b))]
         parts, part_coords = [span], [span_coords]
@@ -714,12 +719,12 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     kernel of the coordinates, is generated too.  A subgroup containing
     Phi(G) and mapping onto ker w is all of M_w.
 
-    Returned sorted by element lists, so the order is deterministic.
+    Returned sorted by key lists, so the order is deterministic.
     """
     p, amb = group.p, group.ambient
     elem_coords, basis = _frattini_basis(group)
     rank = elem_coords.shape[1]
-    b = [group.elements[i] for i in basis]
+    b = [group.element(i) for i in basis]
     phi_gens = frattini(group).generators
     # hyperplane normals up to scalar: first nonzero coefficient equal 1
     subgroups = []
@@ -728,13 +733,12 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         if j0 is None or w[j0] != 1:
             continue
         dots = (elem_coords @ np.array(w, dtype=np.int64)) % p
-        elems = [group.elements[i] for i in np.flatnonzero(dots == 0).tolist()]
-        sub = subgroup_from_elements(amb, elems, verify=False)
+        sub = subgroup_from_elements(amb, group.array()[dots == 0], verify=False)
         sub._small_gens = phi_gens + tuple(
             amb.mul(b[i], amb.power(amb.inv(b[j0]), w[i]))
             for i in range(rank) if i != j0)
         subgroups.append(sub)
-    subgroups.sort(key=lambda s: s.elements)
+    subgroups.sort(key=lambda s: s.keys().tolist())
     return subgroups
 
 

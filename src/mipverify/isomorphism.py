@@ -94,7 +94,7 @@ def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
     type of a group generated by (a, b); the pair must generate ``group``.
     """
     gen = closure(group.ambient, (a, b), guard=group.order + 1)
-    if gen.element_set() != group.element_set():
+    if not np.array_equal(gen.keys(), group.keys()):
         raise ValueError("the pair (a, b) does not generate the group")
     clauses = ClauseList()
     clauses.add("parameters", "parameters satisfy n > m >= k >= 3",
@@ -150,10 +150,10 @@ def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[t
     b_idx = np.flatnonzero((orders == 2 ** m) & central[sq])
     der_set = der.element_set()
     for ia in a_idx:
-        a = group.elements[int(ia)]
+        a = group.element(ia)
         a2 = group.mul(a, a)
         for ib in b_idx:
-            b = group.elements[int(ib)]
+            b = group.element(ib)
             b2 = group.mul(b, b)
             span = _span_of_central_pair(group, a2, b2, 2 ** (n - 1), 2 ** (m - 1))
             if span & der_set != {group.identity}:
@@ -248,7 +248,7 @@ def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
         mask &= _generates(coords, group.p, ia, bs)
         hits = bs[mask]
         if hits.size:
-            return group.elements[ia], group.elements[int(hits[0])]
+            return group.element(ia), group.element(hits[0])
     return None
 
 

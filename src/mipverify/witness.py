@@ -84,7 +84,7 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
         raise ValueError("unit_closure works over F2")
     H, dim = algebra.group, algebra.dim
     bound = dim * safety_factor
-    gathers = [np.stack(H.right_columns([H.inv(H.elements[j])
+    gathers = [np.stack(H.right_columns([H.inv(H.element(j))
                                          for j in u.support()]))
                for u in gens]
     block = max(1, _CLOSURE_BLOCK_BYTES // (dim * (len(gens) + 2)))

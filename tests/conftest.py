@@ -15,7 +15,11 @@ of an element set, the Cayley table built one row product at a time,
 the presentation search that tests each candidate pair for generation by
 closure, the centralizer index as an orbit walked one element at a
 time, the centralizer modulo a subgroup by scalar commutators, and the
-normal closure from an orbit grown as a set.
+normal closure from an orbit grown as a set.  A group keeps its elements
+only as sorted int64 rows and keys; the construction that stored them as tuples
+with a dict index and tuple-valued breadth-first fields is an oracle here,
+and so is the absorption of a seed set that closes each prefix again from
+the identity.
 
 The table ambient proves associativity by Light's test on the two table
 generators; the n^3 check of all triples is the oracle here, and so are
@@ -55,6 +59,7 @@ from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
                                unit_inverse, unit_order)
 from mipverify.ambient import Element, GuardExceeded, int_log, make_ambient
 from mipverify.family import FamilyInstance, build_family
+from mipverify import groups as groups_mod
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup, normal_closure)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
@@ -132,24 +137,26 @@ def regular_rep_is_unit(u: AlgebraElement) -> bool:
     """Unit test by rank of the left-multiplication matrix (independent route).
 
     Row g of the matrix is the vector of e_g * u, built directly by
-    translating u's support; the rank comes from a local eliminator.
+    translating u's support and locating products in a local dict index;
+    the rank comes from a local eliminator.
     """
     alg = u.algebra
     group = alg.group
+    index = {g: i for i, g in enumerate(group.elements)}
     support = u.support()
     if alg.p == 2:
         packed: List[int] = []
         for g in group.elements:
             row = 0
             for j in support:
-                row |= 1 << group.index(group.mul(g, group.elements[j]))
+                row |= 1 << index[group.mul(g, group.elements[j])]
             packed.append(row)
         return gf2_rank_bitmask(packed) == alg.dim
     rows: List[List[int]] = []
     for g in group.elements:
         row = [0] * alg.dim
         for j in support:
-            idx = group.index(group.mul(g, group.elements[j]))
+            idx = index[group.mul(g, group.elements[j])]
             row[idx] = (row[idx] + u.coeff(j)) % alg.p
         rows.append(row)
     return modp_rank(rows, alg.p) == alg.dim
@@ -268,6 +275,83 @@ def greedy_generators(ambient, seeds) -> tuple:
             kept.append(g)
             have = set(dict_closure(ambient, kept).elements)
     return tuple(kept)
+
+
+class TupleGroup(NamedTuple):
+    """A group as element tuples with a dict index and tuple-valued
+    breadth-first fields."""
+    elements: tuple
+    index: dict
+    bfs_order: tuple
+    bfs_parent: tuple
+    bfs_gen: tuple
+    bfs_levels: tuple
+    small_generators: tuple
+
+    @property
+    def identity_index(self) -> int:
+        return self.index[(0,) * len(self.elements[0])]
+
+    @property
+    def words(self) -> tuple:
+        words: List[tuple] = [()] * len(self.elements)
+        for i in self.bfs_order[1:]:
+            words[i] = words[self.bfs_parent[i]] + (self.bfs_gen[i],)
+        return tuple(words)
+
+
+def tuple_from_bfs(ambient, gens: Sequence[Element], bfs) -> TupleGroup:
+    """The group of a breadth-first closure (the program's ``_bfs`` output),
+    sorted into tuple order, with a dict index."""
+    rows, parent, via, levels = bfs
+    order = np.argsort(ambient.encode(rows))
+    index_of = np.empty_like(order)
+    index_of[order] = np.arange(order.size)
+    elements = tuple(map(tuple, rows[order].tolist()))
+    return TupleGroup(elements, dict(zip(elements, range(order.size))),
+                      tuple(index_of.tolist()),
+                      tuple(index_of[parent[order]].tolist()),
+                      tuple(via[order].tolist()), tuple(levels), tuple(gens))
+
+
+def tuple_subgroup_from_elements(ambient, elements: Sequence[Element]) -> TupleGroup:
+    """An element set sorted as tuples, every element its own generator
+    under the identity; greedy small generators above three elements."""
+    elems = tuple(sorted(set(elements)))
+    index = {g: i for i, g in enumerate(elems)}
+    ident = index[ambient.identity]
+    levels = (0, 1, len(elems)) if len(elems) > 1 else (0, 1)
+    small = greedy_generators(ambient, elems) if len(elems) > 3 else elems
+    return TupleGroup(elems, index,
+                      (ident,) + tuple(i for i in range(len(elems)) if i != ident),
+                      (ident,) * len(elems), tuple(range(len(elems))), levels,
+                      small)
+
+
+def reclosing_generated_subgroup(ambient, seeds, guard: Optional[int] = None
+                                 ) -> Tuple[tuple, TupleGroup]:
+    """Essential seeds and group of a seed set (tuples or rows): the seeds
+    absorbed in canonical order, each prefix closed again from the identity
+    (:func:`greedy_generators`), then one closure on the essential seeds."""
+    bound = ambient.order if guard is None else min(guard, ambient.order)
+    essential = greedy_generators(ambient, map(tuple, np.asarray(seeds).tolist()))
+    return essential, tuple_from_bfs(ambient, essential,
+                                     groups_mod._bfs(ambient, essential, bound))
+
+
+def assert_same_group(got: FiniteGroup, want: TupleGroup, label,
+                      small_generators: bool = True) -> None:
+    """Field-by-field equality of a group with its tuple-built oracle."""
+    assert got.elements == want.elements, label
+    assert [got.index(g) for g in want.elements] == list(range(len(want.elements))), label
+    assert all(g in got for g in want.elements), label
+    assert got.identity_index == want.identity_index, label
+    for name in ("bfs_order", "bfs_parent", "bfs_gen"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), (label, name)
+    assert got.bfs_levels == want.bfs_levels, label
+    assert got.words == want.words, label
+    if small_generators:
+        assert got.small_generators() == want.small_generators, label
 
 
 def table_element_orders(group: FiniteGroup) -> np.ndarray:

@@ -22,12 +22,15 @@ from mipverify.groups import (center, centralizer_index, centralizer_mod,
                               power_subgroup, subgroup_from_elements)
 from mipverify.witness import build_beta, unit_closure, unit_group
 
-from conftest import (coset_scan_maximal_subgroups, dict_closure,
-                      greedy_generators, naive_closure,
+from conftest import (assert_same_group, coset_scan_maximal_subgroups,
+                      dict_closure, greedy_generators, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
+                      reclosing_generated_subgroup,
                       row_cayley_table, scalar_centralizer_mod,
                       set_jennings_series, set_normal_closure,
-                      table_conjugacy_classes, table_element_orders)
+                      table_conjugacy_classes, table_element_orders,
+                      tuple_from_bfs, tuple_subgroup_from_elements)
+from mipverify.family import verify_structure
 
 
 def _catalog_map(catalog):
@@ -172,8 +175,9 @@ def test_jennings_series_matches_set_oracle(layer_groups):
         got, want = jennings_series(grp), set_jennings_series(grp)
         assert len(got) == len(want), name
         for a, b in zip(got, want):
-            assert (a.elements, a.generators, a.bfs_parent, a.bfs_gen) == \
-                (b.elements, b.generators, b.bfs_parent, b.bfs_gen), name
+            assert (a.elements, a.generators) == (b.elements, b.generators), name
+            assert np.array_equal(a.bfs_parent, b.bfs_parent), name
+            assert np.array_equal(a.bfs_gen, b.bfs_gen), name
 
 
 def test_jennings_series_shape(catalog):
@@ -206,15 +210,19 @@ def test_generated_subgroup_vs_closure(catalog):
 # --- the table-free layer against its table-based and dict-based oracles -------
 
 
-def _bfs_fields(grp):
-    return (grp.elements, grp.words, grp.bfs_order, grp.bfs_parent, grp.bfs_gen)
+def _same_bfs(a, b):
+    """Same elements and words, and the same breadth-first arrays (which
+    the dict oracle holds as tuples)."""
+    return (a.elements == b.elements and a.words == b.words
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("bfs_order", "bfs_parent", "bfs_gen")))
 
 
 def test_closure_matches_dict_oracle(layer_groups):
     for name, grp in layer_groups:
         again = closure(grp.ambient, grp.generators)
-        assert _bfs_fields(again) == tuple(dict_closure(grp.ambient, grp.generators)), name
-        assert _bfs_fields(grp) == _bfs_fields(again), name
+        assert _same_bfs(again, dict_closure(grp.ambient, grp.generators)), name
+        assert _same_bfs(grp, again), name
 
 
 def test_closure_matches_dict_oracle_on_random_generators(layer_groups):
@@ -226,7 +234,7 @@ def test_closure_matches_dict_oracle_on_random_generators(layer_groups):
             gens = [grp.elements[rng.randrange(grp.order)] for _ in range(3)]
             gens += [gens[0], amb.identity]
             rng.shuffle(gens)
-            assert _bfs_fields(closure(amb, gens)) == tuple(dict_closure(amb, gens)), name
+            assert _same_bfs(closure(amb, gens), dict_closure(amb, gens)), name
 
 
 def test_closure_guard_matches_dict_oracle(layer_groups):
@@ -491,4 +499,112 @@ def test_normal_closure_matches_set_oracle(layer_groups):
                         normal_closure(grp, np.array(seeds, dtype=np.int64))):
                 assert got.elements == want.elements, name
                 assert got.generators == want.generators, name
-                assert got.bfs_order == want.bfs_order, name
+                assert np.array_equal(got.bfs_order, want.bfs_order), name
+
+
+# --- the array-backed group against its tuple-built oracle ---------------------
+
+
+def test_array_group_matches_tuple_oracle(layer_groups):
+    """Every closure, and groups wrapped from element sets (a maximal
+    subgroup, an intersection, a centralizer), equal field by field the
+    group built as tuples with a dict index; maximal subgroups come in the
+    order of their element lists."""
+    for name, grp in layer_groups:
+        amb, gens = grp.ambient, grp.generators
+        want = tuple_from_bfs(amb, gens, groups_mod._bfs(amb, gens, amb.order))
+        assert_same_group(grp, want, name)
+        assert_same_group(closure(amb, gens), want, name)
+        maxes = [sub.elements for sub in maximal_subgroups(grp)]
+        assert maxes == sorted(maxes), name
+    named = dict(layer_groups)
+    G, H = named["dihedral-G-433"], named["dihedral-H-433"]
+    der = derived_subgroup(G)
+    cases = {"maximal": maximal_subgroups(G)[1], "intersection": intersection(G, H),
+             "centralizer": centralizer_mod(G, der, frattini(der))}
+    for kind, sub in cases.items():
+        want = tuple_subgroup_from_elements(G.ambient, sub.elements)
+        # a maximal subgroup carries its small generators
+        assert_same_group(sub, want, kind, small_generators=kind != "maximal")
+        for given in (sub.array(), sub.array()[::-1], list(sub.elements) * 2):
+            again = subgroup_from_elements(G.ambient, given)
+            assert_same_group(again, want, kind)
+            assert len(again.generators) == again.order, kind
+
+
+def test_lookup_refuses_aliased_and_malformed_tuples(layer_groups):
+    """A digit equal to its radix encodes onto another element's key; the
+    lookup refuses it, and tuples of the wrong width, before encoding."""
+    for name, grp in layer_groups:
+        amb = grp.ambient
+        if amb.width < 2:
+            continue
+        g = next((g for g in grp.elements if g[-1] == 0 and g[-2] > 0), None)
+        if g is None:
+            continue
+        alias = g[:-2] + (g[-2] - 1, amb.radices[-1])
+        assert amb.key(alias) == amb.key(g), name
+        bad = [alias, g + (0,), g[:-1], g[:-1] + (-1,), (0,) * (amb.width - 1) + (-1,)]
+        for h in bad:
+            assert h not in grp, (name, h)
+            with pytest.raises(KeyError):
+                grp.index(h)
+        assert g in grp and grp.element(grp.index(g)) == g, name
+
+
+def _fresh(grp):
+    """A copy of a closure group with nothing cached."""
+    return closure(grp.ambient, grp.generators)
+
+
+def test_incremental_absorption_matches_reclosing_oracle(layer_groups, monkeypatch):
+    """Every generated_subgroup call made by frattini, derived_subgroup and
+    jennings_series, and random seed sets, give the essential seeds and the
+    group of the absorption that closes each prefix again."""
+    real = groups_mod.generated_subgroup
+    calls = []
+
+    def checked(ambient, seeds, guard=None):
+        got = real(ambient, seeds, guard)
+        essential, want = reclosing_generated_subgroup(ambient, seeds, guard)
+        assert got.generators == essential
+        assert_same_group(got, want, len(calls))
+        calls.append(len(essential))
+        return got
+
+    monkeypatch.setattr(groups_mod, "generated_subgroup", checked)
+    rng = random.Random(11)
+    for name, grp in layer_groups:
+        frattini(_fresh(grp))
+        derived_subgroup(_fresh(grp))
+        jennings_series(_fresh(grp))
+        for size in (1, 3, 8):
+            picks = [grp.elements[rng.randrange(grp.order)] for _ in range(size)]
+            checked(grp.ambient, picks, grp.order)
+            checked(grp.ambient, np.array(picks, dtype=np.int64))
+    assert len(calls) > 8 * len(layer_groups) and max(calls) >= 2
+
+
+def test_incremental_absorption_guard_and_closedness(layer_groups):
+    """The grown subgroups keep the guard, and a set that is not closed is
+    refused whether given as tuples or as rows."""
+    for name, grp in layer_groups:
+        if grp.order < 4:
+            continue
+        amb = grp.ambient
+        with pytest.raises(GuardExceeded):
+            generated_subgroup(amb, grp.elements, guard=grp.order - 1)
+        assert generated_subgroup(amb, grp.array(), guard=grp.order).order == grp.order
+        rest = np.delete(grp.array(), grp.order // 2, axis=0)
+        for given in (rest, list(map(tuple, rest.tolist()))):
+            with pytest.raises(ValueError, match="not closed"):
+                subgroup_from_elements(amb, given)
+
+
+def test_structure_holds_no_element_tuples():
+    """The structural verification reads P, M, G and H through rows and
+    keys only: none of them builds its element tuples."""
+    inst = build_family(2, "dihedral", 5, 4, 3)
+    assert verify_structure(inst).ok
+    for grp in (inst.P, inst.M, inst.G, inst.H):
+        assert "elements" not in vars(grp)
