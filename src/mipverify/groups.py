@@ -221,20 +221,23 @@ class FiniteGroup:
                                       np.tile(arr, (lefts.shape[0], 1)))
         return self.indices_of_rows(rows).astype(np.int32).reshape(-1, self.order)
 
-    def transport(self, columns: np.ndarray, origin: int) -> np.ndarray:
+    def transport(self, columns: np.ndarray, origin: int | np.ndarray) -> np.ndarray:
         """Every element's word read from ``origin`` along ``columns``.
 
         ``columns[j]`` is a permutation of some target's points standing for
         generator j.  Returns pi with pi[identity] = origin and pi[i] =
-        columns[bfs_gen[i]][pi[bfs_parent[i]]], one level at a time.
+        columns[bfs_gen[i]][pi[bfs_parent[i]]], one level at a time.  A vector
+        ``origin`` is read from each of its points: from arange(order) along
+        the generators' right columns, row i is the right product by i.
         """
-        columns = np.asarray(columns)
+        columns, origin = np.asarray(columns), np.asarray(origin)
         order, parent, via = self.bfs_order, self.bfs_parent, self.bfs_gen
-        pi = np.empty(self.order, dtype=columns.dtype)
+        pi = np.empty((self.order, *origin.shape), dtype=columns.dtype)
         pi[order[0]] = origin
         for lo, hi in zip(self.bfs_levels[1:-1], self.bfs_levels[2:]):
             level = order[lo:hi]
-            pi[level] = columns[via[level], pi[parent[level]]]
+            pi[level] = columns[via[level].reshape(-1, *[1] * origin.ndim),
+                                pi[parent[level]]]
         return pi
 
     def right_columns(self, factors: Sequence[Element]) -> list[np.ndarray]:

@@ -10,7 +10,8 @@ This module does the algebra work only.  The closure of <x, beta> records
 each unit times each generator; on those columns the subgroup is a
 ``regular`` ambient for the group engine (:func:`unit_group`), and the
 transport of G's basis and its multiplicativity are index work.
-Independence modulo A^2 is read off coordinates in H/Phi(H).
+Spanning is one XOR (the unit-sum lemma), and independence modulo A^2 is
+read off coordinates in H/Phi(H).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .isomorphism import ClauseList, recognize_presented_group
 
 DEFAULT_SAMPLE_SIZE = 1024
 EXHAUSTIVE_LIMIT = 512
-# Largest memory for the packed units of the closure and of clause (e)'s
-# elimination that verify_witness takes on.
+# Largest memory for the packed units of the closure (and of a dependent
+# closure's elimination in clause (e)) that verify_witness takes on.
 UNIT_BUDGET_BYTES = 2 ** 30
 
 
@@ -137,6 +138,25 @@ def unit_group(subgroup: UnitGroupSubgroup) -> FiniteGroup:
     return closure(ambient, [(col[0],) for col in subgroup.columns])
 
 
+def spanning_rank(subgroup: UnitGroupSubgroup) -> tuple[int, bool]:
+    """The rank of the units in F2[H], and whether they are independent.
+
+    Unit-sum lemma: a finite 2-group U of units of F2[H] is independent iff
+    sum_{u in U} u != 0.  The kernel K of the algebra map F2[U] -> F2[H]
+    extending the inclusion is a left ideal.  If K != 0, U acts on it by
+    left multiplication in orbits of 2-power size and |K| is even, so it
+    fixes some v != 0 (the fixed-point lemma for p-groups; Alperin, Local
+    Representation Theory, 1986): uv = v for all u makes v = sum u, which
+    thus maps to 0.  U is always a 2-group: a unit is 1 + a, a in the
+    nilpotent augmentation ideal.  One XOR over the packed keys; only a
+    dependent U is eliminated, for its exact rank.
+    """
+    keys = [u.key for u in subgroup.elements]
+    if reduce(int.__xor__, keys):
+        return subgroup.order, True
+    return FpMatrix(2, subgroup.algebra.dim, keys).rank(), False
+
+
 # -- witness constructions ------------------------------------------------------
 
 
@@ -216,13 +236,15 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     when it differs from 2^k); (b) beta^2 central; (c) the unit closure of
     {x, beta} has exactly |G| elements; (d) the structural recognition
     clauses hold for that unit subgroup on the pair (x, beta); (e) the unit
-    subgroup spans F2[H]; (f) x+1 and beta+1 are independent modulo the
-    square of the augmentation ideal; (g) basis transport along G's
-    derivation words is bijective and multiplicative: proved from the
-    generator columns on every run, and evaluated in the unit group on a
-    seeded sample of pairs, or on all |G|^2 pairs when requested and
-    |G| <= 512.  Raises :class:`GuardExceeded` before any clause when the
-    packed units of (c) and (e) would take more than ``UNIT_BUDGET_BYTES``.
+    subgroup spans F2[H] (:func:`spanning_rank`); (f) x+1 and beta+1 are
+    independent modulo the square of the augmentation ideal; (g) basis
+    transport along G's derivation words is bijective and multiplicative:
+    proved from the generator columns on every run, and evaluated in the
+    unit group on a seeded sample of pairs, or on all |G|^2 pairs when
+    requested and |G| <= 512, by G's and U's right products composed level
+    by level from their generator columns.  Raises :class:`GuardExceeded`
+    before any clause when the packed units of (c) and (e) would take more
+    than ``UNIT_BUDGET_BYTES``.
     """
     if not exhaustive and sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
@@ -243,8 +265,8 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     if exhaustive and G.order > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive multiplicativity supported up to |G| = {EXHAUSTIVE_LIMIT}")
-    # the closure keeps |G| packed units, and the elimination a reduced row
-    # and a combination of the added rows for each of them
+    # the closure keeps |G| packed units, and a dependent closure's
+    # elimination a reduced row and a combination of added rows for each
     need = 3 * G.order * ((FH.dim + 7) // 8)
     if need > UNIT_BUDGET_BYTES:
         raise GuardExceeded(
@@ -309,8 +331,8 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     # (e) spanning
     passed, data = False, skipped
     if subgroup is not None:
-        span = FpMatrix(2, FH.dim, (u.key for u in subgroup.elements))
-        passed, data = span.rank() == FH.dim, {"rank": span.rank(), "dim": FH.dim}
+        rank, independent = spanning_rank(subgroup)
+        passed, data = rank == FH.dim, {"rank": rank, "dim": FH.dim}
     add("spanning", "the unit subgroup spans the whole algebra", passed, **data)
 
     # (f) independence modulo A^2, read off coordinates in H/Phi(H).  Let
@@ -347,22 +369,34 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     if subgroup is not None:
         pi, column_mismatches = transport(G, subgroup)
         images = [subgroup.elements[i] for i in pi]
-        # a bijection onto U gives clause (e)'s rows, reordered
-        if not np.array_equal(np.sort(pi), np.arange(U.order)):
-            span = FpMatrix(2, FH.dim, (u.key for u in images))
-        matrix_rank = span.rank()
+        points = np.unique(pi)
+        if independent:  # distinct units of an independent U
+            matrix_rank = int(points.size)
+        elif points.size == U.order:  # clause (e)'s units
+            matrix_rank = rank
+        else:
+            matrix_rank = FpMatrix(2, FH.dim, (u.key for u in images)).rank()
         if exhaustive:
-            lefts, rights = np.divmod(np.arange(G.order ** 2), G.order)
+            # rg[j, i] = index(g_i g_j), ru[q, i] = pi(g_i) u_q with u_q read
+            # on U's tree, the closure's, as U's products walk it; row blocks
+            rg = G.transport(np.stack(G.right_columns(G.generators)),
+                             np.arange(G.order, dtype=np.int32))
+            ru = U.transport(np.array(subgroup.columns, dtype=np.int32),
+                             pi.astype(np.int32))
+            step = max(1, _PAIR_BLOCK // G.order)
+            for lo in range(0, G.order, step):
+                sample["mismatches"] += int(np.count_nonzero(
+                    pi[rg[lo:lo + step]] != ru[pi[lo:lo + step]]))
         else:
             rng = random.Random(seed)
             lefts, rights = np.array([rng.randrange(G.order) for _ in
                                       range(2 * sample_size)]).reshape(-1, 2).T
-        for lo in range(0, lefts.size, _PAIR_BLOCK):
-            i, j = lefts[lo:lo + _PAIR_BLOCK], rights[lo:lo + _PAIR_BLOCK]
-            gij = G.indices_of_rows(G.ambient.mul_array(G.array()[i], G.array()[j]))
-            uij = U.ambient.mul_array(pi[i][:, None], pi[j][:, None])[:, 0]
-            sample["mismatches"] += int(np.count_nonzero(pi[gij] != uij))
-        sample["pairs"] = int(lefts.size)
+            for lo in range(0, lefts.size, _PAIR_BLOCK):
+                i, j = lefts[lo:lo + _PAIR_BLOCK], rights[lo:lo + _PAIR_BLOCK]
+                gij = G.indices_of_rows(G.ambient.mul_array(G.array()[i], G.array()[j]))
+                uij = U.ambient.mul_array(pi[i][:, None], pi[j][:, None])[:, 0]
+                sample["mismatches"] += int(np.count_nonzero(pi[gij] != uij))
+        sample["pairs"] = G.order ** 2 if exhaustive else sample_size
         passed = (matrix_rank == G.order == FH.dim
                   and sample["mismatches"] == column_mismatches == 0)
         data = {"rank": matrix_rank, "pairs": sample["pairs"],

@@ -41,7 +41,10 @@ closure, and carries G's basis and checks multiplicativity on the unit
 group's generator columns; the oracles for these are the closure one
 algebra product at a time, the transport by algebra products along G's
 tree, the generator check, seeded pairs and all pairs by algebra products
-(the last by float32 matrix products).
+(the last by float32 matrix products).  Spanning is the unit-sum lemma,
+with the FpMatrix rank of the units as its oracle; all pairs are counted
+on composed right-product columns, with the pair-by-pair walk of each
+unit's word as their oracle.
 """
 
 from __future__ import annotations
@@ -795,6 +798,27 @@ def float32_pair_mismatches(FG: GroupAlgebra, FH: GroupAlgebra,
         expected = bits[table_g[i]]
         mismatches += int((prod != expected).any(axis=1).sum())
     return mismatches
+
+
+def walked_pair_mismatches(G: FiniteGroup, U: FiniteGroup, pi: np.ndarray,
+                           lefts: np.ndarray, rights: np.ndarray) -> int:
+    """Pairs (i, j) with pi(g_i g_j) != pi(g_i) pi(g_j), 2^14 at a time:
+    G's product by its ambient's ``mul_array``, U's by walking pi(g_j)'s
+    word in U's regular ambient (the exhaustive count of the certificate
+    before it composed columns)."""
+    mismatches = 0
+    for lo in range(0, lefts.size, 2 ** 14):
+        i, j = lefts[lo:lo + 2 ** 14], rights[lo:lo + 2 ** 14]
+        gij = G.indices_of_rows(G.ambient.mul_array(G.array()[i], G.array()[j]))
+        uij = U.ambient.mul_array(pi[i][:, None], pi[j][:, None])[:, 0]
+        mismatches += int(np.count_nonzero(pi[gij] != uij))
+    return mismatches
+
+
+def eliminated_spanning_rank(units: Sequence[AlgebraElement]) -> int:
+    """Rank of units of F2[H] by FpMatrix elimination (clause (e) before
+    the unit-sum lemma)."""
+    return FpMatrix(2, units[0].algebra.dim, (u.key for u in units)).rank()
 
 
 def eliminated_a2_independence(FH: GroupAlgebra, u: AlgebraElement,

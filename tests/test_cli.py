@@ -153,6 +153,33 @@ def test_witness_report_golden_digest(extra):
     assert digest == WITNESS_REPORT_SHA256[extra]
 
 
+# sha256 of the stdout of the benchmark's three witness runs, sample size
+# 1024, at seeds 0 and 5, as produced by the certificate that eliminated
+# all units for clause (e) and walked a unit word per pair for --exhaustive.
+WITNESS_GOLDEN_SHA256 = {
+    ("5 4 3", "0"): "66b396008638426ac98bebd4d6da3d7ede3fa9ff714ae899ec21fcc05a98d066",
+    ("4 3 3 --beta general --zeta class-sum", "0"):
+        "f276ea08fc6a911ff0fe82eafc9c0c3c2c697f685518d47b1224b3d53918b9f6",
+    ("4 3 3 --exhaustive", "0"):
+        "f0e559643bc6a00cd59a6bd6b684dcef8e29f01545df37d595851306c5ecb44e",
+    ("5 4 3", "5"): "d4ac998e9d92f6436fe8b9a3f5962da3528effe9b1a88e472f8194c13c2fb1e0",
+    ("4 3 3 --beta general --zeta class-sum", "5"):
+        "e90b9e029a2d8edc8f5461a14974d187e0ce3a6652ad36f7f112fa2d6cc02c02",
+    ("4 3 3 --exhaustive", "5"):
+        "5de2e41a805124b0847f77a41bb78eadbaac82df54043f3fe2e676dd0476120d",
+}
+
+
+def test_witness_golden_digests():
+    for (args, seed), digest in WITNESS_GOLDEN_SHA256.items():
+        n, m, k, *extra = args.split()
+        r = run_cli(["witness", "--n", n, "--m", m, "--k", k, *extra,
+                     "--seed", seed, "--sample-size", "1024"])
+        assert r.returncode == 0, (args, seed)
+        assert hashlib.sha256(r.stdout.encode("ascii")).hexdigest() == digest, \
+            (args, seed)
+
+
 def test_output_file_matches_stdout(tmp_path):
     out = tmp_path / "report.json"
     r_file = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",

@@ -409,12 +409,16 @@ def test_bfs_levels_hold_the_word_lengths(layer_groups):
 
 def test_transport_along_right_columns_reads_table_rows(layer_groups):
     """Transport from h along the group's own right columns lands on h*g
-    for every g: row h of the table."""
+    for every g: row h of the table.  From every point at once, row g is
+    column g of the table, in the columns' int32."""
     for name, grp in layer_groups:
         table = row_cayley_table(grp)
         cols = np.stack(grp.right_columns(grp.generators))
         for h in {0, grp.order // 2, grp.order - 1}:
             assert np.array_equal(grp.transport(cols, h), table[h]), name
+        composed = grp.transport(cols, np.arange(grp.order, dtype=np.int32))
+        assert composed.dtype == np.int32, name
+        assert np.array_equal(composed, table.T), name
 
 
 def test_cayley_table_matches_row_oracle_on_unit_group():

@@ -14,17 +14,19 @@ from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
 from mipverify.ambient import GuardExceeded
 from mipverify.cli import _make_zeta
 from mipverify.family import build_family
+from mipverify.groups import closure
 from mipverify.invariants import abelian_type
 from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
-                               transport, unit_closure, unit_group,
-                               verify_witness)
+                               spanning_rank, transport, unit_closure,
+                               unit_group, verify_witness)
 
 from conftest import (algebra_unit_recognition, eliminated_a2_independence,
-                      float32_pair_mismatches, matmul_unit_table,
-                      product_generator_mismatches, product_transport_images,
-                      sampled_product_mismatches, scalar_unit_closure,
-                      small_group_catalog)
+                      eliminated_spanning_rank, float32_pair_mismatches,
+                      matmul_unit_table, product_generator_mismatches,
+                      product_transport_images, sampled_product_mismatches,
+                      scalar_unit_closure, small_group_catalog,
+                      walked_pair_mismatches)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "unit-recognition", "spanning", "independent-mod-a2",
@@ -212,8 +214,9 @@ def test_order_note_at_543():
 
 
 def test_witness_builds_no_table(monkeypatch):
-    """The standard pair at (5,4,3) and the general beta with a class-sum
-    zeta at (4,3,3), seed 7, certify with no Cayley table."""
+    """The standard pair at (5,4,3), the general beta with a class-sum
+    zeta at (4,3,3), seed 7, and the standard pair at (4,3,3) on all
+    pairs certify with no Cayley table."""
     monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
     inst = build_family(2, "dihedral", 5, 4, 3)
     FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
@@ -224,6 +227,8 @@ def test_witness_builds_no_table(monkeypatch):
     zeta = _make_zeta(FH, inst, "class-sum", 7, 3)
     beta = build_beta_general(FH, zeta, inst.x, inst.z, 3)
     assert verify_witness(FG, FH, beta, (4, 3, 3), seed=7).valid
+    assert verify_witness(FG, FH, build_beta(FH, inst.x, inst.z), (4, 3, 3),
+                          exhaustive=True).valid
 
 
 def test_unit_budget_refuses_before_any_clause(FG433, FH433, beta433,
@@ -400,6 +405,13 @@ def _c4_units():
                  FC4.from_elements([c, C4.power(c, 2), C4.power(c, 3)]))
 
 
+def _walked_all_pairs(G, sub):
+    """The all-pairs mismatch count of ``sub`` by walking unit words."""
+    lefts, rights = np.divmod(np.arange(G.order ** 2), G.order)
+    return walked_pair_mismatches(G, unit_group(sub), transport(G, sub)[0],
+                                  lefts, rights)
+
+
 @pytest.mark.parametrize("name", ["standard", "standard-543", "k3", "general",
                                   "quaternion", "c4-units"])
 def test_unit_closure_matches_scalar_oracle(name):
@@ -429,6 +441,7 @@ def test_transport_and_pairs_match_product_oracles(name):
     assert cert.sample["pairs"] == 512 * 512
     assert cert.sample["mismatches"] == float32_pair_mismatches(FG, FH, images) == 0
     sub = unit_closure(FH, (ex, beta))
+    assert cert.sample["mismatches"] == _walked_all_pairs(FG.group, sub) == 0
     assert transport(FG.group, sub)[1] == \
         product_generator_mismatches(FG, images, (ex, beta)) == 0
     sampled = verify_witness(FG, FH, beta, (4, 3, 3), seed=3, sample_size=64)
@@ -473,6 +486,10 @@ def test_generator_check_alone_fails_the_certificate(monkeypatch):
     assert clause.data == {"rank": 512, "pairs": 1, "mismatches": 0,
                            "mode": "sampled"}
     assert not clause.passed and not cert.valid
+    # all pairs read the swapped entries: the composed columns count what
+    # walking each unit's word counts
+    cert = verify_witness(FG, FH, beta, (4, 3, 3), exhaustive=True)
+    assert cert.sample["mismatches"] == _walked_all_pairs(G, broken) > 0
 
 
 def test_closure_unavailable_skips_transport(FG433, FH433, beta433, monkeypatch):
@@ -492,3 +509,76 @@ def test_closure_unavailable_skips_transport(FG433, FH433, beta433, monkeypatch)
     assert cert.rank == 0 and cert.matrix_keys == () and not cert.valid
     assert cert.sample == {"mode": "sampled", "pairs": 0, "mismatches": 0,
                            "seed": 0}
+
+
+def test_exhaustive_count_matches_walked_oracle_on_embedded_z():
+    """beta = z: no homomorphism, and the composed columns count the
+    mismatching pairs that walking each unit's word counts."""
+    FG, FH, ex, bad = _witness_case("embedded-z")
+    cert = verify_witness(FG, FH, bad, (4, 3, 3), exhaustive=True)
+    assert cert.sample["pairs"] == 512 * 512
+    assert cert.sample["mismatches"] == \
+        _walked_all_pairs(FG.group, unit_closure(FH, (ex, bad))) > 0
+
+
+# -- clause (e): the unit-sum lemma -------------------------------------------
+
+
+def test_unit_sum_lemma_matches_elimination_on_random_subgroups(FH433):
+    """Closures of one or two random units, most supported on a random
+    subgroup <h1, h2> of H: the lemma's verdict and rank are the
+    eliminated rank's, on independent and dependent closures alike."""
+    H = FH433.group
+    rng = random.Random(2)
+    verdicts = []
+    while len(verdicts) < 48:
+        K = closure(H.ambient, [H.element(rng.randrange(H.order))
+                                for _ in range(rng.choice([1, 2]))])
+        pool = ([H.index(g) for g in K.elements] if rng.random() < 0.75
+                else range(H.order))
+        gens = []
+        for _ in range(rng.choice([1, 2])):
+            # an odd support (|pool| is a power of 2) has augmentation 1
+            size = min(rng.choice([1, 3, 5]), max(1, len(pool) - 1))
+            gens.append(FH433.from_indices(rng.sample(pool, size)))
+        try:
+            sub = unit_closure(FH433, gens, safety_factor=1)
+        except RuntimeError:
+            continue
+        rank, independent = spanning_rank(sub)
+        want = eliminated_spanning_rank(sub.elements)
+        assert (rank, independent) == (want, want == sub.order), gens
+        verdicts.append(independent)
+    assert 8 <= verdicts.count(False) <= 40
+
+
+def test_spanning_and_rank_match_elimination_on_failing_witnesses(FG433, FH433,
+                                                                  inst433):
+    """Witnesses that fail, with the closure of <x, beta> independent or
+    dependent, and G's basis mapped onto it or into it: clause (e)'s rank
+    and the images' rank are the eliminated ranks.  1 + x(1 + z^2) gives
+    128 independent units, which G's basis covers 4 to 1."""
+    H = FH433.group
+    c4 = H.power(inst433.named["c"], 4)
+    betas = {  # name: (beta, |U|, U independent, pi onto U)
+        "x-z-squared": (build_beta(FH433, inst433.x, H.power(inst433.z, 2)),
+                        128, True, True),
+        "embedded-z": (FH433.embed(inst433.z), 512, True, False),
+        "x-c4": (build_beta(FH433, inst433.x, c4), 64, False, True),
+        # 1 + a(1 + w) with a = t r c^11 d^5 and w = t r^7 c^5 d
+        "dependent-into": (build_beta(FH433, (1, 1, 11, 5), (1, 7, 5, 1)),
+                           1024, False, False),
+    }
+    for name, (beta, order, independent, onto) in betas.items():
+        sub = unit_closure(FH433, (FH433.embed(inst433.x), beta))
+        rank = eliminated_spanning_rank(sub.elements)
+        assert (sub.order, spanning_rank(sub)) == (order, (rank, independent)), name
+        pi = transport(FG433.group, sub)[0]
+        assert (np.unique(pi).size == order) == onto, name
+        cert = verify_witness(FG433, FH433, beta, (4, 3, 3))
+        data = {c.id: c.data for c in cert.clauses}
+        assert data["spanning"] == {"rank": rank, "dim": 512}, name
+        images = [sub.elements[i] for i in pi]
+        assert cert.rank == data["basis-transport"]["rank"] == \
+            eliminated_spanning_rank(images) < 512, name
+        assert not cert.valid, name
