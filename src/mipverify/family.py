@@ -31,7 +31,7 @@ from .groups import (FiniteGroup, closure, derived_subgroup, frattini,
                      generated_subgroup, intersection, maximal_subgroups,
                      nilpotency_class)
 from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
-                          find_presentation_witness, isomorphic_bruteforce)
+                          isomorphic_bruteforce, pair_relations)
 
 
 @dataclass(frozen=True)
@@ -252,46 +252,46 @@ def compare_variants(n: int, m: int, k: int,
     """Cross-check that all three 2-case ambient kinds give the same groups.
 
     Builds the dihedral, semidihedral and quaternion instances at (n, m, k)
-    and verifies pairwise isomorphism of the three G's and of the three H's
-    (brute force), the dihedral G-vs-H control (not isomorphic), and the
-    existence of a defining-relations witness pair in every variant.
+    and checks G's stored pair (x, y) against the "g" relations and H's
+    (x, z) against the "h" relations (:func:`pair_relations`).  Let Gamma be
+    the group they present on a, b, u: a^(2^n) = b^(2^m) = u^(2^(k-1)) = 1,
+    b^a = b u, u^a = u^-1, and u^b = u^-1 ("g") or u^b = u ("h").  <u> is
+    normal in <b, u>, which a normalizes, so Gamma = {a^i b^j u^l} has at
+    most 2^(n+m+k-1) elements.  :func:`build_family` closed each group on its
+    pair and found it of that order, so when the pair satisfies the
+    relations, von Dyck's theorem maps Gamma onto the group isomorphically.
+    Hence an ``{a}-vs-{b}`` entry holds when both stored pairs pass, and the
+    passing pairs are the defining-relations witnesses.  Only the dihedral
+    G-vs-H control (not isomorphic) runs the brute-force oracle, under
+    ``bound``.
     """
     instances = {v: build_family(2, v, n, m, k, guard=guard)
                  for v in TWO_GENERATOR_VARIANTS}
+    # (relation set, variant) -> whether G's ("g") or H's ("h") stored pair
+    # satisfies it
+    holds = {(rel, v): all(pair_relations(grp, *grp.generators, n, m, k, rel).values())
+             for v, inst in instances.items()
+             for rel, grp in (("g", inst.G), ("h", inst.H))}
     clauses = ClauseList()
     add = clauses.add
 
     names = list(TWO_GENERATOR_VARIANTS)
-    for which in ("G", "H"):
-        results = {}
-        ok = True
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                ga = getattr(instances[a], which)
-                gb = getattr(instances[b], which)
-                res = isomorphic_bruteforce(ga, gb, bound=bound)
-                results[f"{a}-vs-{b}"] = res
-                ok = ok and res
-        add(f"{which.lower()}-variants-isomorphic",
-            f"the three variants' {which}'s are pairwise isomorphic",
-            ok, **results)
+    for rel in ("g", "h"):
+        results = {f"{a}-vs-{b}": holds[rel, a] and holds[rel, b]
+                   for i, a in enumerate(names) for b in names[i + 1:]}
+        add(f"{rel}-variants-isomorphic",
+            f"the three variants' {rel.upper()}'s are pairwise isomorphic",
+            all(results.values()), **results)
 
     control = isomorphic_bruteforce(instances["dihedral"].G,
                                     instances["dihedral"].H, bound=bound)
     add("g-vs-h-control", "dihedral G and H are not isomorphic (control)",
         not control, oracle_isomorphic=control)
 
-    ok = True
-    found = {}
-    for v in names:
-        wg = find_presentation_witness(instances[v].G, n, m, k, relations="g")
-        wh = find_presentation_witness(instances[v].H, n, m, k, relations="h")
-        found[f"{v}-g"] = wg is not None
-        found[f"{v}-h"] = wh is not None
-        ok = ok and wg is not None and wh is not None
+    found = {f"{v}-{rel}": holds[rel, v] for v in names for rel in ("g", "h")}
     add("presentation-witnesses",
         "each variant's G and H admit a defining-relations witness pair",
-        ok, **found)
+        all(found.values()), **found)
 
     return VerificationReport(title="variants", params=(2, "all", n, m, k),
                               clauses=clauses)

@@ -2,7 +2,7 @@
 
 A :class:`FiniteGroup` stores its elements only as int64 rows sorted by
 mixed-radix key (canonical order = tuple order) and their keys; the
-generating set; and, as integer arrays, each element's breadth-first
+generating set; and, as int32 arrays, each element's breadth-first
 derivation over the generators with the closure's level boundaries.
 Element tuples are built only when :attr:`FiniteGroup.elements` is read.
 All subgroup constructions (derived subgroup, lower central series,
@@ -47,10 +47,10 @@ class FiniteGroup:
     ambient: AmbientDescriptor
     _array: np.ndarray = field(repr=False)
     _keys: np.ndarray = field(repr=False)
-    # breadth-first derivation: element i (other than the identity) equals
-    # elements[bfs_parent[i]] * generators[bfs_gen[i]]; the elements of
-    # level l are bfs_order[bfs_levels[l]:bfs_levels[l + 1]], and every
-    # parent lies on an earlier level
+    # breadth-first derivation, as int32 indices: element i (other than the
+    # identity) equals elements[bfs_parent[i]] * generators[bfs_gen[i]];
+    # the elements of level l are bfs_order[bfs_levels[l]:bfs_levels[l + 1]],
+    # and every parent lies on an earlier level
     bfs_order: np.ndarray
     bfs_parent: np.ndarray
     bfs_gen: np.ndarray
@@ -410,9 +410,10 @@ def _from_bfs(ambient: AmbientDescriptor, gens: tuple[Element, ...],
     keys = ambient.encode(rows)
     order = np.argsort(keys)
     # discovery number -> canonical index
-    index_of = np.empty_like(order)
+    index_of = np.empty(order.size, dtype=np.int32)
     index_of[order] = np.arange(order.size)
-    fields = (rows[order], keys[order], index_of, index_of[parent[order]], via[order])
+    fields = (rows[order], keys[order], index_of, index_of[parent[order]],
+              via[order].astype(np.int32))
     for arr in fields:
         arr.setflags(write=False)
     return FiniteGroup(ambient, *fields, bfs_levels=levels,
@@ -474,7 +475,8 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
     keys, first = np.unique(ambient.encode(rows), return_index=True)
     if not keys.size or keys[0] != 0:
         raise ValueError("element set must contain the identity")
-    arr, steps, parent = rows[first], np.arange(keys.size), np.zeros(keys.size, np.int64)
+    arr, steps = rows[first], np.arange(keys.size, dtype=np.int32)
+    parent = np.zeros(keys.size, np.int32)
     for a in (arr, keys, steps, parent):
         a.setflags(write=False)
     # every element on one level below the identity

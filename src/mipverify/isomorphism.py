@@ -1,13 +1,16 @@
-"""Isomorphism tooling: recognition clauses, presentation witnesses, oracle.
+"""Isomorphism tooling: recognition clauses, defining relations, oracle.
 
-Three independent routes to (non-)isomorphism evidence:
+Routes to (non-)isomorphism evidence:
 
 * :func:`recognize_presented_group` -- sufficient structural clauses on a
   designated generating pair (orders, central squares, derived-subgroup size,
   trivial intersection) that pin the group's isomorphism type.
-* :func:`find_presentation_witness` -- exhaustive search for a generating pair
-  satisfying an explicit defining relation set, with generation read off
-  the Frattini quotient.
+* :func:`defining_relations` -- the family's two relation sets, written
+  once as masks over index arrays of pairs: :func:`pair_relations`
+  evaluates them on one pair on the group's rows, and
+  :func:`find_presentation_witness` on all candidate pairs on the Cayley
+  table, searching for a generating pair with generation read off the
+  Frattini quotient.
 * :func:`isomorphic_bruteforce` -- exhaustive generator-image transport oracle.
 
 The oracle enumerates image pairs in canonical element order, prunes with
@@ -20,7 +23,7 @@ derivation words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -128,45 +131,6 @@ def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
     return RecognitionResult(ok=clauses.ok, clauses=clauses)
 
 
-def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[tuple[Element, Element]]:
-    """First generating pair (canonical order) recognized, or None.
-
-    Scans order-compatible pairs with cheap vectorized filters before running
-    the full clause set; used by property tests to compare recognition
-    against the brute-force oracle.
-    """
-    if not n > m >= k >= 3:
-        return None
-    if group.order != 2 ** (n + m + k - 1):
-        return None
-    der = derived_subgroup(group)
-    if der.order != 2 ** (k - 1):
-        return None
-    orders = group.element_orders()
-    central = group.central_mask()
-    table = group.cayley_table()
-    sq = table[np.arange(group.order), np.arange(group.order)]
-    a_idx = np.flatnonzero((orders == 2 ** n) & central[sq])
-    b_idx = np.flatnonzero((orders == 2 ** m) & central[sq])
-    der_set = der.element_set()
-    for ia in a_idx:
-        a = group.element(ia)
-        a2 = group.mul(a, a)
-        for ib in b_idx:
-            b = group.element(ib)
-            b2 = group.mul(b, b)
-            span = _span_of_central_pair(group, a2, b2, 2 ** (n - 1), 2 ** (m - 1))
-            if span & der_set != {group.identity}:
-                continue
-            pair_closure = closure(group.ambient, (a, b), guard=group.order + 1)
-            if pair_closure.order != group.order:
-                continue
-            res = recognize_presented_group(group, a, b, n, m, k)
-            if res.ok:
-                return a, b
-    return None
-
-
 # -- presentation witnesses ---------------------------------------------------
 
 
@@ -188,15 +152,63 @@ def _generates(coords: np.ndarray, p: int, a: int, bs: np.ndarray) -> np.ndarray
     return np.ones(len(bs), dtype=bool)
 
 
+def defining_relations(mul: Callable, inv: Callable, a, b, n: int, m: int,
+                       k: int, relations: str = "g") -> dict[str, np.ndarray]:
+    """Outcome of each defining relation on the pairs (a, b), as masks.
+
+    ``a`` and ``b`` are element indices (scalars or arrays, broadcast
+    against each other) of a group whose identity has index 0; ``mul``
+    multiplies two index arrays and ``inv`` inverts one.  With u = [b, a]:
+    ``order-a`` |a| = 2^n, ``order-b`` |b| = 2^m, ``u-nontrivial`` u != 1,
+    ``u-exponent`` u^(2^(k-1)) = 1, ``u^a`` u^a = u^-1, and ``u^b``
+    u^b = u^-1 for the ``"g"`` set or u^b = u for the ``"h"`` set.  The
+    presentations' b^a = b u defines u: a^-1 b a = b (b^-1 a^-1 b a) for
+    every pair, so it has no mask.
+    """
+    if relations not in ("g", "h"):
+        raise ValueError("relations must be 'g' or 'h'")
+
+    def pow2(x, s):  # x^(2^s)
+        for _ in range(s):
+            x = mul(x, x)
+        return x
+
+    inv_a, inv_b = inv(a), inv(b)
+    u = mul(mul(mul(inv_b, inv_a), b), a)
+    inv_u = inv(u)
+    a_half, b_half = pow2(a, n - 1), pow2(b, m - 1)
+    return {
+        "order-a": (a_half != 0) & (mul(a_half, a_half) == 0),
+        "order-b": (b_half != 0) & (mul(b_half, b_half) == 0),
+        "u-nontrivial": u != 0,
+        "u-exponent": pow2(u, k - 1) == 0,
+        "u^a": mul(mul(inv_a, u), a) == inv_u,
+        "u^b": mul(mul(inv_b, u), b) == (inv_u if relations == "g" else u),
+    }
+
+
+def pair_relations(group: FiniteGroup, a: Element, b: Element, n: int, m: int,
+                   k: int, relations: str = "g") -> dict[str, bool]:
+    """:func:`defining_relations` on one pair of ``group``'s elements,
+    multiplied on the group's rows (no Cayley table); g^-1 = g^(|G| - 1)."""
+    arr, amb = group.array(), group.ambient
+
+    def mul(i, j):
+        return group.indices_of_rows(amb.mul_array(arr[i], arr[j]))
+
+    def inv(i):
+        return group.indices_of_rows(amb.power_array(arr[i], group.order - 1))
+
+    held = defining_relations(mul, inv, np.array([group.index(a)]),
+                              np.array([group.index(b)]), n, m, k, relations)
+    return {name: bool(ok[0]) for name, ok in held.items()}
+
+
 def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
                               relations: str = "g") -> Optional[tuple[Element, Element]]:
-    """First pair (a, b) in canonical order satisfying the defining relations.
-
-    With u = [b, a], the ``"g"`` relation set demands
-    u^(2^(k-1)) = 1, b^a = b u, u^a = u^(-1), u^b = u^(-1); the ``"h"`` set
-    replaces the last relation by u^b = u.  Additionally requires
-    |a| = 2^n, |b| = 2^m and that (a, b) generate the group, which pins the
-    presented group of order 2^(n+m+k-1) exactly.
+    """First pair (a, b) in canonical order satisfying the defining relations
+    (:func:`defining_relations`, on the Cayley table) and generating the
+    group, which pins the presented group of order 2^(n+m+k-1) exactly.
 
     Generation is read off G/Phi(G) = F_p^d (Burnside's basis theorem):
     (a, b) generates G iff their coordinate rows span F_p^d, i.e. have rank
@@ -210,42 +222,20 @@ def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
     coords = frattini_coordinates(group)
     if coords.shape[1] > 2:
         return None
-    size = group.order
     table = group.cayley_table()
     invp = group.inverse_permutation()
     orders = group.element_orders()
-    ident = group.identity_index
-    idx_all = np.arange(size, dtype=np.int32)
+    bs = np.flatnonzero(orders == 2 ** m).astype(np.int32)
 
-    # iterated squaring tables: pow2[s][i] = index of elements[i]^(2^s)
-    pow2 = [idx_all]
-    for _ in range(max(k - 1, 0)):
-        pow2.append(table[pow2[-1], pow2[-1]])
-    half_pow = pow2[k - 1] if k >= 1 else idx_all
+    def mul(i, j):
+        return table[i, j]
 
-    a_candidates = np.flatnonzero(orders == 2 ** n)
-    b_candidates = np.flatnonzero(orders == 2 ** m)
-    if a_candidates.size == 0 or b_candidates.size == 0:
-        return None
-    bs = b_candidates.astype(np.int32)
-    for ia in a_candidates:
-        ia = int(ia)
-        inv_a = int(invp[ia])
-        # u = [b, a] = b^-1 a^-1 b a for all candidate b at once
-        u = table[table[table[invp[bs], inv_a], bs], ia]
-        mask = half_pow[u] == ident
-        # b^a = b u
-        b_conj = table[table[inv_a, bs], ia]
-        mask &= b_conj == table[bs, u]
-        # u^a = u^-1
-        u_conj_a = table[table[inv_a, u], ia]
-        mask &= u_conj_a == invp[u]
-        # u^b = u^-1 or u
-        u_conj_b = table[table[invp[bs], u], bs]
-        mask &= u_conj_b == (invp[u] if relations == "g" else u)
-        # nontrivial commutator: rules out abelian degenerate witnesses
-        mask &= u != ident
-        mask &= _generates(coords, group.p, ia, bs)
+    for ia in np.flatnonzero(orders == 2 ** n).tolist():
+        # every candidate b at once
+        mask = _generates(coords, group.p, ia, bs)
+        for holds in defining_relations(mul, invp.__getitem__, ia, bs,
+                                        n, m, k, relations).values():
+            mask &= holds
         hits = bs[mask]
         if hits.size:
             return group.element(ia), group.element(hits[0])
@@ -344,6 +334,6 @@ def isomorphic_bruteforce(a_group: FiniteGroup, b_group: FiniteGroup,
 
 __all__ = [
     "Clause", "ClauseList", "RecognitionResult", "OracleBoundExceeded", "DEFAULT_ORACLE_BOUND",
-    "recognize_presented_group", "recognize_any_pair",
+    "recognize_presented_group", "defining_relations", "pair_relations",
     "find_presentation_witness", "isomorphic_bruteforce",
 ]

@@ -45,6 +45,11 @@ tree, the generator check, seeded pairs and all pairs by algebra products
 with the FpMatrix rank of the units as its oracle; all pairs are counted
 on composed right-product columns, with the pair-by-pair walk of each
 unit's word as their oracle.
+
+The variant isomorphisms are read off the defining relations of the
+stored pairs; the search for the first pair in canonical order that the
+structural recognition clauses accept, which reads the Cayley table, is
+an oracle here.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from mipverify.family import FamilyInstance, build_family
 from mipverify import groups as groups_mod
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup, normal_closure)
+from mipverify.isomorphism import _span_of_central_pair, recognize_presented_group
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import UnitGroupSubgroup
 
@@ -507,6 +513,44 @@ def closure_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
             closed.append(np.zeros(group.order, dtype=bool))
             closed[-1][group.indices_of_rows(sub.array())] = True
             covered |= closed[-1]
+    return None
+
+
+def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[tuple]:
+    """First generating pair (canonical order) recognized, or None.
+
+    Scans order-compatible pairs with cheap vectorized filters before running
+    the full clause set of recognize_presented_group.
+    """
+    if not n > m >= k >= 3:
+        return None
+    if group.order != 2 ** (n + m + k - 1):
+        return None
+    der = derived_subgroup(group)
+    if der.order != 2 ** (k - 1):
+        return None
+    orders = group.element_orders()
+    central = group.central_mask()
+    table = group.cayley_table()
+    sq = table[np.arange(group.order), np.arange(group.order)]
+    a_idx = np.flatnonzero((orders == 2 ** n) & central[sq])
+    b_idx = np.flatnonzero((orders == 2 ** m) & central[sq])
+    der_set = der.element_set()
+    for ia in a_idx:
+        a = group.element(ia)
+        a2 = group.mul(a, a)
+        for ib in b_idx:
+            b = group.element(ib)
+            b2 = group.mul(b, b)
+            span = _span_of_central_pair(group, a2, b2, 2 ** (n - 1), 2 ** (m - 1))
+            if span & der_set != {group.identity}:
+                continue
+            pair_closure = closure(group.ambient, (a, b), guard=group.order + 1)
+            if pair_closure.order != group.order:
+                continue
+            res = recognize_presented_group(group, a, b, n, m, k)
+            if res.ok:
+                return a, b
     return None
 
 

@@ -138,8 +138,8 @@ def test_criterion_5_ambient_variants():
     elapsed = time.monotonic() - t0
     ok = g_ok and h_ok and control and elapsed < 300
     _line(5, ok, f"dihedral/semidihedral/quaternion variants: pairwise "
-                 f"isomorphic G's and H's (oracle), G vs H control "
-                 f"non-isomorphic [{elapsed:.1f}s]")
+                 f"isomorphic G's and H's (defining relations), G vs H control "
+                 f"non-isomorphic (oracle) [{elapsed:.1f}s]")
     assert g_ok and h_ok and control
     assert elapsed < 300
 

@@ -180,6 +180,25 @@ def test_witness_golden_digests():
             (args, seed)
 
 
+# sha256 of the stdout of `family`, as produced when compare_variants proved
+# the variant isomorphisms by brute force and searched for the witnesses on
+# Cayley tables.
+FAMILY_GOLDEN_SHA256 = {
+    "4 3 3 --variants": "a58f9ad0fe0140c32da17badb545ac2014008cb0c8384a17e45285c0d17ca91e",
+    "5 4 3 --variants": "5b56760a7775aee4cc7d77c390fe6d30767ceafd1ca82b7198c311d754eed14d",
+    "5 4 3": "cd63ca1e28aefb575ac08f52fe618ef0261d1c71c72800ee3e2e9f1e2e161a9b",
+    "6 5 4": "0762c6cfc8c81391f983aced40b44851900596ab5571b26f33746ce04bbaa30c",
+}
+
+
+def test_family_golden_digests():
+    for args, digest in FAMILY_GOLDEN_SHA256.items():
+        n, m, k, *extra = args.split()
+        r = run_cli(["family", "--n", n, "--m", m, "--k", k, *extra])
+        assert r.returncode == 0, args
+        assert hashlib.sha256(r.stdout.encode("ascii")).hexdigest() == digest, args
+
+
 def test_output_file_matches_stdout(tmp_path):
     out = tmp_path / "report.json"
     r_file = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",

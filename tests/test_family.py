@@ -113,6 +113,22 @@ def test_compare_variants_433():
     assert all(data["presentation-witnesses"].values())
 
 
+def test_compare_variants_builds_only_the_controls_table(monkeypatch):
+    """The variant isomorphisms come from relations on rows: the one Cayley
+    table built is dihedral H's, for the brute-force G-vs-H control."""
+    built = []
+    cayley_table = groups_mod.FiniteGroup.cayley_table
+
+    def counting(group):
+        if group._table is None:
+            built.append(group.generators)
+        return cayley_table(group)
+
+    monkeypatch.setattr(groups_mod.FiniteGroup, "cayley_table", counting)
+    assert compare_variants(5, 4, 3).ok
+    assert built == [build_family(2, "dihedral", 5, 4, 3).H.generators]
+
+
 def test_odd_heisenberg_instance():
     inst = build_family(3, "heisenberg", 2, 1, 1)
     assert inst.p == 3

@@ -509,15 +509,21 @@ def test_normal_closure_matches_set_oracle(layer_groups):
 # --- the array-backed group against its tuple-built oracle ---------------------
 
 
+def _int32_bfs(grp):
+    return all(getattr(grp, f).dtype == np.int32
+               for f in ("bfs_order", "bfs_parent", "bfs_gen"))
+
+
 def test_array_group_matches_tuple_oracle(layer_groups):
     """Every closure, and groups wrapped from element sets (a maximal
     subgroup, an intersection, a centralizer), equal field by field the
     group built as tuples with a dict index; maximal subgroups come in the
-    order of their element lists."""
+    order of their element lists.  The breadth-first arrays are int32."""
     for name, grp in layer_groups:
         amb, gens = grp.ambient, grp.generators
         want = tuple_from_bfs(amb, gens, groups_mod._bfs(amb, gens, amb.order))
         assert_same_group(grp, want, name)
+        assert _int32_bfs(grp), name
         assert_same_group(closure(amb, gens), want, name)
         maxes = [sub.elements for sub in maximal_subgroups(grp)]
         assert maxes == sorted(maxes), name
@@ -530,9 +536,11 @@ def test_array_group_matches_tuple_oracle(layer_groups):
         want = tuple_subgroup_from_elements(G.ambient, sub.elements)
         # a maximal subgroup carries its small generators
         assert_same_group(sub, want, kind, small_generators=kind != "maximal")
+        assert _int32_bfs(sub), kind
         for given in (sub.array(), sub.array()[::-1], list(sub.elements) * 2):
             again = subgroup_from_elements(G.ambient, given)
             assert_same_group(again, want, kind)
+            assert _int32_bfs(again), kind
             assert len(again.generators) == again.order, kind
 
 

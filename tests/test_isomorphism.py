@@ -5,14 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from mipverify.ambient import TWO_GENERATOR_VARIANTS
 from mipverify.family import build_family
 from mipverify.groups import closure, frattini_coordinates, generated_subgroup
 from mipverify.isomorphism import (OracleBoundExceeded, _generates,
                                    find_presentation_witness,
-                                   isomorphic_bruteforce, recognize_any_pair,
+                                   isomorphic_bruteforce, pair_relations,
                                    recognize_presented_group)
 
-from conftest import closure_presentation_witness
+from conftest import closure_presentation_witness, recognize_any_pair
 
 
 def _by_name(catalog):
@@ -100,11 +101,54 @@ def test_witness_pair_satisfies_relations(inst433):
     assert closure(G.ambient, [a, b]).order == G.order
 
 
+def _failing(group, a, b, nmk, relations):
+    return [name for name, held in pair_relations(group, a, b, *nmk, relations).items()
+            if not held]
+
+
+@pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3), (6, 5, 4), (7, 6, 4)],
+                         ids=lambda nmk: "".join(map(str, nmk)))
+def test_stored_pairs_satisfy_their_relation_set(nmk):
+    """In every variant G's stored pair (x, y) satisfies the "g" set and
+    H's (x, z) the "h" set; each fails the other set only at u^b."""
+    for variant in TWO_GENERATOR_VARIANTS:
+        inst = build_family(2, variant, *nmk)
+        G, H, x, y, z = inst.G, inst.H, inst.x, inst.y, inst.z
+        assert G.generators == (x, y) and H.generators == (x, z)
+        assert _failing(G, x, y, nmk, "g") == [], variant
+        assert _failing(G, x, y, nmk, "h") == ["u^b"], variant
+        assert _failing(H, x, z, nmk, "h") == [], variant
+        assert _failing(H, x, z, nmk, "g") == ["u^b"], variant
+
+
 @pytest.fixture(scope="module")
 def presented_instances():
     return [build_family(2, variant, *nmk)
             for nmk in ((4, 3, 3), (5, 4, 3))
             for variant in ("dihedral", "semidihedral", "quaternion")]
+
+
+def test_each_relation_carries_weight(presented_instances):
+    """For each relation of the "g" set, a pair that fails it and no other."""
+    for inst in presented_instances:
+        n, m, k = inst.nmk
+        G, H, x, y, z = inst.G, inst.H, inst.x, inst.y, inst.z
+        cases = {
+            "order-a": (G, x, y, (n + 1, m, k)),
+            "order-b": (G, x, y, (n, m + 1, k)),
+            # [x^2, x] = 1, and |x^2| = 2^(n-1)
+            "u-nontrivial": (G, x, inst.ambient.power(x, 2), (n, n - 1, k)),
+            # |[y, x]| = 2^(k-1)
+            "u-exponent": (G, x, y, (n, m, k - 1)),
+            # z centralizes [x, z] and x inverts it; |z| = 2^m
+            "u^a": (H, z, x, (m, n, k)),
+            "u^b": (H, x, z, (n, m, k)),
+        }
+        for relation, (grp, a, b, nmk) in cases.items():
+            assert _failing(grp, a, b, nmk, "g") == [relation], \
+                (inst.variant, inst.nmk, relation)
+    with pytest.raises(ValueError):
+        pair_relations(G, x, y, n, m, k, "x")
 
 
 def test_presentation_witness_matches_closure_oracle(presented_instances):
