@@ -12,7 +12,7 @@ from .invariants import (InvariantReport, abelian_type, compute_N,
                          ideal_subring_dim, invariant_report,
                          reports_invariant_equal)
 from .isomorphism import (DEFAULT_ORACLE_BOUND, find_presentation_witness,
-                          isomorphic_bruteforce, recognize_presented_group)
+                          isomorphic_bruteforce)
 from .report import SCHEMA_VERSION, canonical_json, certificate_as_dict
 from .witness import (IsomorphismCertificate, UnitGroupSubgroup, build_beta,
                       build_beta_general, build_beta_k3, unit_closure,
@@ -30,7 +30,7 @@ __all__ = [
     "closure", "compare_variants", "compute_N", "find_presentation_witness",
     "ideal_subring_dim", "invariant_report", "is_unit",
     "isomorphic_bruteforce", "jennings_dimension_polynomial", "make_ambient",
-    "recognize_presented_group", "reports_invariant_equal",
+    "reports_invariant_equal",
     "subgroup_from_elements", "unit_closure", "unit_group",
     "unit_inverse", "unit_order",
     "verify_structure", "verify_witness", "__version__",

@@ -10,14 +10,13 @@ Subcommands::
                 cross-check script
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
-(including a group above the brute-force oracle bound), 3 I/O error, 4
+(including a run refused by the guard or a memory budget), 3 I/O error, 4
 internal error (an uncaught RuntimeError or ArithmeticError, which signals
 a broken internal invariant).  Reports are canonical JSON on stdout (or
 ``--output``); equal configurations produce byte-identical reports.  Timing
 goes to stderr only.
-The environment variables MIPVERIFY_GUARD and MIPVERIFY_ORACLE_BOUND
-override the built-in guard and oracle bound defaults; like ``--guard``,
-``--sample-size`` and ``--oracle-bound``, they must be integers of at
+The environment variable MIPVERIFY_GUARD overrides the built-in guard
+default; like ``--guard`` and ``--sample-size``, it must be an integer of at
 least 1, or the run exits 2.
 """
 
@@ -34,7 +33,6 @@ from .ambient import DEFAULT_GUARD, GuardExceeded
 from .algebra import GroupAlgebra, is_unit, unit_order
 from .family import build_family, compare_variants, verify_structure
 from .invariants import invariant_report, reports_invariant_equal
-from .isomorphism import DEFAULT_ORACLE_BOUND, OracleBoundExceeded
 from .report import canonical_json, certificate_as_dict, envelope
 from .tables import semidirect_c9c9_table, wreath_cyclic_table
 from .witness import (DEFAULT_SAMPLE_SIZE, build_beta, build_beta_general,
@@ -80,7 +78,6 @@ def _env_int(name: str, fallback: int) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     guard_default = _env_int("MIPVERIFY_GUARD", DEFAULT_GUARD)
-    bound_default = _env_int("MIPVERIFY_ORACLE_BOUND", DEFAULT_ORACLE_BOUND)
 
     top = argparse.ArgumentParser(
         prog="mipverify",
@@ -106,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("dihedral", "semidihedral", "quaternion"))
     fam.add_argument("--variants", action="store_true",
                      help="additionally cross-check the three ambient kinds")
-    fam.add_argument("--oracle-bound", type=_positive_int,
-                     default=bound_default)
 
     wit = sub.add_parser("witness", help="unit-witness certification")
     common(wit)
@@ -154,16 +149,14 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def cmd_family(args: argparse.Namespace) -> int:
     config = {"n": args.n, "m": args.m, "k": args.k, "variant": args.variant,
-              "variants": bool(args.variants), "guard": args.guard,
-              "oracle_bound": args.oracle_bound}
+              "variants": bool(args.variants), "guard": args.guard}
     inst = build_family(2, args.variant, args.n, args.m, args.k,
                         guard=args.guard)
-    structure = verify_structure(inst, bound=args.oracle_bound)
+    structure = verify_structure(inst)
     payload = {"structure": structure.as_dict()}
     ok = structure.ok
     if args.variants:
-        variants = compare_variants(args.n, args.m, args.k, guard=args.guard,
-                                    bound=args.oracle_bound)
+        variants = compare_variants(args.n, args.m, args.k, guard=args.guard)
         payload["variants"] = variants.as_dict()
         ok = ok and variants.ok
     _emit(canonical_json(envelope("family", config, payload)), args.output)
@@ -290,9 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OracleBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (RuntimeError, ArithmeticError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

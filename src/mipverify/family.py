@@ -95,29 +95,16 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
     checked and a ValueError is raised when they fail.
     """
     if p == 2 and variant in TWO_GENERATOR_VARIANTS:
-        if not (n > m >= k >= 3):
-            raise ValueError(
-                f"2-case parameters need n > m >= k >= 3, got (n, m, k) = ({n}, {m}, {k})")
-        amb = make_ambient(2, variant, k, n, m, guard=guard)
-        gens = amb.standard_generators()
-        t, r, c, d = gens["t"], gens["r"], gens["c"], gens["d"]
-        s = amb.mul(amb.inv(t), r)  # r = ts
-        x = amb.mul(t, c)
-        y = amb.mul(s, d)
-        z = amb.mul(r, d)
+        amb, named, G, H = _two_case_groups(variant, n, m, k, guard)
+        t, r, c, d = named["t"], named["r"], named["c"], named["d"]
         P = closure(amb, [t, r, c, d], guard=guard)
         M = closure(amb, [r, c, d], guard=guard)
-        G = closure(amb, [x, y], guard=guard)
-        H = closure(amb, [x, z], guard=guard)
-        expected = 2 ** (n + m + k - 1)
-        if G.order != expected or H.order != expected:
-            raise RuntimeError(
-                f"constructed |G| = {G.order}, |H| = {H.order}, expected {expected}")
         if P.order != 2 * M.order:
             raise RuntimeError("M is not of index 2 in P")
-        named = {"t": t, "s": s, "r": r, "c": c, "d": d}
+        x, y = G.generators
         return FamilyInstance(params=(p, variant, n, m, k), ambient=amb,
-                              P=P, G=G, x=x, y=y, M=M, H=H, z=z, named=named)
+                              P=P, G=G, x=x, y=y, M=M, H=H,
+                              z=H.generators[1], named=named)
 
     if p == 2:
         raise ValueError(f"variant {variant!r} is not available for p = 2")
@@ -140,6 +127,27 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
                           P=P, G=G, x=x, y=y, named=named)
 
 
+def _two_case_groups(variant: str, n: int, m: int, k: int, guard: int
+                     ) -> tuple[AmbientDescriptor, dict, FiniteGroup, FiniteGroup]:
+    """The 2-case ambient, its named elements t, s, r, c, d, and G = <x, y>
+    and H = <x, z> closed and checked to have order 2^(n+m+k-1)."""
+    if not (n > m >= k >= 3):
+        raise ValueError(
+            f"2-case parameters need n > m >= k >= 3, got (n, m, k) = ({n}, {m}, {k})")
+    amb = make_ambient(2, variant, k, n, m, guard=guard)
+    gens = amb.standard_generators()
+    t, r, c, d = gens["t"], gens["r"], gens["c"], gens["d"]
+    s = amb.mul(amb.inv(t), r)  # r = ts
+    x = amb.mul(t, c)
+    G = closure(amb, [x, amb.mul(s, d)], guard=guard)
+    H = closure(amb, [x, amb.mul(r, d)], guard=guard)
+    expected = 2 ** (n + m + k - 1)
+    if G.order != expected or H.order != expected:
+        raise RuntimeError(
+            f"constructed |G| = {G.order}, |H| = {H.order}, expected {expected}")
+    return amb, {"t": t, "s": s, "r": r, "c": c, "d": d}, G, H
+
+
 def _verify_odd_base(K: FiniteGroup, p: int) -> None:
     """Check the hypotheses on K: maximal class, abelian maximal subgroup."""
     logk = int_log(p, K.order)
@@ -153,8 +161,12 @@ def _verify_odd_base(K: FiniteGroup, p: int) -> None:
         raise ValueError("K has no abelian maximal subgroup")
 
 
-def verify_structure(inst: FamilyInstance,
-                     bound: int = DEFAULT_ORACLE_BOUND) -> VerificationReport:
+def _abelian_maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
+    """The maximal subgroups of ``group`` that are abelian."""
+    return [sub for sub in maximal_subgroups(group) if sub.is_abelian()]
+
+
+def verify_structure(inst: FamilyInstance) -> VerificationReport:
     """Clause-by-clause verification of the structural facts of the 2-case.
 
     (i) orders of P, M, G, H; (ii) derived subgroups all equal <(ts)^2> and
@@ -164,7 +176,8 @@ def verify_structure(inst: FamilyInstance,
     <z, c^2, d^2> is maximal in H; (vii) the exponent gap: exp(G meet M) =
     2^n while exp(H meet M) = 2^(n-1), those are the unique abelian maximal
     subgroups of G and H, and G is not isomorphic to H (exponent-gap
-    argument always; brute-force oracle additionally when |G| <= ``bound``).
+    argument always; brute-force oracle additionally when |G| <=
+    ``DEFAULT_ORACLE_BOUND``).
     """
     if inst.M is None or inst.H is None or inst.z is None:
         raise ValueError("structural verification applies to the 2-case family")
@@ -222,18 +235,16 @@ def verify_structure(inst: FamilyInstance,
         order=hm.order)
 
     exp_gm, exp_hm = gm.exponent(), hm.exponent()
-    gmax = maximal_subgroups(G)
-    hmax = maximal_subgroups(H)
-    g_abelian = [sub for sub in gmax if sub.is_abelian()]
-    h_abelian = [sub for sub in hmax if sub.is_abelian()]
+    g_abelian = _abelian_maximal_subgroups(G)
+    h_abelian = _abelian_maximal_subgroups(H)
     unique = (len(g_abelian) == 1 and len(h_abelian) == 1
               and np.array_equal(g_abelian[0].keys(), gm.keys())
               and np.array_equal(h_abelian[0].keys(), hm.keys()))
     gap = exp_gm == 2 ** n and exp_hm == 2 ** (n - 1)
-    oracle_ran = G.order <= bound
+    oracle_ran = G.order <= DEFAULT_ORACLE_BOUND
     oracle_says_nontrivial = None
     if oracle_ran:
-        oracle_says_nontrivial = not isomorphic_bruteforce(G, H, bound=bound)
+        oracle_says_nontrivial = not isomorphic_bruteforce(G, H)
     non_iso = gap and unique and (oracle_says_nontrivial in (None, True))
     add("exponent-gap-non-isomorphic",
         "exp(G meet M) = 2^n > 2^(n-1) = exp(H meet M); those are the unique "
@@ -247,31 +258,35 @@ def verify_structure(inst: FamilyInstance,
 
 
 def compare_variants(n: int, m: int, k: int,
-                     guard: int = DEFAULT_GUARD,
-                     bound: int = DEFAULT_ORACLE_BOUND) -> VerificationReport:
+                     guard: int = DEFAULT_GUARD) -> VerificationReport:
     """Cross-check that all three 2-case ambient kinds give the same groups.
 
-    Builds the dihedral, semidihedral and quaternion instances at (n, m, k)
-    and checks G's stored pair (x, y) against the "g" relations and H's
-    (x, z) against the "h" relations (:func:`pair_relations`).  Let Gamma be
-    the group they present on a, b, u: a^(2^n) = b^(2^m) = u^(2^(k-1)) = 1,
-    b^a = b u, u^a = u^-1, and u^b = u^-1 ("g") or u^b = u ("h").  <u> is
-    normal in <b, u>, which a normalizes, so Gamma = {a^i b^j u^l} has at
-    most 2^(n+m+k-1) elements.  :func:`build_family` closed each group on its
-    pair and found it of that order, so when the pair satisfies the
-    relations, von Dyck's theorem maps Gamma onto the group isomorphically.
-    Hence an ``{a}-vs-{b}`` entry holds when both stored pairs pass, and the
-    passing pairs are the defining-relations witnesses.  Only the dihedral
-    G-vs-H control (not isomorphic) runs the brute-force oracle, under
-    ``bound``.
+    Closes G and H in the dihedral, semidihedral and quaternion ambients at
+    (n, m, k) and checks G's stored pair (x, y) against the "g" relations
+    and H's (x, z) against the "h" relations (:func:`pair_relations`).  Let
+    Gamma be the group they present on a, b, u: a^(2^n) = b^(2^m) =
+    u^(2^(k-1)) = 1, b^a = b u, u^a = u^-1, and u^b = u^-1 ("g") or u^b = u
+    ("h").  <u> is normal in <b, u>, which a normalizes, so Gamma = {a^i b^j
+    u^l} has at most 2^(n+m+k-1) elements.  Each group was closed on its
+    pair and found of that order, so when the pair satisfies the relations,
+    von Dyck's theorem maps Gamma onto the group isomorphically.  Hence an
+    ``{a}-vs-{b}`` entry holds when both stored pairs pass, and the passing
+    pairs are the defining-relations witnesses.
+
+    The dihedral G-vs-H control reads an isomorphism invariant: an
+    isomorphism carries the abelian maximal subgroups of one group onto
+    those of the other and keeps their exponents, so groups whose sorted
+    lists of those exponents differ are not isomorphic.  For the family the
+    lists are [2^n] for G and [2^(n-1)] for H (clause (vii) of
+    :func:`verify_structure`).
     """
-    instances = {v: build_family(2, v, n, m, k, guard=guard)
-                 for v in TWO_GENERATOR_VARIANTS}
+    groups = {v: _two_case_groups(v, n, m, k, guard)[2:]
+              for v in TWO_GENERATOR_VARIANTS}
     # (relation set, variant) -> whether G's ("g") or H's ("h") stored pair
     # satisfies it
     holds = {(rel, v): all(pair_relations(grp, *grp.generators, n, m, k, rel).values())
-             for v, inst in instances.items()
-             for rel, grp in (("g", inst.G), ("h", inst.H))}
+             for v, (G, H) in groups.items()
+             for rel, grp in (("g", G), ("h", H))}
     clauses = ClauseList()
     add = clauses.add
 
@@ -283,10 +298,13 @@ def compare_variants(n: int, m: int, k: int,
             f"the three variants' {rel.upper()}'s are pairwise isomorphic",
             all(results.values()), **results)
 
-    control = isomorphic_bruteforce(instances["dihedral"].G,
-                                    instances["dihedral"].H, bound=bound)
-    add("g-vs-h-control", "dihedral G and H are not isomorphic (control)",
-        not control, oracle_isomorphic=control)
+    exps_g, exps_h = (sorted(sub.exponent() for sub in _abelian_maximal_subgroups(grp))
+                      for grp in groups["dihedral"])
+    add("g-vs-h-control",
+        "dihedral G and H are not isomorphic: the exponents of their abelian "
+        "maximal subgroups differ (control)",
+        exps_g != exps_h, g_abelian_maximal_exponents=exps_g,
+        h_abelian_maximal_exponents=exps_h)
 
     found = {f"{v}-{rel}": holds[rel, v] for v in names for rel in ("g", "h")}
     add("presentation-witnesses",

@@ -1,10 +1,7 @@
-"""Isomorphism tooling: recognition clauses, defining relations, oracle.
+"""Isomorphism tooling: clauses, defining relations, oracle.
 
 Routes to (non-)isomorphism evidence:
 
-* :func:`recognize_presented_group` -- sufficient structural clauses on a
-  designated generating pair (orders, central squares, derived-subgroup size,
-  trivial intersection) that pin the group's isomorphism type.
 * :func:`defining_relations` -- the family's two relation sets, written
   once as masks over index arrays of pairs: :func:`pair_relations`
   evaluates them on one pair on the group's rows, and
@@ -28,8 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ambient import Element
-from .groups import (FiniteGroup, closure, derived_subgroup,
-                     frattini_coordinates)
+from .groups import FiniteGroup, frattini_coordinates
 
 DEFAULT_ORACLE_BOUND = 2 ** 12
 
@@ -65,70 +61,6 @@ class ClauseList(list):
     @property
     def first_failing(self) -> Optional[str]:
         return next((c.id for c in self if not c.passed), None)
-
-
-@dataclass(frozen=True)
-class RecognitionResult:
-    ok: bool
-    clauses: ClauseList
-
-
-def _span_of_central_pair(group: FiniteGroup, u: Element, v: Element,
-                          bound_u: int, bound_v: int) -> set[Element]:
-    """{u^i v^j} for commuting u, v (used for <a^2, b^2>)."""
-    span = set()
-    ui = group.identity
-    for _ in range(bound_u):
-        uij = ui
-        for _ in range(bound_v):
-            span.add(uij)
-            uij = group.mul(uij, v)
-        ui = group.mul(ui, u)
-    return span
-
-
-def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
-                              n: int, m: int, k: int) -> RecognitionResult:
-    """Structural recognition of the target 2-group on the pair (a, b).
-
-    Checks, in order: parameter validity (n > m >= k >= 3), |a| = 2^n,
-    |b| = 2^m, a^2 and b^2 central, |G'| = 2^(k-1), and trivial intersection
-    of <a^2, b^2> with G'.  All clauses passing certifies the isomorphism
-    type of a group generated by (a, b); the pair must generate ``group``.
-    """
-    gen = closure(group.ambient, (a, b), guard=group.order + 1)
-    if not np.array_equal(gen.keys(), group.keys()):
-        raise ValueError("the pair (a, b) does not generate the group")
-    clauses = ClauseList()
-    clauses.add("parameters", "parameters satisfy n > m >= k >= 3",
-                n > m >= k >= 3, n=n, m=m, k=k)
-    oa = group.order_of(a)
-    clauses.add("order-a", "first generator has order 2^n",
-                oa == 2 ** n, order=oa, expected=2 ** n)
-    ob = group.order_of(b)
-    clauses.add("order-b", "second generator has order 2^m",
-                ob == 2 ** m, order=ob, expected=2 ** m)
-    a2, b2 = group.mul(a, a), group.mul(b, b)
-    clauses.add("a-square-central", "square of the first generator is central",
-                group.is_central(a2))
-    clauses.add("b-square-central", "square of the second generator is central",
-                group.is_central(b2))
-    der = derived_subgroup(group)
-    clauses.add("derived-order", "derived subgroup has order 2^(k-1)",
-                der.order == 2 ** (k - 1), order=der.order,
-                expected=2 ** (k - 1))
-    if clauses[3].passed and clauses[4].passed:
-        span = _span_of_central_pair(group, a2, b2,
-                                     max(oa // 2, 1), max(ob // 2, 1))
-        meet = span & der.element_set()
-        clauses.add("central-squares-meet-derived-trivially",
-                    "<a^2, b^2> intersects the derived subgroup trivially",
-                    meet == {group.identity}, intersection_size=len(meet))
-    else:
-        clauses.add("central-squares-meet-derived-trivially",
-                    "<a^2, b^2> intersects the derived subgroup trivially",
-                    False, skipped="squares not central; span not enumerable as powers")
-    return RecognitionResult(ok=clauses.ok, clauses=clauses)
 
 
 # -- presentation witnesses ---------------------------------------------------
@@ -333,7 +265,7 @@ def isomorphic_bruteforce(a_group: FiniteGroup, b_group: FiniteGroup,
 
 
 __all__ = [
-    "Clause", "ClauseList", "RecognitionResult", "OracleBoundExceeded", "DEFAULT_ORACLE_BOUND",
-    "recognize_presented_group", "defining_relations", "pair_relations",
+    "Clause", "ClauseList", "OracleBoundExceeded", "DEFAULT_ORACLE_BOUND",
+    "defining_relations", "pair_relations",
     "find_presentation_witness", "isomorphic_bruteforce",
 ]

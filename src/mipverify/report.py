@@ -21,7 +21,7 @@ import numpy as np
 
 from .witness import IsomorphismCertificate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def jsonable(value: Any) -> Any:

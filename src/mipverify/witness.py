@@ -27,7 +27,7 @@ from .ambient import Element, GuardExceeded, regular_ambient
 from .algebra import (AlgebraElement, FpMatrix, GroupAlgebra, is_unit,
                       unit_order)
 from .groups import FiniteGroup, closure, frattini_coordinates
-from .isomorphism import ClauseList, recognize_presented_group
+from .isomorphism import ClauseList
 
 DEFAULT_SAMPLE_SIZE = 1024
 EXHAUSTIVE_LIMIT = 512
@@ -130,7 +130,7 @@ def unit_group(subgroup: UnitGroupSubgroup) -> FiniteGroup:
     """The unit subgroup as a group on its points (i,), i = discovery number.
 
     Built on a ``regular`` ambient from the generator columns, so group
-    tooling (recognition, the brute-force oracle, Cayley tables) runs on
+    tooling (transport, the brute-force oracle, Cayley tables) runs on
     unit multiplication; element i of the result is subgroup.elements[i].
     """
     ambient = regular_ambient(subgroup.algebra.p, subgroup.columns,
@@ -233,18 +233,24 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     """Certify that mapping (x, y) -> (x, beta) extends to F2[G] = F2[H].
 
     Clause chain: (a) unit order of beta equals 2^m (recorded, with a note
-    when it differs from 2^k); (b) beta^2 central; (c) the unit closure of
-    {x, beta} has exactly |G| elements; (d) the structural recognition
-    clauses hold for that unit subgroup on the pair (x, beta); (e) the unit
-    subgroup spans F2[H] (:func:`spanning_rank`); (f) x+1 and beta+1 are
-    independent modulo the square of the augmentation ideal; (g) basis
-    transport along G's derivation words is bijective and multiplicative:
-    proved from the generator columns on every run, and evaluated in the
-    unit group on a seeded sample of pairs, or on all |G|^2 pairs when
-    requested and |G| <= 512, by G's and U's right products composed level
-    by level from their generator columns.  Raises :class:`GuardExceeded`
-    before any clause when the packed units of (c) and (e) would take more
-    than ``UNIT_BUDGET_BYTES``.
+    when it differs from 2^k); (b) beta^2 central; (c) the unit closure U
+    of {x, beta} has exactly |G| elements; (e) U spans F2[H]
+    (:func:`spanning_rank`); (f) x+1 and beta+1 are independent modulo the
+    square of the augmentation ideal; (g) basis transport along G's
+    derivation words is bijective and multiplicative: proved from the
+    generator columns on every run, and evaluated in U on a seeded sample
+    of pairs, or on all |G|^2 pairs when requested and |G| <= 512, by G's
+    and U's right products composed level by level from their generator
+    columns.  Raises :class:`GuardExceeded` before any clause when the
+    packed units of (c) and (e) would take more than ``UNIT_BUDGET_BYTES``.
+
+    No clause (d) recognizes U's structure: (g) gives U's isomorphism
+    type.  The transport pi sends 1 to 1, and when (g) passes it meets
+    pi(g a) = pi(g) a for both generators a, so pi is a homomorphism G -> U
+    with x -> x and y -> beta, by induction on words; its images have rank
+    |G|, so they are distinct and pi is injective.  Its image is a subgroup
+    holding both generators of U, so it is all of U, and U is isomorphic
+    to G.
     """
     if not exhaustive and sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
@@ -306,29 +312,8 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     add("closure-size", "the unit subgroup <x, beta> has |G| elements",
         subgroup is not None and subgroup.order == G.order, **data)
 
-    # (d) structural recognition on the unit pair, by the group engine
-    skipped = {"skipped": "closure unavailable"}
-    passed, data = False, skipped
-    if subgroup is not None and clauses[-1].passed:
-        a, b = U.generators
-        rec = recognize_presented_group(U, a, b, n, m, k)
-        rec_data = {c.id: c.data for c in rec.clauses}
-        meet = rec_data["central-squares-meet-derived-trivially"]
-        data = {"order_a": rec_data["order-a"]["order"],
-                "order_b": rec_data["order-b"]["order"],
-                "commutator_order": U.order_of(U.comm(b, a)),
-                "derived_order": rec_data["derived-order"]["order"],
-                "subclauses": [{"id": c.id, "passed": c.passed}
-                               for c in rec.clauses],
-                "first_failing": rec.clauses.first_failing}
-        if "intersection_size" in meet:
-            data["squares_meet_derived_size"] = meet["intersection_size"]
-        passed = rec.ok
-    add("unit-recognition",
-        "the unit subgroup satisfies the structural clauses of the target group",
-        passed, **data)
-
     # (e) spanning
+    skipped = {"skipped": "closure unavailable"}
     passed, data = False, skipped
     if subgroup is not None:
         rank, independent = spanning_rank(subgroup)

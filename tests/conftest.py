@@ -49,7 +49,10 @@ unit's word as their oracle.
 The variant isomorphisms are read off the defining relations of the
 stored pairs; the search for the first pair in canonical order that the
 structural recognition clauses accept, which reads the Cayley table, is
-an oracle here.
+an oracle here.  So are those clauses (orders, central squares, derived
+subgroup, <a^2, b^2> meeting it trivially) on a generating pair, which the
+witness once ran on its unit group: its basis transport proves that group
+isomorphic to G.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -70,9 +74,9 @@ from mipverify.family import FamilyInstance, build_family
 from mipverify import groups as groups_mod
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup, normal_closure)
-from mipverify.isomorphism import _span_of_central_pair, recognize_presented_group
+from mipverify.isomorphism import ClauseList
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
-from mipverify.witness import UnitGroupSubgroup
+from mipverify.witness import UnitGroupSubgroup, unit_closure, unit_group
 
 # --- naive oracles -------------------------------------------------------------
 
@@ -516,6 +520,70 @@ def closure_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
     return None
 
 
+@dataclass(frozen=True)
+class RecognitionResult:
+    ok: bool
+    clauses: ClauseList
+
+
+def _span_of_central_pair(group: FiniteGroup, u: Element, v: Element,
+                          bound_u: int, bound_v: int) -> set[Element]:
+    """{u^i v^j} for commuting u, v (used for <a^2, b^2>)."""
+    span = set()
+    ui = group.identity
+    for _ in range(bound_u):
+        uij = ui
+        for _ in range(bound_v):
+            span.add(uij)
+            uij = group.mul(uij, v)
+        ui = group.mul(ui, u)
+    return span
+
+
+def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
+                              n: int, m: int, k: int) -> RecognitionResult:
+    """Structural recognition of the target 2-group on the pair (a, b).
+
+    Checks, in order: parameter validity (n > m >= k >= 3), |a| = 2^n,
+    |b| = 2^m, a^2 and b^2 central, |G'| = 2^(k-1), and trivial intersection
+    of <a^2, b^2> with G'.  All clauses passing certifies the isomorphism
+    type of a group generated by (a, b); the pair must generate ``group``.
+    """
+    gen = closure(group.ambient, (a, b), guard=group.order + 1)
+    if not np.array_equal(gen.keys(), group.keys()):
+        raise ValueError("the pair (a, b) does not generate the group")
+    clauses = ClauseList()
+    clauses.add("parameters", "parameters satisfy n > m >= k >= 3",
+                n > m >= k >= 3, n=n, m=m, k=k)
+    oa = group.order_of(a)
+    clauses.add("order-a", "first generator has order 2^n",
+                oa == 2 ** n, order=oa, expected=2 ** n)
+    ob = group.order_of(b)
+    clauses.add("order-b", "second generator has order 2^m",
+                ob == 2 ** m, order=ob, expected=2 ** m)
+    a2, b2 = group.mul(a, a), group.mul(b, b)
+    clauses.add("a-square-central", "square of the first generator is central",
+                group.is_central(a2))
+    clauses.add("b-square-central", "square of the second generator is central",
+                group.is_central(b2))
+    der = derived_subgroup(group)
+    clauses.add("derived-order", "derived subgroup has order 2^(k-1)",
+                der.order == 2 ** (k - 1), order=der.order,
+                expected=2 ** (k - 1))
+    if clauses[3].passed and clauses[4].passed:
+        span = _span_of_central_pair(group, a2, b2,
+                                     max(oa // 2, 1), max(ob // 2, 1))
+        meet = span & der.element_set()
+        clauses.add("central-squares-meet-derived-trivially",
+                    "<a^2, b^2> intersects the derived subgroup trivially",
+                    meet == {group.identity}, intersection_size=len(meet))
+    else:
+        clauses.add("central-squares-meet-derived-trivially",
+                    "<a^2, b^2> intersects the derived subgroup trivially",
+                    False, skipped="squares not central; span not enumerable as powers")
+    return RecognitionResult(ok=clauses.ok, clauses=clauses)
+
+
 def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[tuple]:
     """First generating pair (canonical order) recognized, or None.
 
@@ -664,7 +732,7 @@ def _unit_mulclose(algebra: GroupAlgebra, seeds: Sequence[AlgebraElement],
 def algebra_unit_recognition(FH: GroupAlgebra, bound: int, a: AlgebraElement,
                              b: AlgebraElement, n: int, m: int,
                              k: int) -> Tuple[bool, dict]:
-    """Clause (d) of the witness on algebra elements: unit orders, central
+    """The recognition clauses on algebra elements: unit orders, central
     squares, the derived subgroup as the normal closure of [b, a] under
     conjugation by a and b, and <a^2, b^2> meeting it trivially."""
     data: dict = {}
@@ -711,6 +779,28 @@ def algebra_unit_recognition(FH: GroupAlgebra, bound: int, a: AlgebraElement,
     failing = [cid for cid, ok in checks if not ok]
     data["first_failing"] = failing[0] if failing else None
     return not failing, data
+
+
+def group_unit_recognition(FH: GroupAlgebra, a: AlgebraElement,
+                           b: AlgebraElement, n: int, m: int,
+                           k: int) -> Tuple[bool, dict]:
+    """:func:`recognize_presented_group` on the pair (a, b) of the unit
+    group <a, b> of F2[H], on the group engine, with its data in the shape
+    of :func:`algebra_unit_recognition`."""
+    U = unit_group(unit_closure(FH, (a, b)))
+    ua, ub = U.generators
+    rec = recognize_presented_group(U, ua, ub, n, m, k)
+    rec_data = {c.id: c.data for c in rec.clauses}
+    meet = rec_data["central-squares-meet-derived-trivially"]
+    data = {"order_a": rec_data["order-a"]["order"],
+            "order_b": rec_data["order-b"]["order"],
+            "commutator_order": U.order_of(U.comm(ub, ua)),
+            "derived_order": rec_data["derived-order"]["order"],
+            "subclauses": [{"id": c.id, "passed": c.passed} for c in rec.clauses],
+            "first_failing": rec.clauses.first_failing}
+    if "intersection_size" in meet:
+        data["squares_meet_derived_size"] = meet["intersection_size"]
+    return rec.ok, data
 
 
 def matmul_unit_table(subgroup) -> np.ndarray:

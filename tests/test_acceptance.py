@@ -24,9 +24,9 @@ from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import build_beta, build_beta_k3, verify_witness
 
-from conftest import (abelian_type_census_check, naive_derived_centralizer,
-                      naive_product, pairwise_class_sum_count,
-                      regular_rep_is_unit)
+from conftest import (abelian_type_census_check, group_unit_recognition,
+                      naive_derived_centralizer, naive_product,
+                      pairwise_class_sum_count, regular_rep_is_unit)
 
 
 acceptance_lines: list = []
@@ -57,7 +57,8 @@ def test_criterion_1_structure_433(inst433):
         "invariant-route": data["exponent-gap-non-isomorphic"]
                            ["unique_abelian_maximal"] is True,
         "oracle-route": data["exponent-gap-non-isomorphic"]
-                        ["oracle_non_isomorphic"] is True,
+                        ["oracle_non_isomorphic"] is True
+                        and not isomorphic_bruteforce(inst433.G, inst433.H),
         "all-clauses": report.ok,
     }
     elapsed = time.monotonic() - t0
@@ -100,7 +101,8 @@ def test_criterion_3_witness_certificate(inst433, FG433, FH433):
         "beta-order-8": cert.beta_order == 8,
         "square-central": data["beta-square-central"]["fixed_by_x"] is True,
         "closure-512": data["closure-size"]["size"] == 512,
-        "recognition": data["unit-recognition"]["first_failing"] is None,
+        "recognition": group_unit_recognition(
+            FH433, FH433.embed(inst433.x), beta, 4, 3, 3)[0],
         "spanning-512": cert.rank == 512,
         "independent-mod-a2": data["independent-mod-a2"]["x_outside"]
                               and data["independent-mod-a2"]["beta_outside"],
@@ -128,19 +130,22 @@ def test_criterion_4_k3_witness(inst433, FG433, FH433):
     assert elapsed < 300
 
 
-def test_criterion_5_ambient_variants():
+def test_criterion_5_ambient_variants(inst433):
     t0 = time.monotonic()
     report = compare_variants(4, 3, 3)
     data = {c.id: c.data for c in report.clauses}
     g_ok = all(data["g-variants-isomorphic"].values())
     h_ok = all(data["h-variants-isomorphic"].values())
-    control = data["g-vs-h-control"]["oracle_isomorphic"] is False
+    control = (data["g-vs-h-control"] == {"g_abelian_maximal_exponents": [16],
+                                          "h_abelian_maximal_exponents": [8]}
+               and not isomorphic_bruteforce(inst433.G, inst433.H))
     elapsed = time.monotonic() - t0
-    ok = g_ok and h_ok and control and elapsed < 300
+    ok = g_ok and h_ok and control and report.ok and elapsed < 300
     _line(5, ok, f"dihedral/semidihedral/quaternion variants: pairwise "
                  f"isomorphic G's and H's (defining relations), G vs H control "
-                 f"non-isomorphic (oracle) [{elapsed:.1f}s]")
-    assert g_ok and h_ok and control
+                 f"non-isomorphic by both routes (abelian maximal exponents "
+                 f"16 vs 8, oracle) [{elapsed:.1f}s]")
+    assert g_ok and h_ok and control and report.ok
     assert elapsed < 300
 
 

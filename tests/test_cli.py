@@ -55,7 +55,7 @@ def test_row_hex_roundtrip():
 
 def test_envelope_fields():
     doc = envelope("family", {"n": 4}, {"payload": 1})
-    assert doc["schema_version"] == SCHEMA_VERSION == 1
+    assert doc["schema_version"] == SCHEMA_VERSION == 2
     assert doc["command"] == "family"
     assert doc["config"] == {"n": 4}
     assert doc["payload"] == 1
@@ -68,7 +68,7 @@ def test_family_ok_exit_zero():
     r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3"])
     assert r.returncode == 0
     doc = json.loads(r.stdout)
-    assert doc["schema_version"] == 1 and doc["command"] == "family"
+    assert doc["schema_version"] == 2 and doc["command"] == "family"
     assert doc["structure"]["ok"] is True
 
 
@@ -126,19 +126,19 @@ def test_witness_byte_identical_with_matrix():
 
 
 # sha256 of the witness report at (4,3,3), seed 0, sample size 1024, with
-# the extra arguments below, as produced by the earlier certificate that
-# multiplied algebra elements pair by pair; the generator-column
-# certificate must reproduce these reports byte for byte.
+# the extra arguments below.  Apart from the schema_version line and the
+# unit-recognition clause, which schema 2 drops, these reports are those of
+# the earlier certificate that multiplied algebra elements pair by pair.
 WITNESS_REPORT_SHA256 = {
-    (): "e581d1fec59b5942f743e742a88b4a61c06ecab34056c7ace967e9905d2f7a21",
+    (): "29f2e5d18820c2933c4d19c5b71c6f47de0962a27452a41752af714695dd030b",
     ("--exhaustive",):
-        "f0e559643bc6a00cd59a6bd6b684dcef8e29f01545df37d595851306c5ecb44e",
+        "e484b2c1bb1b4124662a9084a9e833fd8e92800d4eea457aeb41a821bb9b8640",
     ("--beta", "general", "--zeta", "class-sum"):
-        "f276ea08fc6a911ff0fe82eafc9c0c3c2c697f685518d47b1224b3d53918b9f6",
+        "54f6ab0af974a311cc3ccc0ea8284dd19e4b4dbc4d6c0a04553ae4817ee8b33e",
     ("--beta", "general", "--zeta", "class-sum", "--exhaustive"):
-        "26ac9ae88b7bcb42453a8553044d27801b19a1e73c3b370bbff8d658e9497024",
+        "3563d52b232710faf5ce0d34f3d1eeef2fb6ae954ae250ede9e22bb0ca98c406",
     ("--beta", "k3"):
-        "b605dee5f13ecedd9edf8108e0a2299a286f1bd71789c8cb94e2ec0b415b487a",
+        "1f5e4983c92cfad0d1d8bc9393e37ad18bf2ca2b213d8a2c8f8cd40a80fdf34a",
 }
 
 
@@ -154,19 +154,21 @@ def test_witness_report_golden_digest(extra):
 
 
 # sha256 of the stdout of the benchmark's three witness runs, sample size
-# 1024, at seeds 0 and 5, as produced by the certificate that eliminated
-# all units for clause (e) and walked a unit word per pair for --exhaustive.
+# 1024, at seeds 0 and 5.  Apart from the schema_version line and the
+# unit-recognition clause, these reports are those of the certificate that
+# eliminated all units for clause (e) and walked a unit word per pair for
+# --exhaustive.
 WITNESS_GOLDEN_SHA256 = {
-    ("5 4 3", "0"): "66b396008638426ac98bebd4d6da3d7ede3fa9ff714ae899ec21fcc05a98d066",
+    ("5 4 3", "0"): "766507d102157351fd9d71ae1b09ea73713d8bff8eb255eeab72cfaee34140a4",
     ("4 3 3 --beta general --zeta class-sum", "0"):
-        "f276ea08fc6a911ff0fe82eafc9c0c3c2c697f685518d47b1224b3d53918b9f6",
+        "54f6ab0af974a311cc3ccc0ea8284dd19e4b4dbc4d6c0a04553ae4817ee8b33e",
     ("4 3 3 --exhaustive", "0"):
-        "f0e559643bc6a00cd59a6bd6b684dcef8e29f01545df37d595851306c5ecb44e",
-    ("5 4 3", "5"): "d4ac998e9d92f6436fe8b9a3f5962da3528effe9b1a88e472f8194c13c2fb1e0",
+        "e484b2c1bb1b4124662a9084a9e833fd8e92800d4eea457aeb41a821bb9b8640",
+    ("5 4 3", "5"): "28d40473f035c6dc817ed110782c3c627768c72736b9e222900a33f8f5fcfa97",
     ("4 3 3 --beta general --zeta class-sum", "5"):
-        "e90b9e029a2d8edc8f5461a14974d187e0ce3a6652ad36f7f112fa2d6cc02c02",
+        "b75a12713e8cf2aaceee0879f6ef90deed9951ae420932f5ab54c27e578ab25f",
     ("4 3 3 --exhaustive", "5"):
-        "5de2e41a805124b0847f77a41bb78eadbaac82df54043f3fe2e676dd0476120d",
+        "f8c61513a41027d0deb6880534e72a89bc7a28e3cf55304d029698c05faf9266",
 }
 
 
@@ -180,14 +182,18 @@ def test_witness_golden_digests():
             (args, seed)
 
 
-# sha256 of the stdout of `family`, as produced when compare_variants proved
-# the variant isomorphisms by brute force and searched for the witnesses on
-# Cayley tables.
+# sha256 of the stdout of `family`.  Apart from the schema_version line,
+# config.oracle_bound (dropped in schema 2) and the g-vs-h-control clause
+# (read off abelian maximal exponents in schema 2), these reports are those
+# of the compare_variants that proved the variant isomorphisms by brute
+# force and searched for the witnesses on Cayley tables.
 FAMILY_GOLDEN_SHA256 = {
-    "4 3 3 --variants": "a58f9ad0fe0140c32da17badb545ac2014008cb0c8384a17e45285c0d17ca91e",
-    "5 4 3 --variants": "5b56760a7775aee4cc7d77c390fe6d30767ceafd1ca82b7198c311d754eed14d",
-    "5 4 3": "cd63ca1e28aefb575ac08f52fe618ef0261d1c71c72800ee3e2e9f1e2e161a9b",
-    "6 5 4": "0762c6cfc8c81391f983aced40b44851900596ab5571b26f33746ce04bbaa30c",
+    "4 3 3 --variants": "945cbf653a8878d6177df7a515a95d25e77143fd0d2df4dbf92047c9c947f88f",
+    "5 4 3 --variants": "81aa702a49697945d03864878f2c313baf68fb1d066b01f719afd4ddcfcdc82f",
+    "5 4 3": "704073dbc46ef41ef7669143058e2a08ad07e2f31b7f4b4e8ee62f4bb7fbcd1d",
+    "6 5 4": "47a93e6607b4870fc240400ff9cd8076d312862dc3d4bbd168526b10d660c676",
+    # no schema 1 report: the control's oracle refused |G| = 2^14 (exit 2)
+    "6 5 4 --variants": "8b6af5fc5e363057b71c13fe7b3831247128ee819a1bb25f112f56f0a942f60b",
 }
 
 
@@ -239,8 +245,7 @@ def test_sample_size_below_one_exit_two(size):
 
 
 @pytest.mark.parametrize("name,value", [("MIPVERIFY_GUARD", "abc"),
-                                        ("MIPVERIFY_GUARD", "0"),
-                                        ("MIPVERIFY_ORACLE_BOUND", "1e3")])
+                                        ("MIPVERIFY_GUARD", "0")])
 def test_invalid_env_value_exit_two(name, value):
     r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3"],
                 env_extra={name: value})
@@ -287,39 +292,6 @@ def test_witness_764_over_unit_budget_exit_two(capsys):
     assert code == 2 and captured.out == ""
     assert "unit budget of 1073741824" in captured.err
     assert "Traceback" not in captured.err
-
-
-def test_oracle_bound_reaches_structure_report():
-    base = ["family", "--n", "4", "--m", "3", "--k", "3"]
-    below = run_cli(base + ["--oracle-bound", "511"])
-    assert below.returncode == 0
-    doc = json.loads(below.stdout)
-    gap = {c["id"]: c for c in doc["structure"]["clauses"]}[
-        "exponent-gap-non-isomorphic"]
-    assert doc["config"]["oracle_bound"] == 511
-    assert gap["data"]["oracle_ran"] is False
-    assert gap["data"]["oracle_non_isomorphic"] is None and gap["passed"]
-    at = json.loads(run_cli(base + ["--oracle-bound", "512"]).stdout)
-    gap = {c["id"]: c for c in at["structure"]["clauses"]}[
-        "exponent-gap-non-isomorphic"]
-    assert gap["data"]["oracle_ran"] is True
-    assert gap["data"]["oracle_non_isomorphic"] is True
-
-
-@pytest.mark.parametrize("bound", ["0", "-3", "x"])
-def test_oracle_bound_below_one_exit_two(bound):
-    r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",
-                 "--oracle-bound", bound])
-    assert r.returncode == 2 and r.stdout == ""
-    assert "--oracle-bound" in r.stderr
-
-
-def test_oracle_bound_exceeded_exit_two():
-    r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3", "--variants",
-                 "--oracle-bound", "1"])
-    assert r.returncode == 2 and r.stdout == ""
-    assert "error: group order 512 exceeds oracle bound 1" in r.stderr
-    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("stalled series"),

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from mipverify import family as family_mod
 from mipverify import groups as groups_mod
-from mipverify.ambient import make_ambient
+from mipverify.ambient import DEFAULT_GUARD, TWO_GENERATOR_VARIANTS, make_ambient
 from mipverify.family import build_family, compare_variants, verify_structure
 from mipverify.groups import closure, derived_subgroup, intersection
 from mipverify.invariants import abelian_type
@@ -109,13 +110,55 @@ def test_compare_variants_433():
     assert data["h-variants-isomorphic"] == {
         "dihedral-vs-semidihedral": True, "dihedral-vs-quaternion": True,
         "semidihedral-vs-quaternion": True}
-    assert data["g-vs-h-control"] == {"oracle_isomorphic": False}
+    assert data["g-vs-h-control"] == {"g_abelian_maximal_exponents": [16],
+                                      "h_abelian_maximal_exponents": [8]}
     assert all(data["presentation-witnesses"].values())
 
 
+def _control_exponents(group):
+    return sorted(sub.exponent() for sub in family_mod._abelian_maximal_subgroups(group))
+
+
+@pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3)], ids=["433", "543"])
+def test_control_invariant_carries_weight(nmk, monkeypatch):
+    """The control's exponent lists agree on isomorphic groups (the three
+    variants' G's, and their H's) and differ for G and H; with H replaced
+    by G the control fails."""
+    n = nmk[0]
+    exponents = set()
+    for variant in TWO_GENERATOR_VARIANTS:
+        _, _, G, H = family_mod._two_case_groups(variant, *nmk, DEFAULT_GUARD)
+        exponents.add((tuple(_control_exponents(G)), tuple(_control_exponents(H))))
+    assert exponents == {((2 ** n,), (2 ** (n - 1),))}
+
+    two_case_groups = family_mod._two_case_groups
+
+    def h_is_g(*args):
+        amb, named, G, _ = two_case_groups(*args)
+        return amb, named, G, G
+
+    monkeypatch.setattr(family_mod, "_two_case_groups", h_is_g)
+    control = {c.id: c for c in compare_variants(*nmk).clauses}["g-vs-h-control"]
+    assert not control.passed
+    assert control.data == {"g_abelian_maximal_exponents": [2 ** n],
+                            "h_abelian_maximal_exponents": [2 ** n]}
+
+
+def test_compare_variants_654_needs_no_table_and_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle was called")
+
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
+    monkeypatch.setattr(family_mod, "isomorphic_bruteforce", refuse)
+    report = compare_variants(6, 5, 4)
+    assert report.ok, report.clauses.first_failing
+    assert {c.id: c.data for c in report.clauses}["g-vs-h-control"] == {
+        "g_abelian_maximal_exponents": [64], "h_abelian_maximal_exponents": [32]}
+
+
 def test_compare_variants_builds_only_the_controls_table(monkeypatch):
-    """The variant isomorphisms come from relations on rows: the one Cayley
-    table built is dihedral H's, for the brute-force G-vs-H control."""
+    """The variant isomorphisms come from relations on rows and the G-vs-H
+    control from maximal subgroups: no Cayley table is built."""
     built = []
     cayley_table = groups_mod.FiniteGroup.cayley_table
 
@@ -126,7 +169,7 @@ def test_compare_variants_builds_only_the_controls_table(monkeypatch):
 
     monkeypatch.setattr(groups_mod.FiniteGroup, "cayley_table", counting)
     assert compare_variants(5, 4, 3).ok
-    assert built == [build_family(2, "dihedral", 5, 4, 3).H.generators]
+    assert built == []
 
 
 def test_odd_heisenberg_instance():

@@ -10,10 +10,10 @@ from mipverify.family import build_family
 from mipverify.groups import closure, frattini_coordinates, generated_subgroup
 from mipverify.isomorphism import (OracleBoundExceeded, _generates,
                                    find_presentation_witness,
-                                   isomorphic_bruteforce, pair_relations,
-                                   recognize_presented_group)
+                                   isomorphic_bruteforce, pair_relations)
 
-from conftest import closure_presentation_witness, recognize_any_pair
+from conftest import (closure_presentation_witness, recognize_any_pair,
+                      recognize_presented_group)
 
 
 def _by_name(catalog):

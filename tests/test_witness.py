@@ -23,14 +23,13 @@ from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
 
 from conftest import (algebra_unit_recognition, eliminated_a2_independence,
                       eliminated_spanning_rank, float32_pair_mismatches,
-                      matmul_unit_table, product_generator_mismatches,
-                      product_transport_images, sampled_product_mismatches,
-                      scalar_unit_closure, small_group_catalog,
-                      walked_pair_mismatches)
+                      group_unit_recognition, matmul_unit_table,
+                      product_generator_mismatches, product_transport_images,
+                      sampled_product_mismatches, scalar_unit_closure,
+                      small_group_catalog, walked_pair_mismatches)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
-              "unit-recognition", "spanning", "independent-mod-a2",
-              "basis-transport"]
+              "spanning", "independent-mod-a2", "basis-transport"]
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +68,14 @@ def test_certificate_valid(cert433):
     assert len(cert433.matrix_keys) == 512
 
 
-def test_certificate_clause_data(cert433):
+def test_certificate_clause_data(cert433, FH433, inst433, beta433):
     data = {c.id: c.data for c in cert433.clauses}
     assert data["beta-order"] == {"order": 8, "expected": 8, "note": None}
     assert data["beta-square-central"]["fixed_by_x"] is True
     assert data["closure-size"] == {"size": 512, "expected": 512}
-    rec = data["unit-recognition"]
+    ok, rec = group_unit_recognition(FH433, FH433.embed(inst433.x), beta433,
+                                     4, 3, 3)
+    assert ok and rec["first_failing"] is None
     assert rec["order_a"] == 16 and rec["order_b"] == 8
     assert rec["commutator_order"] == 4 and rec["derived_order"] == 4
     assert rec["squares_meet_derived_size"] == 1
@@ -115,11 +116,10 @@ def test_negative_control_embedded_z(FG433, FH433, inst433):
     assert cert.clauses.first_failing == "beta-square-central"
     status = {c.id: c.passed for c in cert.clauses}
     assert status == {"beta-order": True, "beta-square-central": False,
-                      "closure-size": True, "unit-recognition": False,
-                      "spanning": True, "independent-mod-a2": True,
-                      "basis-transport": False}
-    rec = {c.id: c.data for c in cert.clauses}["unit-recognition"]
-    assert rec["first_failing"] == "b-square-central"
+                      "closure-size": True, "spanning": True,
+                      "independent-mod-a2": True, "basis-transport": False}
+    ok, rec = group_unit_recognition(FH433, FH433.embed(inst433.x), bad, 4, 3, 3)
+    assert not ok and rec["first_failing"] == "b-square-central"
 
 
 def test_power_closed_form(FG433, FH433, inst433, beta433):
@@ -322,9 +322,10 @@ def test_unit_group_products_match_algebra(FH433, beta433, inst433):
 
 
 def _witness_pairs(FH, inst, n, m, k):
-    """The witness units of the clause-(d) oracle test, by name."""
+    """The witness units of the recognition oracle test, by name."""
     H = FH.group
-    pairs = {"standard": build_beta(FH, inst.x, inst.z)}
+    pairs = {"standard": build_beta(FH, inst.x, inst.z),
+             "x-z-squared": build_beta(FH, inst.x, H.power(inst.z, 2))}
     if (n, m, k) == (4, 3, 3):
         d_sq = H.power(inst.named["d"], 2)
         pairs["k3"] = build_beta_k3(FH, inst.x, inst.z, d_sq, k)
@@ -337,16 +338,21 @@ def _witness_pairs(FH, inst, n, m, k):
 
 @pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3)], ids=["433", "543"])
 def test_unit_recognition_matches_algebra_oracle(nmk):
+    """The recognition oracles on the group engine and on algebra products
+    agree, basis transport passes only where they do, and the certificate
+    is valid exactly when its clauses and recognition all pass."""
     inst = build_family(2, "dihedral", *nmk)
     FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
     ex = FH.embed(inst.x)
     for name, beta in _witness_pairs(FH, inst, *nmk).items():
         cert = verify_witness(FG, FH, beta, nmk, sample_size=1)
-        clause = {c.id: c for c in cert.clauses}["unit-recognition"]
-        ok, data = algebra_unit_recognition(FH, inst.G.order, ex, beta, *nmk)
-        assert clause.data == data, name
-        assert clause.passed == ok, name
-        assert ok == (name != "embedded-z"), name
+        ok, data = group_unit_recognition(FH, ex, beta, *nmk)
+        assert (ok, data) == algebra_unit_recognition(FH, inst.G.order,
+                                                      ex, beta, *nmk), name
+        assert ok == (name in ("standard", "k3", "general-class-sum")), name
+        transport = {c.id: c for c in cert.clauses}["basis-transport"]
+        assert transport.passed <= ok, name
+        assert cert.valid == (cert.clauses.ok and ok), name
 
 
 def test_independence_mod_a2_matches_elimination(FG433, FH433, inst433):
@@ -501,10 +507,9 @@ def test_closure_unavailable_skips_transport(FG433, FH433, beta433, monkeypatch)
     clauses = {c.id: c for c in cert.clauses}
     assert clauses["closure-size"].data == {
         "error": "unit closure exceeded 2048 elements"}
-    for cid in ("closure-size", "unit-recognition", "spanning",
-                "basis-transport"):
+    for cid in ("closure-size", "spanning", "basis-transport"):
         assert not clauses[cid].passed, cid
-    for cid in ("unit-recognition", "spanning", "basis-transport"):
+    for cid in ("spanning", "basis-transport"):
         assert clauses[cid].data == {"skipped": "closure unavailable"}, cid
     assert cert.rank == 0 and cert.matrix_keys == () and not cert.valid
     assert cert.sample == {"mode": "sampled", "pairs": 0, "mismatches": 0,
