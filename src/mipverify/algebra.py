@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .ambient import Element, round_up_power
+from .ambient import Element, round_up_power, sorted_distinct
 from .groups import FiniteGroup, conjugacy_classes
 
 RowLike = Union[int, np.ndarray, "AlgebraElement"]
@@ -186,7 +186,7 @@ class GroupAlgebra:
         matches = _class_sum_matches(owners, elems, coeffs, sizes.size,
                                      class_of, sizes)
         hits = matches[(matches >= 0) & (matches != np.arange(sizes.size))]
-        return int(np.unique(hits).size)
+        return int(sorted_distinct(hits).size)
 
     # -- augmentation-ideal filtration ------------------------------------------
 

@@ -156,7 +156,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     payload = {"structure": structure.as_dict()}
     ok = structure.ok
     if args.variants:
-        variants = compare_variants(args.n, args.m, args.k, guard=args.guard)
+        variants = compare_variants(inst)
         payload["variants"] = variants.as_dict()
         ok = ok and variants.ok
     _emit(canonical_json(envelope("family", config, payload)), args.output)

@@ -21,33 +21,34 @@ explicit multiplication table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ambient import (AmbientDescriptor, DEFAULT_GUARD, Element,
                       TWO_GENERATOR_VARIANTS, int_log, make_ambient)
-from .groups import (FiniteGroup, closure, derived_subgroup, frattini,
-                     generated_subgroup, intersection, maximal_subgroups,
-                     nilpotency_class)
+from .groups import (FiniteGroup, abelian_maximal_subgroups, closure,
+                     derived_subgroup, frattini, generated_subgroup,
+                     intersection, nilpotency_class)
 from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
                           isomorphic_bruteforce, pair_relations)
 
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """One member of the family, with every named subgroup enumerated."""
+    """One member of the family: G (and in the 2-case H) enumerated, and the
+    ambient subgroups P and M closed on first access."""
 
     params: tuple  # (p, variant, n, m, k)
     ambient: AmbientDescriptor
-    P: FiniteGroup
     G: FiniteGroup
     x: Element
     y: Element
-    M: Optional[FiniteGroup] = None
     H: Optional[FiniteGroup] = None
     z: Optional[Element] = None
     named: dict = field(default_factory=dict, repr=False)
+    guard: int = DEFAULT_GUARD
 
     @property
     def p(self) -> int:
@@ -60,6 +61,25 @@ class FamilyInstance:
     @property
     def nmk(self) -> tuple[int, int, int]:
         return (self.params[2], self.params[3], self.params[4])
+
+    @cached_property
+    def P(self) -> FiniteGroup:
+        """The ambient group K x C x D, closed on its named generators."""
+        gens = ("t", "r", "c", "d") if self.H is not None else ("s", "s1", "c", "d")
+        return closure(self.ambient, [self.named[g] for g in gens],
+                       guard=self.guard)
+
+    @cached_property
+    def M(self) -> Optional[FiniteGroup]:
+        """The 2-case subgroup <r, c, d>, checked to have index 2 in P;
+        None in the odd case."""
+        if self.H is None:
+            return None
+        M = closure(self.ambient, [self.named[g] for g in ("r", "c", "d")],
+                    guard=self.guard)
+        if self.P.order != 2 * M.order:
+            raise RuntimeError("M is not of index 2 in P")
+        return M
 
 
 @dataclass(frozen=True)
@@ -87,7 +107,9 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
     """Construct and enumerate a family instance.
 
     2-case (p = 2, dihedral/semidihedral/quaternion): requires
-    n > m >= k >= 3; returns P, M, G, H and the elements x, y, z.
+    n > m >= k >= 3; closes G and H, checks that both have order
+    2^(n+m+k-1), and returns them with the elements x, y, z.  P and M are
+    closed when first read: only the structural verification reads them.
 
     Odd case (heisenberg or explicit table): requires n, m, k >= 1; c has
     order p^m and d has order p^n, G = <sc, s1 d>; M, H, z are absent.  The
@@ -95,16 +117,23 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
     checked and a ValueError is raised when they fail.
     """
     if p == 2 and variant in TWO_GENERATOR_VARIANTS:
-        amb, named, G, H = _two_case_groups(variant, n, m, k, guard)
-        t, r, c, d = named["t"], named["r"], named["c"], named["d"]
-        P = closure(amb, [t, r, c, d], guard=guard)
-        M = closure(amb, [r, c, d], guard=guard)
-        if P.order != 2 * M.order:
-            raise RuntimeError("M is not of index 2 in P")
-        x, y = G.generators
+        if not (n > m >= k >= 3):
+            raise ValueError(
+                f"2-case parameters need n > m >= k >= 3, got (n, m, k) = ({n}, {m}, {k})")
+        amb = make_ambient(2, variant, k, n, m, guard=guard)
+        gens = amb.standard_generators()
+        t, r, c, d = gens["t"], gens["r"], gens["c"], gens["d"]
+        s = amb.mul(amb.inv(t), r)  # r = ts
+        x, y, z = amb.mul(t, c), amb.mul(s, d), amb.mul(r, d)
+        G = closure(amb, [x, y], guard=guard)
+        H = closure(amb, [x, z], guard=guard)
+        expected = 2 ** (n + m + k - 1)
+        if G.order != expected or H.order != expected:
+            raise RuntimeError(
+                f"constructed |G| = {G.order}, |H| = {H.order}, expected {expected}")
         return FamilyInstance(params=(p, variant, n, m, k), ambient=amb,
-                              P=P, G=G, x=x, y=y, M=M, H=H,
-                              z=H.generators[1], named=named)
+                              G=G, x=x, y=y, H=H, z=z, guard=guard,
+                              named={"t": t, "s": s, "r": r, "c": c, "d": d})
 
     if p == 2:
         raise ValueError(f"variant {variant!r} is not available for p = 2")
@@ -120,32 +149,10 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
     _verify_odd_base(K, p)
     x = amb.mul(s, c)
     y = amb.mul(s1, d)
-    P = closure(amb, [s, s1, c, d], guard=guard)
     G = closure(amb, [x, y], guard=guard)
     named = {"s": s, "s1": s1, "c": c, "d": d}
     return FamilyInstance(params=(p, variant, n, m, k), ambient=amb,
-                          P=P, G=G, x=x, y=y, named=named)
-
-
-def _two_case_groups(variant: str, n: int, m: int, k: int, guard: int
-                     ) -> tuple[AmbientDescriptor, dict, FiniteGroup, FiniteGroup]:
-    """The 2-case ambient, its named elements t, s, r, c, d, and G = <x, y>
-    and H = <x, z> closed and checked to have order 2^(n+m+k-1)."""
-    if not (n > m >= k >= 3):
-        raise ValueError(
-            f"2-case parameters need n > m >= k >= 3, got (n, m, k) = ({n}, {m}, {k})")
-    amb = make_ambient(2, variant, k, n, m, guard=guard)
-    gens = amb.standard_generators()
-    t, r, c, d = gens["t"], gens["r"], gens["c"], gens["d"]
-    s = amb.mul(amb.inv(t), r)  # r = ts
-    x = amb.mul(t, c)
-    G = closure(amb, [x, amb.mul(s, d)], guard=guard)
-    H = closure(amb, [x, amb.mul(r, d)], guard=guard)
-    expected = 2 ** (n + m + k - 1)
-    if G.order != expected or H.order != expected:
-        raise RuntimeError(
-            f"constructed |G| = {G.order}, |H| = {H.order}, expected {expected}")
-    return amb, {"t": t, "s": s, "r": r, "c": c, "d": d}, G, H
+                          G=G, x=x, y=y, named=named, guard=guard)
 
 
 def _verify_odd_base(K: FiniteGroup, p: int) -> None:
@@ -157,13 +164,8 @@ def _verify_odd_base(K: FiniteGroup, p: int) -> None:
     if cls != logk - 1:
         raise ValueError(
             f"K has class {cls}, not maximal class {logk - 1} for order p^{logk}")
-    if not any(sub.is_abelian() for sub in maximal_subgroups(K)):
+    if not abelian_maximal_subgroups(K):
         raise ValueError("K has no abelian maximal subgroup")
-
-
-def _abelian_maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
-    """The maximal subgroups of ``group`` that are abelian."""
-    return [sub for sub in maximal_subgroups(group) if sub.is_abelian()]
 
 
 def verify_structure(inst: FamilyInstance) -> VerificationReport:
@@ -235,8 +237,8 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
         order=hm.order)
 
     exp_gm, exp_hm = gm.exponent(), hm.exponent()
-    g_abelian = _abelian_maximal_subgroups(G)
-    h_abelian = _abelian_maximal_subgroups(H)
+    g_abelian = abelian_maximal_subgroups(G)
+    h_abelian = abelian_maximal_subgroups(H)
     unique = (len(g_abelian) == 1 and len(h_abelian) == 1
               and np.array_equal(g_abelian[0].keys(), gm.keys())
               and np.array_equal(h_abelian[0].keys(), hm.keys()))
@@ -257,13 +259,14 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
                               clauses=clauses)
 
 
-def compare_variants(n: int, m: int, k: int,
-                     guard: int = DEFAULT_GUARD) -> VerificationReport:
+def compare_variants(instance: FamilyInstance) -> VerificationReport:
     """Cross-check that all three 2-case ambient kinds give the same groups.
 
-    Closes G and H in the dihedral, semidihedral and quaternion ambients at
-    (n, m, k) and checks G's stored pair (x, y) against the "g" relations
-    and H's (x, z) against the "h" relations (:func:`pair_relations`).  Let
+    ``instance`` is a 2-case instance; its G and H (with their cached
+    abelian maximal subgroups) stand for its own variant, and the other two
+    variants are built at its (n, m, k) and guard, which closes their G and
+    H.  G's stored pair (x, y) is checked against the "g" relations and H's
+    (x, z) against the "h" relations (:func:`pair_relations`).  Let
     Gamma be the group they present on a, b, u: a^(2^n) = b^(2^m) =
     u^(2^(k-1)) = 1, b^a = b u, u^a = u^-1, and u^b = u^-1 ("g") or u^b = u
     ("h").  <u> is normal in <b, u>, which a normalizes, so Gamma = {a^i b^j
@@ -280,8 +283,12 @@ def compare_variants(n: int, m: int, k: int,
     lists are [2^n] for G and [2^(n-1)] for H (clause (vii) of
     :func:`verify_structure`).
     """
-    groups = {v: _two_case_groups(v, n, m, k, guard)[2:]
-              for v in TWO_GENERATOR_VARIANTS}
+    n, m, k = instance.nmk
+    groups = {}
+    for v in TWO_GENERATOR_VARIANTS:
+        inst = (instance if v == instance.variant
+                else build_family(2, v, n, m, k, guard=instance.guard))
+        groups[v] = (inst.G, inst.H)
     # (relation set, variant) -> whether G's ("g") or H's ("h") stored pair
     # satisfies it
     holds = {(rel, v): all(pair_relations(grp, *grp.generators, n, m, k, rel).values())
@@ -298,7 +305,7 @@ def compare_variants(n: int, m: int, k: int,
             f"the three variants' {rel.upper()}'s are pairwise isomorphic",
             all(results.values()), **results)
 
-    exps_g, exps_h = (sorted(sub.exponent() for sub in _abelian_maximal_subgroups(grp))
+    exps_g, exps_h = (sorted(sub.exponent() for sub in abelian_maximal_subgroups(grp))
                       for grp in groups["dihedral"])
     add("g-vs-h-control",
         "dihedral G and H are not isomorphic: the exponents of their abelian "

@@ -65,6 +65,8 @@ class FiniteGroup:
     _frattini: Optional["FiniteGroup"] = field(repr=False, default=None)
     _classes: Optional[tuple[tuple[int, ...], ...]] = field(repr=False, default=None)
     _class_label: Optional[np.ndarray] = field(repr=False, default=None)
+    _abelian_maximal: Optional[tuple["FiniteGroup", ...]] = field(repr=False,
+                                                                  default=None)
 
     # -- basics --------------------------------------------------------------
 
@@ -171,10 +173,16 @@ class FiniteGroup:
             raise KeyError("row outside the group")
         return idx
 
+    def has_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the entries of ``keys`` (repeats allowed) that are keys
+        of this group's elements, by search in the sorted keys."""
+        idx = np.searchsorted(self._keys, keys)
+        return self._keys[np.minimum(idx, self.order - 1)] == keys
+
     def contains(self, other: "FiniteGroup") -> bool:
         """Whether every element of ``other``, a group in the same ambient,
         lies in this group (compared on keys)."""
-        return bool(np.isin(other.keys(), self.keys()).all())
+        return bool(self.has_keys(other.keys()).all())
 
     def cayley_table(self) -> np.ndarray:
         """Full multiplication table T[i, j] = index(elements[i] * elements[j]).
@@ -597,12 +605,12 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
     mask = np.ones(group.order, dtype=bool)
     for u in upper.small_generators():
         conj = amb.mul_cols(amb.mul_rows(amb.inv(u), arr), u)
-        mask &= np.isin(amb.encode(amb.mul_array(arr_inv, conj)), lower.keys())
+        mask &= lower.has_keys(amb.encode(amb.mul_array(arr_inv, conj)))
     return subgroup_from_elements(amb, arr[mask], verify=True)
 
 
 def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    common = a.array()[np.isin(a.keys(), b.keys(), assume_unique=True)]
+    common = a.array()[b.has_keys(a.keys())]
     return subgroup_from_elements(a.ambient, common, verify=False)
 
 
@@ -747,6 +755,15 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     return subgroups
 
 
+def abelian_maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
+    """The abelian maximal subgroups, in the order of
+    :func:`maximal_subgroups` (computed once per group)."""
+    if group._abelian_maximal is None:
+        group._abelian_maximal = tuple(sub for sub in maximal_subgroups(group)
+                                       if sub.is_abelian())
+    return list(group._abelian_maximal)
+
+
 def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     """Dimension subgroups M_1 >= M_2 >= ... with M_i = [M_{i-1}, G] M_{ceil(i/p)}^p.
 
@@ -790,5 +807,6 @@ __all__ = [
     "derived_subgroup", "lower_central_series", "nilpotency_class",
     "power_subgroup", "frattini", "center", "centralizer_mod", "intersection",
     "conjugacy_classes", "centralizer_index", "frattini_coordinates",
-    "maximal_subgroups", "jennings_series", "jennings_factor_orders",
+    "maximal_subgroups", "abelian_maximal_subgroups", "jennings_series",
+    "jennings_factor_orders",
 ]

@@ -148,10 +148,10 @@ def invariant_report(G: FiniteGroup, FG: GroupAlgebra,
         raise ValueError("FG must be the group algebra of G")
     N = compute_N(G)
     n_abelian = N.is_abelian()
-    phi_keys = frattini(N).keys()
+    phi = frattini(N)
     # Phi(N) - Z(N) and Phi(N) - Z(G), as masks over N's and G's elements
-    minus_zn = np.isin(N.keys(), phi_keys) & ~N.central_mask()
-    minus_zg = np.isin(G.keys(), phi_keys) & ~G.central_mask()
+    minus_zn = phi.has_keys(N.keys()) & ~N.central_mask()
+    minus_zg = phi.has_keys(G.keys()) & ~G.central_mask()
 
     census: dict[int, int] = {}
     for cls in conjugacy_classes(G):

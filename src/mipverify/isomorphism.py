@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ambient import Element
+from .ambient import Element, sorted_distinct
 from .groups import FiniteGroup, frattini_coordinates
 
 DEFAULT_ORACLE_BOUND = 2 ** 12
@@ -201,7 +201,7 @@ def _check_candidate(a_group: FiniteGroup, a_cols: list[np.ndarray],
                      img_gens: Sequence[int]) -> bool:
     # the image of every element of A under word transport
     img = a_group.transport(b_table[:, list(img_gens)].T, b_group.identity_index)
-    if np.unique(img).size != a_group.order:
+    if sorted_distinct(img).size != a_group.order:
         return False
     for j, col in enumerate(a_cols):
         if not np.array_equal(img[col], b_table[img, img_gens[j]]):

@@ -6,10 +6,12 @@ through derivation words then yields an explicit algebra isomorphism
 F2[G] -> F2[H].  :func:`verify_witness` certifies every step and returns an
 :class:`IsomorphismCertificate` with the full basis-image matrix.
 
-This module does the algebra work only.  The closure of <x, beta> records
-each unit times each generator; on those columns the subgroup is a
-``regular`` ambient for the group engine (:func:`unit_group`), and the
-transport of G's basis and its multiplicativity are index work.
+This module does the algebra work only.  The closure of <x, beta> runs on
+bit planes of the packed units, so unpacking and packing never stride
+along the coefficient axis, and records each unit times each generator; on
+those columns the subgroup is a ``regular`` ambient for the group engine
+(:func:`unit_group`), and the transport of G's basis and its
+multiplicativity are index work.
 Spanning is one XOR (the unit-sum lemma), and independence modulo A^2 is
 read off coordinates in H/Phi(H).
 """
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ambient import Element, GuardExceeded, regular_ambient
+from .ambient import Element, GuardExceeded, regular_ambient, sorted_distinct
 from .algebra import (AlgebraElement, FpMatrix, GroupAlgebra, is_unit,
                       unit_order)
 from .groups import FiniteGroup, closure, frattini_coordinates
@@ -69,11 +71,16 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
 
     One level at a time on unpacked coefficient columns: (v h)[index(g)] =
     v[index(g h^-1)], so right multiplication by a unit u XORs the gathers
-    of v by the right columns of h^-1 over h in supp(u).  Products are
-    deduplicated on packed keys in (frontier position, generator) order:
-    the FIFO order of a one-at-a-time search.  Raises RuntimeError when the
-    closure exceeds dim * safety_factor, which signals a non-unit generator
-    or an arithmetic bug.
+    of v by the right columns of h^-1 over h in supp(u).  Coefficients are
+    unpacked and packed by bit planes, never along the strided coefficient
+    axis: row 8 b + j of a block holds bit j of byte b of each unit's key,
+    one byte per unit and eight units to a uint64 word, so each shift and
+    mask acts on eight units at once (rows past dim are zero padding, which
+    the gathers map to themselves).  Products are deduplicated on packed
+    keys in (frontier position, generator) order: the FIFO order of a
+    one-at-a-time search.  Raises RuntimeError when the closure exceeds
+    dim * safety_factor, which signals a non-unit generator or an arithmetic
+    bug.
     """
     gens = tuple(generators)
     for u in gens:
@@ -85,11 +92,14 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
         raise ValueError("unit_closure works over F2")
     H, dim = algebra.group, algebra.dim
     bound = dim * safety_factor
-    gathers = [np.stack(H.right_columns([H.inv(H.element(j))
-                                         for j in u.support()]))
-               for u in gens]
-    block = max(1, _CLOSURE_BLOCK_BYTES // (dim * (len(gens) + 2)))
     nbytes = (dim + 7) // 8
+    pad = np.arange(dim, 8 * nbytes, dtype=np.int32)
+    gathers = [[np.concatenate((col, pad)) for col in
+                H.right_columns([H.inv(H.element(j)) for j in u.support()])]
+               for u in gens]
+    shifts = [np.uint64(j) for j in range(8)]
+    lanes = np.uint64(0x0101010101010101)  # bit 0 of each byte of a word
+    block = max(1, _CLOSURE_BLOCK_BYTES // (8 * nbytes * (len(gens) + 2)))
     keys = [algebra.one().key]
     seen = {keys[0]: 0}  # packed key -> discovery number
     parents, genidx = [0], [0]
@@ -99,15 +109,30 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
         nxt = []
         for lo in range(0, len(frontier), block):
             ids = frontier[lo:lo + block]
+            # key bytes, one column per unit, in words of 8 units (zero padded)
+            width = -(-len(ids) // 8)
             raw = b"".join(keys[i].to_bytes(nbytes, "little") for i in ids)
-            part = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, nbytes),
-                                 axis=1, count=dim, bitorder="little").T.copy()
-            # column c of cand: unit ids[c // len(gens)] times gens[c % len(gens)]
-            cand = np.stack([reduce(np.bitwise_xor, (np.take(part, g, axis=0)
-                                                     for g in gather))
-                             for gather in gathers], axis=2).reshape(dim, -1)
-            for c, row in enumerate(np.packbits(cand, axis=0, bitorder="little").T):
-                key = int.from_bytes(row.tobytes(), "little")
+            raw += bytes(nbytes * (8 * width - len(ids)))
+            words = np.frombuffer(raw, np.uint8).reshape(-1, nbytes).T.copy()
+            words = words.view(np.uint64)
+            # part[8 b + j]: bit j of byte b of each key, one byte per unit
+            part = np.empty((nbytes, 8, width), np.uint64)
+            for j, shift in enumerate(shifts):
+                np.bitwise_and(words >> shift, lanes, out=part[:, j])
+            part = part.reshape(8 * nbytes, width)
+            # cand[g, b]: byte b of the keys of the units times gens[g]
+            cand = np.empty((len(gens), nbytes, width), np.uint64)
+            for g, gather in enumerate(gathers):
+                bits = reduce(np.bitwise_xor, (np.take(part, col, axis=0)
+                                               for col in gather))
+                bits = bits.reshape(nbytes, 8, width)
+                np.copyto(cand[g], bits[:, 0])
+                for j in range(1, 8):
+                    cand[g] |= bits[:, j] << shifts[j]
+            # row c: unit ids[c // len(gens)] times gens[c % len(gens)]
+            buf = cand.view(np.uint8).transpose(2, 0, 1).tobytes()
+            for c in range(len(gens) * len(ids)):
+                key = int.from_bytes(buf[c * nbytes:(c + 1) * nbytes], "little")
                 idx = seen.get(key)
                 if idx is None:
                     idx = seen[key] = len(keys)
@@ -354,7 +379,7 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     if subgroup is not None:
         pi, column_mismatches = transport(G, subgroup)
         images = [subgroup.elements[i] for i in pi]
-        points = np.unique(pi)
+        points = sorted_distinct(pi)
         if independent:  # distinct units of an independent U
             matrix_rank = int(points.size)
         elif points.size == U.order:  # clause (e)'s units

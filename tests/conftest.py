@@ -61,6 +61,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -859,6 +860,56 @@ def scalar_unit_closure(algebra: GroupAlgebra,
                 columns[j].append(seen[prod.key])
         frontier = nxt
     return UnitGroupSubgroup(algebra=algebra, elements=tuple(elements),
+                             generators=gens, bfs_parent=tuple(parents),
+                             bfs_gen=tuple(genidx),
+                             columns=tuple(map(tuple, columns)))
+
+
+def packbits_unit_closure(algebra: GroupAlgebra,
+                          generators: Sequence[AlgebraElement],
+                          safety_factor: int = 4) -> UnitGroupSubgroup:
+    """Breadth-first closure of units one level at a time, each block of
+    candidate columns unpacked and packed by ``np.unpackbits`` and
+    ``np.packbits`` along the coefficient axis (the closure's layout before
+    it moved to bit planes)."""
+    gens = tuple(generators)
+    H, dim = algebra.group, algebra.dim
+    bound = dim * safety_factor
+    gathers = [np.stack(H.right_columns([H.inv(H.element(j))
+                                         for j in u.support()]))
+               for u in gens]
+    block = max(1, 2 ** 24 // (dim * (len(gens) + 2)))
+    nbytes = (dim + 7) // 8
+    keys = [algebra.one().key]
+    seen = {keys[0]: 0}
+    parents, genidx = [0], [0]
+    columns: List[List[int]] = [[] for _ in gens]
+    frontier = [0]
+    while gens and frontier:
+        nxt = []
+        for lo in range(0, len(frontier), block):
+            ids = frontier[lo:lo + block]
+            raw = b"".join(keys[i].to_bytes(nbytes, "little") for i in ids)
+            part = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, nbytes),
+                                 axis=1, count=dim, bitorder="little").T.copy()
+            cand = np.stack([reduce(np.bitwise_xor, (np.take(part, g, axis=0)
+                                                     for g in gather))
+                             for gather in gathers], axis=2).reshape(dim, -1)
+            for c, row in enumerate(np.packbits(cand, axis=0, bitorder="little").T):
+                key = int.from_bytes(row.tobytes(), "little")
+                idx = seen.get(key)
+                if idx is None:
+                    idx = seen[key] = len(keys)
+                    keys.append(key)
+                    parents.append(ids[c // len(gens)])
+                    genidx.append(c % len(gens))
+                    nxt.append(idx)
+                    if len(keys) > bound:
+                        raise RuntimeError(f"unit closure exceeded {bound} elements")
+                columns[c % len(gens)].append(idx)
+        frontier = nxt
+    return UnitGroupSubgroup(algebra=algebra,
+                             elements=tuple(AlgebraElement(algebra, k) for k in keys),
                              generators=gens, bfs_parent=tuple(parents),
                              bfs_gen=tuple(genidx),
                              columns=tuple(map(tuple, columns)))

@@ -132,7 +132,7 @@ def test_criterion_4_k3_witness(inst433, FG433, FH433):
 
 def test_criterion_5_ambient_variants(inst433):
     t0 = time.monotonic()
-    report = compare_variants(4, 3, 3)
+    report = compare_variants(build_family(2, "dihedral", 4, 3, 3))
     data = {c.id: c.data for c in report.clauses}
     g_ok = all(data["g-variants-isomorphic"].values())
     h_ok = all(data["h-variants-isomorphic"].values())

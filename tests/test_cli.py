@@ -405,6 +405,34 @@ def test_export_golden_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    """numpy 2.x's plain np.unique (and np.isin without assume_unique)
+    imports numpy.ma on first call; no command takes that import.  numpy 1.x
+    loads numpy.ma on a bare ``import numpy``, so there is nothing to avoid."""
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from mipverify.cli import main\n"
+        "out = sys.argv[1]\n"
+        "nmk = ['--n', '4', '--m', '3', '--k', '3']\n"
+        "runs = [['family', *nmk, '--variants'], ['witness', *nmk],\n"
+        "        ['invariants', '--p', '3', '--n', '2', '--m', '1', '--k', '1',\n"
+        "         '--variant', 'c9c9'],\n"
+        "        ['export', *nmk, '--outdir', out + '-export']]\n"
+        "for argv in runs:\n"
+        "    code = main([*argv, '--output', out])\n"
+        "    print(argv[0], code, 'numpy.ma' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    bare, *lines = r.stdout.split("\n")
+    if bare == "True":
+        pytest.skip(f"numpy {np.__version__} imports numpy.ma with numpy itself")
+    assert lines == [f"{cmd} 0 False" for cmd in
+                                    ("family", "witness", "invariants", "export")] + [""]
+
+
 def test_console_entry_point():
     """The declared console script resolves to cli:main and runs --help."""
     tomllib = pytest.importorskip("tomllib")

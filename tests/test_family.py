@@ -1,16 +1,22 @@
 """Family construction and clause-by-clause structural verification."""
 
+import dataclasses
 import sys
 
 import pytest
 
 from mipverify import family as family_mod
 from mipverify import groups as groups_mod
-from mipverify.ambient import DEFAULT_GUARD, TWO_GENERATOR_VARIANTS, make_ambient
-from mipverify.family import build_family, compare_variants, verify_structure
-from mipverify.groups import closure, derived_subgroup, intersection
+from mipverify.ambient import TWO_GENERATOR_VARIANTS, make_ambient
+from mipverify.cli import main
+from mipverify.family import (FamilyInstance, build_family, compare_variants,
+                              verify_structure)
+from mipverify.groups import (closure, derived_subgroup, intersection,
+                              maximal_subgroups)
 from mipverify.invariants import abelian_type
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
+
+from conftest import dict_closure
 
 CLAUSE_IDS = ["orders", "derived-and-class", "frattini", "m-abelian-maximal",
               "g-meet-m", "h-meet-m", "exponent-gap-non-isomorphic"]
@@ -101,7 +107,7 @@ def test_verify_structure_rejects_odd_instance():
 
 
 def test_compare_variants_433():
-    report = compare_variants(4, 3, 3)
+    report = compare_variants(build_family(2, "dihedral", 4, 3, 3))
     assert report.ok
     data = {c.id: c.data for c in report.clauses}
     assert data["g-variants-isomorphic"] == {
@@ -116,29 +122,25 @@ def test_compare_variants_433():
 
 
 def _control_exponents(group):
-    return sorted(sub.exponent() for sub in family_mod._abelian_maximal_subgroups(group))
+    return sorted(sub.exponent() for sub in groups_mod.abelian_maximal_subgroups(group))
 
 
 @pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3)], ids=["433", "543"])
-def test_control_invariant_carries_weight(nmk, monkeypatch):
+def test_control_invariant_carries_weight(nmk):
     """The control's exponent lists agree on isomorphic groups (the three
     variants' G's, and their H's) and differ for G and H; with H replaced
     by G the control fails."""
     n = nmk[0]
     exponents = set()
     for variant in TWO_GENERATOR_VARIANTS:
-        _, _, G, H = family_mod._two_case_groups(variant, *nmk, DEFAULT_GUARD)
-        exponents.add((tuple(_control_exponents(G)), tuple(_control_exponents(H))))
+        inst = build_family(2, variant, *nmk)
+        exponents.add((tuple(_control_exponents(inst.G)),
+                       tuple(_control_exponents(inst.H))))
     assert exponents == {((2 ** n,), (2 ** (n - 1),))}
 
-    two_case_groups = family_mod._two_case_groups
-
-    def h_is_g(*args):
-        amb, named, G, _ = two_case_groups(*args)
-        return amb, named, G, G
-
-    monkeypatch.setattr(family_mod, "_two_case_groups", h_is_g)
-    control = {c.id: c for c in compare_variants(*nmk).clauses}["g-vs-h-control"]
+    inst = build_family(2, "dihedral", *nmk)
+    h_is_g = dataclasses.replace(inst, H=inst.G)
+    control = {c.id: c for c in compare_variants(h_is_g).clauses}["g-vs-h-control"]
     assert not control.passed
     assert control.data == {"g_abelian_maximal_exponents": [2 ** n],
                             "h_abelian_maximal_exponents": [2 ** n]}
@@ -150,7 +152,7 @@ def test_compare_variants_654_needs_no_table_and_no_oracle(monkeypatch):
 
     monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
     monkeypatch.setattr(family_mod, "isomorphic_bruteforce", refuse)
-    report = compare_variants(6, 5, 4)
+    report = compare_variants(build_family(2, "dihedral", 6, 5, 4))
     assert report.ok, report.clauses.first_failing
     assert {c.id: c.data for c in report.clauses}["g-vs-h-control"] == {
         "g_abelian_maximal_exponents": [64], "h_abelian_maximal_exponents": [32]}
@@ -168,7 +170,7 @@ def test_compare_variants_builds_only_the_controls_table(monkeypatch):
         return cayley_table(group)
 
     monkeypatch.setattr(groups_mod.FiniteGroup, "cayley_table", counting)
-    assert compare_variants(5, 4, 3).ok
+    assert compare_variants(build_family(2, "dihedral", 5, 4, 3)).ok
     assert built == []
 
 
@@ -234,3 +236,111 @@ def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
     monkeypatch.setattr(groups_mod, "generated_subgroup", counting)
     assert verify_structure(inst).ok
     assert sorted(map(id, closed_for)) == sorted(map(id, (inst.G, inst.H, inst.P)))
+
+
+def test_abelian_maximal_scan_is_cached_per_group(monkeypatch):
+    """The abelian maximal subgroups are the abelian entries of
+    maximal_subgroups, scanned once per group."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    want = [sub for sub in maximal_subgroups(inst.G) if sub.is_abelian()]
+    scans = []
+    scan = groups_mod.maximal_subgroups
+
+    def counting(group):
+        scans.append(group)
+        return scan(group)
+    monkeypatch.setattr(groups_mod, "maximal_subgroups", counting)
+    first = groups_mod.abelian_maximal_subgroups(inst.G)
+    assert [sub.keys().tolist() for sub in first] == [sub.keys().tolist() for sub in want]
+    assert len(first) == 1
+    again = groups_mod.abelian_maximal_subgroups(inst.G)
+    assert [id(sub) for sub in again] == [id(sub) for sub in first]
+    assert scans == [inst.G]
+
+
+@pytest.mark.parametrize("variant", TWO_GENERATOR_VARIANTS)
+def test_variants_reuse_the_structure_instance(variant, monkeypatch):
+    """Given the instance the structure report read, compare_variants closes
+    G and H only for the two other kinds and scans no maximal subgroups of
+    the lent groups again; the report is unchanged."""
+    want = compare_variants(build_family(2, "dihedral", 4, 3, 3)).as_dict()
+    inst = build_family(2, variant, 4, 3, 3)
+    assert verify_structure(inst).ok
+    closed, scanned = [], []
+    scan = groups_mod.maximal_subgroups
+
+    def closing(p, v, *args, **kwargs):
+        closed.append(v)
+        return build_family(p, v, *args, **kwargs)
+
+    def scanning(group):
+        scanned.append(group)
+        return scan(group)
+    monkeypatch.setattr(family_mod, "build_family", closing)
+    monkeypatch.setattr(groups_mod, "maximal_subgroups", scanning)
+    assert compare_variants(inst).as_dict() == want
+    assert closed == [v for v in TWO_GENERATOR_VARIANTS if v != variant]
+    # the control scans the dihedral G and H, unless they are the lent ones,
+    # whose scans the structure report cached
+    assert not any(group is inst.G or group is inst.H for group in scanned)
+    assert len(scanned) == (0 if variant == "dihedral" else 2)
+
+
+def _named_closure_matches(group, ambient, gens):
+    """Whether ``group`` is the breadth-first closure of ``gens``: the same
+    elements and the same derivation tree as the dict-based oracle."""
+    want = dict_closure(ambient, gens)
+    return (group.elements == want.elements
+            and group.bfs_parent.tolist() == list(want.bfs_parent)
+            and group.bfs_gen.tolist() == list(want.bfs_gen))
+
+
+def test_p_and_m_are_closed_when_first_read():
+    """build_family closes no P or M; the first read closes them, later reads
+    return the same objects, and they are the closures the structural
+    verification has always used: P = <t, r, c, d>, M = <r, c, d> of index 2
+    (2-case) and P = <s, s1, c, d> (odd case)."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    assert "P" not in vars(inst) and "M" not in vars(inst)
+    amb, named = inst.ambient, inst.named
+    assert _named_closure_matches(inst.P, amb, [named[g] for g in "trcd"])
+    assert _named_closure_matches(inst.M, amb, [named[g] for g in "rcd"])
+    assert (inst.P.order, inst.M.order) == (2048, 1024)
+    assert inst.P is inst.P and inst.M is inst.M
+    odd = build_family(3, "heisenberg", 2, 1, 1)
+    assert "P" not in vars(odd)
+    assert _named_closure_matches(odd.P, odd.ambient,
+                                  [odd.named[g] for g in ("s", "s1", "c", "d")])
+    assert odd.M is None
+
+
+def test_witness_invariants_export_never_close_p_or_m(monkeypatch, tmp_path):
+    """Only the structural verification reads P and M: the other commands
+    run to exit 0 with both refused, and close nothing larger than G."""
+    def refuse(self):
+        raise AssertionError("P or M was closed")
+    monkeypatch.setattr(FamilyInstance, "P", property(refuse))
+    monkeypatch.setattr(FamilyInstance, "M", property(refuse))
+    orders = []
+    closing = family_mod.closure
+
+    def recording(*args, **kwargs):
+        group = closing(*args, **kwargs)
+        orders.append(group.order)
+        return group
+    monkeypatch.setattr(family_mod, "closure", recording)
+    out = str(tmp_path / "report.json")
+    nmk = ["--n", "4", "--m", "3", "--k", "3"]
+    odd = ["--p", "3", "--n", "2", "--m", "1", "--k", "1"]
+    runs = [(["witness", *nmk], 512),
+            (["witness", *nmk, "--beta", "general", "--zeta", "class-sum"], 512),
+            (["invariants", *nmk, "--pair"], 512),
+            (["invariants", *odd, "--variant", "c9c9"], 729),
+            (["invariants", *odd], 81),
+            (["export", *nmk, "--outdir", str(tmp_path / "export")], 512)]
+    for argv, order_g in runs:
+        orders.clear()
+        assert main([*argv, "--output", out]) == 0, argv
+        assert max(orders) == order_g, argv
+    with pytest.raises(AssertionError, match="P or M was closed"):
+        main(["family", *nmk, "--output", out])

@@ -24,9 +24,10 @@ from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
 from conftest import (algebra_unit_recognition, eliminated_a2_independence,
                       eliminated_spanning_rank, float32_pair_mismatches,
                       group_unit_recognition, matmul_unit_table,
-                      product_generator_mismatches, product_transport_images,
-                      sampled_product_mismatches, scalar_unit_closure,
-                      small_group_catalog, walked_pair_mismatches)
+                      packbits_unit_closure, product_generator_mismatches,
+                      product_transport_images, sampled_product_mismatches,
+                      scalar_unit_closure, small_group_catalog,
+                      walked_pair_mismatches)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "spanning", "independent-mod-a2", "basis-transport"]
@@ -432,6 +433,43 @@ def test_unit_closure_matches_scalar_oracle(name):
     want = scalar_unit_closure(algebra, gens)
     for field in ("elements", "bfs_parent", "bfs_gen", "columns"):
         assert getattr(got, field) == getattr(want, field), field
+
+
+def _bit_plane_cases():
+    """(label, algebra, generators): the unit groups of F2[C2] (dim 2) and
+    F2[C4] (dim 4), whose coefficients fill part of one byte, and <x, beta>
+    at (4,3,3) and (5,4,3) for the standard, k3 and class-sum betas."""
+    C2 = dict(small_group_catalog())["C2"]
+    FC2 = GroupAlgebra(C2)
+    cases = [("c2-units", FC2, (FC2.embed(C2.generators[0]),)),
+             ("c4-units", *_c4_units())]
+    for nmk in [(4, 3, 3), (5, 4, 3)]:
+        inst = build_family(2, "dihedral", *nmk)
+        FH = GroupAlgebra(inst.H)
+        zeta = _make_zeta(FH, inst, "class-sum", 7, nmk[1])
+        betas = {"standard": build_beta(FH, inst.x, inst.z),
+                 "k3": build_beta_k3(FH, inst.x, inst.z,
+                                     FH.group.power(inst.named["d"], 2), 3),
+                 "class-sum": build_beta_general(FH, zeta, inst.x, inst.z,
+                                                 nmk[1])}
+        cases += [(f"{name}-{''.join(map(str, nmk))}", FH,
+                   (FH.embed(inst.x), beta)) for name, beta in betas.items()]
+    return cases
+
+
+def test_unit_closure_matches_packbits_oracle():
+    """The bit-plane closure gives the keys, tree, generators and columns
+    of the closure that packs along the coefficient axis, including where
+    dim is not a multiple of 8."""
+    sizes = []
+    for label, algebra, gens in _bit_plane_cases():
+        got = unit_closure(algebra, gens)
+        want = packbits_unit_closure(algebra, gens)
+        assert [u.key for u in got.elements] == [u.key for u in want.elements], label
+        for field in ("bfs_parent", "bfs_gen", "generators", "columns"):
+            assert getattr(got, field) == getattr(want, field), (label, field)
+        sizes.append((algebra.dim, got.order))
+    assert sizes == [(2, 2), (4, 8)] + [(512, 512)] * 3 + [(2048, 2048)] * 3
 
 
 @pytest.mark.parametrize("name", ["standard", "k3", "general", "quaternion"])
