@@ -16,7 +16,7 @@ from .isomorphism import (DEFAULT_ORACLE_BOUND, find_presentation_witness,
 from .report import SCHEMA_VERSION, canonical_json, certificate_as_dict
 from .witness import (IsomorphismCertificate, UnitGroupSubgroup, build_beta,
                       build_beta_general, build_beta_k3, unit_closure,
-                      unit_group, verify_witness)
+                      verify_witness)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "ideal_subring_dim", "invariant_report", "is_unit",
     "isomorphic_bruteforce", "jennings_dimension_polynomial", "make_ambient",
     "reports_invariant_equal",
-    "subgroup_from_elements", "unit_closure", "unit_group",
+    "subgroup_from_elements", "unit_closure",
     "unit_inverse", "unit_order",
     "verify_structure", "verify_witness", "__version__",
 ]

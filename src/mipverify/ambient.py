@@ -1,6 +1,6 @@
 """Ambient direct products P = K x C x D and their element arithmetic.
 
-K is one of four finite p-group kinds:
+K is one of five finite p-group kinds:
 
 * ``dihedral``      -- order 2^(k+1), presentation <r, t | r^(2^k), t^2, r^t = r^-1>
 * ``semidihedral``  -- order 2^(k+1), r^t = r^(2^(k-1) - 1)
@@ -13,10 +13,6 @@ C and D are cyclic of order p^n and p^m.  Elements are plain int tuples:
 * two-generator K kinds:  (eps, i, a, b)      meaning t^eps r^i * c^a * d^b
 * heisenberg:             (h1, h2, h3, a, b)  rows of a unitriangular matrix
 * table:                  (idx, a, b)         idx indexes the Cayley table
-
-One more kind, ``regular``, is no product: :func:`regular_ambient` makes a
-finite p-group given by right-multiplication columns of its generators act
-on its own points (i,), for unit subgroups of a group algebra.
 
 Tuple comparison gives the canonical element order used everywhere else.
 All arithmetic is exact integer arithmetic.  Besides the scalar ``mul``,
@@ -77,11 +73,6 @@ class AmbientDescriptor:
     table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     table_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     table_generators: tuple[int, ...] = ()
-    # regular kind: generator columns plus an identity column (last), and
-    # every point's breadth-first word read from the point back to 0, padded
-    # with the identity column; table_inv holds the inverse points
-    columns: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    words: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -148,8 +139,6 @@ class AmbientDescriptor:
                     (g[2] + h[2] + g[0] * h[1]) % p,
                     (g[3] + h[3]) % self.radices[3],
                     (g[4] + h[4]) % self.radices[4])
-        if self.variant == "regular":
-            return (int(self._walk(np.array(g), np.array(h))[0]),)
         return (int(self.table[g[0], h[0]]), (g[1] + h[1]) % self.radices[1],
                 (g[2] + h[2]) % self.radices[2])
 
@@ -168,8 +157,6 @@ class AmbientDescriptor:
             p = self.p
             return (-g[0] % p, -g[1] % p, (-g[2] + g[0] * g[1]) % p,
                     -g[3] % self.radices[3], -g[4] % self.radices[4])
-        if self.variant == "regular":
-            return (int(self.table_inv[g[0]]),)
         return (int(self.table_inv[g[0]]), -g[1] % self.radices[1],
                 -g[2] % self.radices[2])
 
@@ -231,28 +218,11 @@ class AmbientDescriptor:
             out[:, 2] = (lefts[:, 2] + rights[:, 2] + lefts[:, 0] * rights[:, 1]) % p
             out[:, 3] = (lefts[:, 3] + rights[:, 3]) % self.radices[3]
             out[:, 4] = (lefts[:, 4] + rights[:, 4]) % self.radices[4]
-        elif self.variant == "regular":
-            out[:, 0] = self._walk(lefts[:, 0], rights[:, 0])
         else:
             out[:, 0] = self.table[lefts[:, 0], rights[:, 0]]
             out[:, 1] = (lefts[:, 1] + rights[:, 1]) % self.radices[1]
             out[:, 2] = (lefts[:, 2] + rights[:, 2]) % self.radices[2]
         return out
-
-    def _walk(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """Regular kind: carry each left point along its right point's word.
-
-        Point j is the product of the generators on its breadth-first word,
-        so i * j is i pushed through their columns in word order.  Pads are
-        the identity column, so only the steps some right point uses run.
-        """
-        lefts, rights = np.broadcast_arrays(lefts, rights)
-        steps = self.words[rights]
-        used = int(np.count_nonzero((steps != len(self.columns) - 1).any(axis=0)))
-        cur = lefts
-        for t in range(used - 1, -1, -1):
-            cur = self.columns[steps[:, t], cur]
-        return cur
 
     def mul_rows(self, g: Element, rights: np.ndarray) -> np.ndarray:
         """Products g * h for every row h of ``rights`` (int64, shape (N, width))."""
@@ -403,50 +373,6 @@ def make_ambient(p: int, variant: str, k: int, n: int, m: int,
                              table_generators=tuple(int(g) for g in table_generators))
 
 
-def regular_ambient(p: int, columns: Sequence[Sequence[int]],
-                    parent: Sequence[int], via: Sequence[int]) -> AmbientDescriptor:
-    """A finite p-group acting on its own points 0..size-1 (the regular kind).
-
-    ``columns[g]`` is the permutation i -> i * s_g of right multiplication by
-    generator s_g; point 0 is the identity, and every other point i equals
-    ``parent[i] * s_via[i]`` with ``parent[i] < i`` (breadth-first discovery
-    numbering).  No size x size table is built: products walk the columns
-    along the right factor's word, and inverses walk the inverse columns
-    back from 0.  Only the unit-group tooling builds this kind;
-    :func:`make_ambient` does not offer it.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    parent = np.asarray(parent, dtype=np.int64)
-    via = np.asarray(via, dtype=np.int64)
-    size = parent.size
-    ident = np.arange(size)
-    cols = np.vstack([np.asarray(columns, dtype=np.int64).reshape(-1, size), ident])
-    if p ** round_up_power(p, size) != size:
-        raise ValueError(f"{size} points is not a power of p={p}")
-    if not all(np.array_equal(np.sort(c), ident) for c in cols):
-        raise ValueError("columns must be permutations of the points")
-    if (via.size != size or parent[0] != 0 or np.any(parent[1:] >= ident[1:])
-            or not np.array_equal(cols[via[1:], parent[1:]], ident[1:])):
-        raise ValueError("parent and via do not describe a breadth-first tree")
-    pad = len(cols) - 1
-    words, node = [], ident
-    while node.any():
-        words.append(np.where(node != 0, via[node], pad))
-        node = parent[node]
-    words = np.stack(words, axis=1) if words else np.zeros((size, 0), np.int64)
-    # s_1 ... s_L has inverse s_L^-1 ... s_1^-1: walk the word back from 0
-    inv_cols = np.argsort(cols, axis=1)
-    inv = np.zeros(size, dtype=np.int64)
-    for t in range(words.shape[1]):
-        inv = inv_cols[words[:, t], inv]
-    for arr in (cols, words, inv):
-        arr.setflags(write=False)
-    return AmbientDescriptor(p=p, variant="regular", k=0, n=0, m=0,
-                             radices=(size,), order=size, table_inv=inv,
-                             columns=cols, words=words)
-
-
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of ``values``, ascending, by sort and compare.
 
@@ -480,6 +406,6 @@ def int_log(p: int, q: int) -> int:
 __all__ = [
     "AmbientDescriptor", "Element", "GuardExceeded", "DEFAULT_GUARD",
     "VARIANTS", "TWO_GENERATOR_VARIANTS", "ODD_VARIANTS",
-    "make_ambient", "regular_ambient", "int_log", "round_up_power",
+    "make_ambient", "int_log", "round_up_power",
     "sorted_distinct",
 ]

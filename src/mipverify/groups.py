@@ -248,6 +248,25 @@ class FiniteGroup:
                                 pi[parent[level]]]
         return pi
 
+    def walk(self, columns: np.ndarray, starts: np.ndarray,
+             targets: np.ndarray) -> np.ndarray:
+        """Each ``starts[c]`` read along the word of element ``targets[c]``.
+
+        Like :meth:`transport` with one origin per target: the word is
+        walked from the target back to the identity on the breadth-first
+        tree, then its columns are applied from the identity's end.  Along
+        the generators' right columns, the result is index(g_s g_t).
+        """
+        columns = np.asarray(columns)
+        node, steps = np.asarray(targets), []
+        while (live := node != self.bfs_order[0]).any():
+            steps.append((live, self.bfs_gen[node]))
+            node = np.where(live, self.bfs_parent[node], node)
+        cur = np.array(starts, dtype=columns.dtype)
+        for live, via in reversed(steps):
+            cur[live] = columns[via[live], cur[live]]
+        return cur
+
     def right_columns(self, factors: Sequence[Element]) -> list[np.ndarray]:
         """For each a in ``factors``, the permutation i -> index(elements[i] * a)."""
         arr = self.array()

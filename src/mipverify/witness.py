@@ -8,10 +8,10 @@ F2[G] -> F2[H].  :func:`verify_witness` certifies every step and returns an
 
 This module does the algebra work only.  The closure of <x, beta> runs on
 bit planes of the packed units, so unpacking and packing never stride
-along the coefficient axis, and records each unit times each generator; on
-those columns the subgroup is a ``regular`` ambient for the group engine
-(:func:`unit_group`), and the transport of G's basis and its
-multiplicativity are index work.
+along the coefficient axis, and records each unit times each generator.
+U is never built as a group: the transport of G's basis and every
+product in U that the certificate reads are G's words read through those
+columns, index work on G's breadth-first tree.
 Spanning is one XOR (the unit-sum lemma), and independence modulo A^2 is
 read off coordinates in H/Phi(H).
 """
@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ambient import Element, GuardExceeded, regular_ambient, sorted_distinct
+from .ambient import Element, GuardExceeded, sorted_distinct
 from .algebra import (AlgebraElement, FpMatrix, GroupAlgebra, is_unit,
                       unit_order)
-from .groups import FiniteGroup, closure, frattini_coordinates
+from .groups import FiniteGroup, frattini_coordinates
 from .isomorphism import ClauseList
 
 DEFAULT_SAMPLE_SIZE = 1024
@@ -151,18 +151,6 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
                              columns=tuple(map(tuple, columns)))
 
 
-def unit_group(subgroup: UnitGroupSubgroup) -> FiniteGroup:
-    """The unit subgroup as a group on its points (i,), i = discovery number.
-
-    Built on a ``regular`` ambient from the generator columns, so group
-    tooling (transport, the brute-force oracle, Cayley tables) runs on
-    unit multiplication; element i of the result is subgroup.elements[i].
-    """
-    ambient = regular_ambient(subgroup.algebra.p, subgroup.columns,
-                              subgroup.bfs_parent, subgroup.bfs_gen)
-    return closure(ambient, [(col[0],) for col in subgroup.columns])
-
-
 def spanning_rank(subgroup: UnitGroupSubgroup) -> tuple[int, bool]:
     """The rank of the units in F2[H], and whether they are independent.
 
@@ -263,11 +251,12 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     (:func:`spanning_rank`); (f) x+1 and beta+1 are independent modulo the
     square of the augmentation ideal; (g) basis transport along G's
     derivation words is bijective and multiplicative: proved from the
-    generator columns on every run, and evaluated in U on a seeded sample
-    of pairs, or on all |G|^2 pairs when requested and |G| <= 512, by G's
-    and U's right products composed level by level from their generator
-    columns.  Raises :class:`GuardExceeded` before any clause when the
-    packed units of (c) and (e) would take more than ``UNIT_BUDGET_BYTES``.
+    generator columns on every run, and evaluated on a seeded sample of
+    pairs, or on all |G|^2 pairs when requested and |G| <= 512: both
+    products of a pair read the right factor's word in G, along G's and
+    along U's generator columns.  Raises :class:`GuardExceeded` before any
+    clause when the packed units of (c) and (e) would take more than
+    ``UNIT_BUDGET_BYTES``.
 
     No clause (d) recognizes U's structure: (g) gives U's isomorphism
     type.  The transport pi sends 1 to 1, and when (g) passes it meets
@@ -332,7 +321,6 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     except RuntimeError as exc:
         subgroup, data = None, {"error": str(exc)}
     else:
-        U = unit_group(subgroup)
         data = {"size": subgroup.order, "expected": G.order}
     add("closure-size", "the unit subgroup <x, beta> has |G| elements",
         subgroup is not None and subgroup.order == G.order, **data)
@@ -372,7 +360,9 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     # pi(g) a for both generators a and all g gives pi(g h) = pi(g) pi(h)
     # by induction on the word of h; U's columns are exact products, so the
     # linear extension is an algebra map.  The requested pairs are also
-    # evaluated, in U.
+    # evaluated: pi(g_i) pi(g_j) is pi(g_i) read along g_j's word in U's
+    # columns, which multiply by the unit generators exactly, so any word
+    # for pi(g_j) gives the same unit.
     sample = {"mode": "exhaustive" if exhaustive else "sampled",
               "pairs": 0, "mismatches": 0, "seed": seed}
     matrix_rank, images, passed, data = 0, [], False, skipped
@@ -382,29 +372,29 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         points = sorted_distinct(pi)
         if independent:  # distinct units of an independent U
             matrix_rank = int(points.size)
-        elif points.size == U.order:  # clause (e)'s units
+        elif points.size == subgroup.order:  # clause (e)'s units
             matrix_rank = rank
         else:
             matrix_rank = FpMatrix(2, FH.dim, (u.key for u in images)).rank()
+        g_cols = np.stack(G.right_columns(G.generators))
+        u_cols = np.array(subgroup.columns, dtype=np.int32)
         if exhaustive:
-            # rg[j, i] = index(g_i g_j), ru[q, i] = pi(g_i) u_q with u_q read
-            # on U's tree, the closure's, as U's products walk it; row blocks
-            rg = G.transport(np.stack(G.right_columns(G.generators)),
-                             np.arange(G.order, dtype=np.int32))
-            ru = U.transport(np.array(subgroup.columns, dtype=np.int32),
-                             pi.astype(np.int32))
+            # rg[j, i] = index(g_i g_j) and ru[j, i] = pi(g_i) pi(g_j), both
+            # read along g_j's word; compared in row blocks
+            rg = G.transport(g_cols, np.arange(G.order, dtype=np.int32))
+            ru = G.transport(u_cols, pi.astype(np.int32))
             step = max(1, _PAIR_BLOCK // G.order)
             for lo in range(0, G.order, step):
                 sample["mismatches"] += int(np.count_nonzero(
-                    pi[rg[lo:lo + step]] != ru[pi[lo:lo + step]]))
+                    pi[rg[lo:lo + step]] != ru[lo:lo + step]))
         else:
             rng = random.Random(seed)
             lefts, rights = np.array([rng.randrange(G.order) for _ in
                                       range(2 * sample_size)]).reshape(-1, 2).T
             for lo in range(0, lefts.size, _PAIR_BLOCK):
                 i, j = lefts[lo:lo + _PAIR_BLOCK], rights[lo:lo + _PAIR_BLOCK]
-                gij = G.indices_of_rows(G.ambient.mul_array(G.array()[i], G.array()[j]))
-                uij = U.ambient.mul_array(pi[i][:, None], pi[j][:, None])[:, 0]
+                gij = G.walk(g_cols, i, j)
+                uij = G.walk(u_cols, pi[i], j)
                 sample["mismatches"] += int(np.count_nonzero(pi[gij] != uij))
         sample["pairs"] = G.order ** 2 if exhaustive else sample_size
         passed = (matrix_rank == G.order == FH.dim

@@ -42,9 +42,11 @@ group's generator columns; the oracles for these are the closure one
 algebra product at a time, the transport by algebra products along G's
 tree, the generator check, seeded pairs and all pairs by algebra products
 (the last by float32 matrix products).  Spanning is the unit-sum lemma,
-with the FpMatrix rank of the units as its oracle; all pairs are counted
-on composed right-product columns, with the pair-by-pair walk of each
-unit's word as their oracle.
+with the FpMatrix rank of the units as its oracle.  The witness never
+builds the unit group as a group: both products of a pair read the right
+factor's word in G, and on altered columns, where no algebra product
+applies, the oracle walks each word of ``G.words`` one generator at a
+time.
 
 The variant isomorphisms are read off the defining relations of the
 stored pairs; the search for the first pair in canonical order that the
@@ -52,7 +54,7 @@ structural recognition clauses accept, which reads the Cayley table, is
 an oracle here.  So are those clauses (orders, central squares, derived
 subgroup, <a^2, b^2> meeting it trivially) on a generating pair, which the
 witness once ran on its unit group: its basis transport proves that group
-isomorphic to G.
+isomorphic to G.  On unit pairs they run on algebra products.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup, normal_closure)
 from mipverify.isomorphism import ClauseList
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
-from mipverify.witness import UnitGroupSubgroup, unit_closure, unit_group
+from mipverify.witness import UnitGroupSubgroup
 
 # --- naive oracles -------------------------------------------------------------
 
@@ -782,28 +784,6 @@ def algebra_unit_recognition(FH: GroupAlgebra, bound: int, a: AlgebraElement,
     return not failing, data
 
 
-def group_unit_recognition(FH: GroupAlgebra, a: AlgebraElement,
-                           b: AlgebraElement, n: int, m: int,
-                           k: int) -> Tuple[bool, dict]:
-    """:func:`recognize_presented_group` on the pair (a, b) of the unit
-    group <a, b> of F2[H], on the group engine, with its data in the shape
-    of :func:`algebra_unit_recognition`."""
-    U = unit_group(unit_closure(FH, (a, b)))
-    ua, ub = U.generators
-    rec = recognize_presented_group(U, ua, ub, n, m, k)
-    rec_data = {c.id: c.data for c in rec.clauses}
-    meet = rec_data["central-squares-meet-derived-trivially"]
-    data = {"order_a": rec_data["order-a"]["order"],
-            "order_b": rec_data["order-b"]["order"],
-            "commutator_order": U.order_of(U.comm(ub, ua)),
-            "derived_order": rec_data["derived-order"]["order"],
-            "subclauses": [{"id": c.id, "passed": c.passed} for c in rec.clauses],
-            "first_failing": rec.clauses.first_failing}
-    if "intersection_size" in meet:
-        data["squares_meet_derived_size"] = meet["intersection_size"]
-    return rec.ok, data
-
-
 def matmul_unit_table(subgroup) -> np.ndarray:
     """Cayley table T[i, j] = index(units[i] * units[j]) of a unit subgroup
     of an F_2 group algebra by float32 matrix products: row h of C_i is
@@ -985,18 +965,19 @@ def float32_pair_mismatches(FG: GroupAlgebra, FH: GroupAlgebra,
     return mismatches
 
 
-def walked_pair_mismatches(G: FiniteGroup, U: FiniteGroup, pi: np.ndarray,
-                           lefts: np.ndarray, rights: np.ndarray) -> int:
-    """Pairs (i, j) with pi(g_i g_j) != pi(g_i) pi(g_j), 2^14 at a time:
-    G's product by its ambient's ``mul_array``, U's by walking pi(g_j)'s
-    word in U's regular ambient (the exhaustive count of the certificate
-    before it composed columns)."""
+def word_pair_mismatches(G: FiniteGroup, columns: Sequence[Sequence[int]],
+                         pi: np.ndarray) -> int:
+    """All pairs (i, j) with pi(g_i g_j) != pi(g_i) read along g_j's word in
+    ``columns``: G's product from its Cayley table, the word from
+    ``G.words``, walked one generator at a time for every i at once."""
+    table = G.cayley_table()
+    cols = np.asarray(columns)
     mismatches = 0
-    for lo in range(0, lefts.size, 2 ** 14):
-        i, j = lefts[lo:lo + 2 ** 14], rights[lo:lo + 2 ** 14]
-        gij = G.indices_of_rows(G.ambient.mul_array(G.array()[i], G.array()[j]))
-        uij = U.ambient.mul_array(pi[i][:, None], pi[j][:, None])[:, 0]
-        mismatches += int(np.count_nonzero(pi[gij] != uij))
+    for j, word in enumerate(G.words):
+        cur = pi.copy()
+        for a in word:
+            cur = cols[a][cur]
+        mismatches += int(np.count_nonzero(pi[table[:, j]] != cur))
     return mismatches
 
 

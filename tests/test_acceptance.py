@@ -24,7 +24,7 @@ from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import build_beta, build_beta_k3, verify_witness
 
-from conftest import (abelian_type_census_check, group_unit_recognition,
+from conftest import (abelian_type_census_check, algebra_unit_recognition,
                       naive_derived_centralizer, naive_product,
                       pairwise_class_sum_count, regular_rep_is_unit)
 
@@ -101,8 +101,8 @@ def test_criterion_3_witness_certificate(inst433, FG433, FH433):
         "beta-order-8": cert.beta_order == 8,
         "square-central": data["beta-square-central"]["fixed_by_x"] is True,
         "closure-512": data["closure-size"]["size"] == 512,
-        "recognition": group_unit_recognition(
-            FH433, FH433.embed(inst433.x), beta, 4, 3, 3)[0],
+        "recognition": algebra_unit_recognition(
+            FH433, inst433.G.order, FH433.embed(inst433.x), beta, 4, 3, 3)[0],
         "spanning-512": cert.rank == 512,
         "independent-mod-a2": data["independent-mod-a2"]["x_outside"]
                               and data["independent-mod-a2"]["beta_outside"],

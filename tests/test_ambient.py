@@ -7,12 +7,9 @@ import pytest
 
 from mipverify import ambient as ambient_mod
 from mipverify import tables as tables_mod
-from mipverify.algebra import GroupAlgebra
 from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, int_log,
-                               make_ambient, regular_ambient, round_up_power)
-from mipverify.family import build_family
+                               make_ambient, round_up_power)
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
-from mipverify.witness import build_beta, unit_closure
 
 from conftest import (cubic_associative, loop_semidirect_c9c9_table,
                       loop_wreath_cyclic_table)
@@ -57,21 +54,12 @@ def test_power_matches_repeated_multiplication(name):
         assert amb.power(a, -1) == amb.inv(a)
 
 
-def _witness_unit_ambient():
-    """The regular ambient of the witness unit group <x, beta> at (4,3,3)."""
-    inst = build_family(2, "dihedral", 4, 3, 3)
-    FH = GroupAlgebra(inst.H)
-    sub = unit_closure(FH, [FH.embed(inst.x), build_beta(FH, inst.x, inst.z)])
-    return regular_ambient(2, sub.columns, sub.bfs_parent, sub.bfs_gen)
-
-
 _WREATH_TABLE, _WREATH_GENS = wreath_cyclic_table(3)
 ARRAY_AMBIENTS = dict(AMBIENTS, **{
     # k = 2: the quaternion carry t^2 = r^2 is hit often
     "quaternion-k2": make_ambient(2, "quaternion", 2, 3, 2),
     "table": make_ambient(3, "table", 1, 2, 1, table=_WREATH_TABLE,
                           table_generators=_WREATH_GENS),
-    "regular": _witness_unit_ambient(),
 })
 
 
@@ -176,6 +164,8 @@ def test_bad_prime_and_variant():
         make_ambient(6, "dihedral", 3, 4, 3)
     with pytest.raises(ValueError):
         make_ambient(2, "cyclic", 3, 4, 3)
+    with pytest.raises(ValueError, match="unknown variant"):
+        make_ambient(2, "regular", 1, 1, 1)
 
 
 def test_table_kind_validation():
@@ -349,26 +339,6 @@ def test_wreath_budget_checked_before_any_array(monkeypatch):
     monkeypatch.setattr(tables_mod, "np", None)  # any numpy use would fail
     with pytest.raises(GuardExceeded, match="table budget"):
         tables_mod.wreath_cyclic_table(5)
-
-
-def test_regular_ambient_c4_and_validation():
-    col, parent, via = [1, 2, 3, 0], [0, 0, 1, 2], [0, 0, 0, 0]
-    amb = regular_ambient(2, [col], parent, via)  # C4, generator i -> i+1
-    assert [amb.mul((i,), (j,)) for i in range(4) for j in range(4)] == \
-        [((i + j) % 4,) for i in range(4) for j in range(4)]
-    assert [amb.inv((i,)) for i in range(4)] == [(0,), (3,), (2,), (1,)]
-    with pytest.raises(ValueError, match="prime"):
-        regular_ambient(4, [col], parent, via)
-    with pytest.raises(ValueError, match="power of p"):
-        regular_ambient(3, [col], parent, via)
-    with pytest.raises(ValueError, match="permutations"):
-        regular_ambient(2, [[1, 2, 3, 3]], parent, via)
-    with pytest.raises(ValueError, match="breadth-first tree"):
-        regular_ambient(2, [col], [0, 0, 3, 2], via)  # parent after child
-    with pytest.raises(ValueError, match="breadth-first tree"):
-        regular_ambient(2, [col], [0, 0, 0, 2], via)  # 0 * s is 1, not 2
-    with pytest.raises(ValueError, match="unknown variant"):
-        make_ambient(2, "regular", 1, 1, 1)
 
 
 def test_wreath_table_is_wreath_product():

@@ -7,7 +7,6 @@ import pytest
 import numpy as np
 
 from mipverify import groups as groups_mod
-from mipverify.algebra import GroupAlgebra
 from mipverify.ambient import GuardExceeded, make_ambient
 from mipverify.family import build_family
 from mipverify.groups import (center, centralizer_index, centralizer_mod,
@@ -20,7 +19,6 @@ from mipverify.groups import (center, centralizer_index, centralizer_mod,
                               lower_central_series, maximal_subgroups,
                               nilpotency_class, normal_closure,
                               power_subgroup, subgroup_from_elements)
-from mipverify.witness import build_beta, unit_closure, unit_group
 
 from conftest import (assert_same_group, coset_scan_maximal_subgroups,
                       dict_closure, greedy_generators, naive_closure,
@@ -421,13 +419,36 @@ def test_transport_along_right_columns_reads_table_rows(layer_groups):
         assert np.array_equal(composed, table.T), name
 
 
-def test_cayley_table_matches_row_oracle_on_unit_group():
-    """The level-wise table on the regular ambient of the witness units."""
-    inst = build_family(2, "dihedral", 4, 3, 3)
-    FH = GroupAlgebra(inst.H)
-    U = unit_group(unit_closure(FH, [FH.embed(inst.x), build_beta(FH, inst.x, inst.z)]))
-    assert U.ambient.variant == "regular" and len(U.bfs_levels) > 3
-    assert np.array_equal(U.cayley_table(), row_cayley_table(U))
+def test_walk_reads_table_entries(layer_groups):
+    """Each start carried along its own target's word lands on
+    start * target: the Cayley table entry, on deep trees and on the
+    one-level tree of an element-set group, identity starts and targets
+    included."""
+    rng = np.random.default_rng(7)
+    sets = [(f"{name}-set", subgroup_from_elements(grp.ambient, grp.array()))
+            for name, grp in layer_groups if grp.order <= 64]
+    assert sets and all(len(grp.bfs_levels) == 3 for _, grp in sets)
+    for name, grp in layer_groups + sets:
+        table = grp.cayley_table()
+        lefts = np.concatenate(([0, 0, grp.order - 1],
+                                rng.integers(grp.order, size=500)))
+        rights = np.concatenate(([0, grp.order - 1, 0],
+                                 rng.integers(grp.order, size=500)))
+        cols = np.stack(grp.right_columns(grp.generators))
+        got = grp.walk(cols, lefts, rights)
+        assert got.dtype == np.int32, name
+        assert np.array_equal(got, table[lefts, rights]), name
+
+
+def test_walk_from_one_origin_is_transport(layer_groups):
+    """With every start the same origin, walk gives transport's images."""
+    for name, grp in layer_groups:
+        cols = np.stack(grp.right_columns(grp.generators))
+        targets = np.arange(grp.order)
+        for origin in {0, grp.order // 3, grp.order - 1}:
+            starts = np.full(grp.order, origin)
+            assert np.array_equal(grp.walk(cols, starts, targets),
+                                  grp.transport(cols, origin)), name
 
 
 def test_maximal_subgroups_carry_generators(layer_groups, monkeypatch):

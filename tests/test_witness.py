@@ -14,20 +14,18 @@ from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
 from mipverify.ambient import GuardExceeded
 from mipverify.cli import _make_zeta
 from mipverify.family import build_family
-from mipverify.groups import closure
-from mipverify.invariants import abelian_type
+from mipverify.groups import closure, frattini
 from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.witness import (build_beta, build_beta_general, build_beta_k3,
                                spanning_rank, transport, unit_closure,
-                               unit_group, verify_witness)
+                               verify_witness)
 
 from conftest import (algebra_unit_recognition, eliminated_a2_independence,
                       eliminated_spanning_rank, float32_pair_mismatches,
-                      group_unit_recognition, matmul_unit_table,
-                      packbits_unit_closure, product_generator_mismatches,
-                      product_transport_images, sampled_product_mismatches,
-                      scalar_unit_closure, small_group_catalog,
-                      walked_pair_mismatches)
+                      matmul_unit_table, packbits_unit_closure,
+                      product_generator_mismatches, product_transport_images,
+                      sampled_product_mismatches, scalar_unit_closure,
+                      small_group_catalog, word_pair_mismatches)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "spanning", "independent-mod-a2", "basis-transport"]
@@ -74,8 +72,8 @@ def test_certificate_clause_data(cert433, FH433, inst433, beta433):
     assert data["beta-order"] == {"order": 8, "expected": 8, "note": None}
     assert data["beta-square-central"]["fixed_by_x"] is True
     assert data["closure-size"] == {"size": 512, "expected": 512}
-    ok, rec = group_unit_recognition(FH433, FH433.embed(inst433.x), beta433,
-                                     4, 3, 3)
+    ok, rec = algebra_unit_recognition(FH433, 512, FH433.embed(inst433.x),
+                                       beta433, 4, 3, 3)
     assert ok and rec["first_failing"] is None
     assert rec["order_a"] == 16 and rec["order_b"] == 8
     assert rec["commutator_order"] == 4 and rec["derived_order"] == 4
@@ -119,7 +117,8 @@ def test_negative_control_embedded_z(FG433, FH433, inst433):
     assert status == {"beta-order": True, "beta-square-central": False,
                       "closure-size": True, "spanning": True,
                       "independent-mod-a2": True, "basis-transport": False}
-    ok, rec = group_unit_recognition(FH433, FH433.embed(inst433.x), bad, 4, 3, 3)
+    ok, rec = algebra_unit_recognition(FH433, 512, FH433.embed(inst433.x),
+                                       bad, 4, 3, 3)
     assert not ok and rec["first_failing"] == "b-square-central"
 
 
@@ -284,42 +283,51 @@ def test_unit_group_of_c4_structure(catalog):
     assert unit_order(u2) == 2
     sub = unit_closure(FC4, [u1, u2])
     assert sub.order == 8  # all augmentation-1 elements
-    group = unit_group(sub)
-    assert group.cayley_table().shape == (8, 8)
-    assert np.array_equal(group.cayley_table(), matmul_unit_table(sub))
-    assert group.order == 8 and group.is_abelian()
-    assert abelian_type(group) == (4, 2)
+    # abelian of exponent 4 with three involutions: C4 x C2
+    table = matmul_unit_table(sub)
+    assert table.shape == (8, 8) and np.array_equal(table, table.T)
+    assert sorted(unit_order(u) for u in sub.elements) == [1, 2, 2, 2, 4, 4, 4, 4]
 
 
 def test_unit_subgroup_isomorphism_oracle(FG433, FH433, beta433, inst433):
-    sub = unit_closure(FH433, [FH433.embed(inst433.x), beta433])
+    """U = <x, beta> is isomorphic to G: the algebra-product transport of
+    G's basis is injective and commutes with both generators, and the
+    float32 unit table is G's table read through it."""
+    ex = FH433.embed(inst433.x)
+    sub = unit_closure(FH433, [ex, beta433])
     assert sub.order == 512
-    group = unit_group(sub)
-    assert np.array_equal(group.cayley_table(), matmul_unit_table(sub))
-    assert isomorphic_bruteforce(group, inst433.G)
-    assert not isomorphic_bruteforce(group, inst433.H)
+    images = product_transport_images(FG433, FH433, (ex, beta433))
+    assert len({u.key for u in images}) == 512
+    assert {u.key for u in images} == {u.key for u in sub.elements}
+    assert product_generator_mismatches(FG433, images, (ex, beta433)) == 0
+    index = {u.key: i for i, u in enumerate(sub.elements)}
+    pi = np.array([index[u.key] for u in images])
+    table = matmul_unit_table(sub)
+    assert np.array_equal(table[pi[:, None], pi[None, :]],
+                          pi[inst433.G.cayley_table()])
+    assert not isomorphic_bruteforce(inst433.G, inst433.H)
 
 
-def test_unit_group_products_match_algebra(FH433, beta433, inst433):
-    """Point i * j walks j's word: it must be the algebra product, deep
-    words included, and the precomputed inverses must be inverses."""
+def test_unit_group_products_match_algebra(FG433, FH433, beta433, inst433):
+    """pi(g_i) read along g_j's word in the closure's columns is the
+    algebra product pi(g_i) pi(g_j), on random pairs and from every unit
+    along G's deepest word."""
+    G = FG433.group
     sub = unit_closure(FH433, [FH433.embed(inst433.x), beta433])
-    group = unit_group(sub)
-    amb = group.ambient
-    assert group.elements == tuple((i,) for i in range(sub.order))
+    pi, _ = transport(G, sub)
+    cols = np.array(sub.columns)
     rng = random.Random(5)
-    pairs = [(rng.randrange(sub.order), rng.randrange(sub.order))
+    pairs = [(rng.randrange(G.order), rng.randrange(G.order))
              for _ in range(200)]
-    lefts = np.array([[i] for i, _ in pairs])
-    rights = np.array([[j] for _, j in pairs])
-    got = amb.mul_array(lefts, rights)[:, 0]
+    lefts, rights = np.array(pairs).T
+    got = G.walk(cols, pi[lefts], rights)
     for (i, j), ij in zip(pairs, got):
-        assert sub.elements[i] * sub.elements[j] == sub.elements[ij]
-    deepest = int(np.argmax((amb.words != len(amb.columns) - 1).sum(axis=1)))
-    for i in range(sub.order):
-        assert sub.elements[amb.mul((i,), (deepest,))[0]] == \
-            sub.elements[i] * sub.elements[deepest]
-        assert sub.elements[amb.inv((i,))[0]] * sub.elements[i] == FH433.one()
+        assert sub.elements[pi[i]] * sub.elements[pi[j]] == sub.elements[ij]
+    deepest = int(G.bfs_order[-1])
+    assert len(G.words[deepest]) == len(G.bfs_levels) - 2
+    got = G.walk(cols, np.arange(sub.order), np.full(sub.order, deepest))
+    for u, uj in zip(sub.elements, got):
+        assert u * sub.elements[pi[deepest]] == sub.elements[uj]
 
 
 def _witness_pairs(FH, inst, n, m, k):
@@ -339,17 +347,16 @@ def _witness_pairs(FH, inst, n, m, k):
 
 @pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3)], ids=["433", "543"])
 def test_unit_recognition_matches_algebra_oracle(nmk):
-    """The recognition oracles on the group engine and on algebra products
-    agree, basis transport passes only where they do, and the certificate
-    is valid exactly when its clauses and recognition all pass."""
+    """The recognition clauses on algebra products accept exactly the
+    valid witnesses, basis transport passes only where they do, and the
+    certificate is valid exactly when its clauses and recognition all
+    pass."""
     inst = build_family(2, "dihedral", *nmk)
     FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
     ex = FH.embed(inst.x)
     for name, beta in _witness_pairs(FH, inst, *nmk).items():
         cert = verify_witness(FG, FH, beta, nmk, sample_size=1)
-        ok, data = group_unit_recognition(FH, ex, beta, *nmk)
-        assert (ok, data) == algebra_unit_recognition(FH, inst.G.order,
-                                                      ex, beta, *nmk), name
+        ok, _ = algebra_unit_recognition(FH, inst.G.order, ex, beta, *nmk)
         assert ok == (name in ("standard", "k3", "general-class-sum")), name
         transport = {c.id: c for c in cert.clauses}["basis-transport"]
         assert transport.passed <= ok, name
@@ -410,13 +417,6 @@ def _c4_units():
     c = C4.generators[0]
     return FC4, (FC4.embed(c),
                  FC4.from_elements([c, C4.power(c, 2), C4.power(c, 3)]))
-
-
-def _walked_all_pairs(G, sub):
-    """The all-pairs mismatch count of ``sub`` by walking unit words."""
-    lefts, rights = np.divmod(np.arange(G.order ** 2), G.order)
-    return walked_pair_mismatches(G, unit_group(sub), transport(G, sub)[0],
-                                  lefts, rights)
 
 
 @pytest.mark.parametrize("name", ["standard", "standard-543", "k3", "general",
@@ -485,7 +485,6 @@ def test_transport_and_pairs_match_product_oracles(name):
     assert cert.sample["pairs"] == 512 * 512
     assert cert.sample["mismatches"] == float32_pair_mismatches(FG, FH, images) == 0
     sub = unit_closure(FH, (ex, beta))
-    assert cert.sample["mismatches"] == _walked_all_pairs(FG.group, sub) == 0
     assert transport(FG.group, sub)[1] == \
         product_generator_mismatches(FG, images, (ex, beta)) == 0
     sampled = verify_witness(FG, FH, beta, (4, 3, 3), seed=3, sample_size=64)
@@ -530,10 +529,11 @@ def test_generator_check_alone_fails_the_certificate(monkeypatch):
     assert clause.data == {"rank": 512, "pairs": 1, "mismatches": 0,
                            "mode": "sampled"}
     assert not clause.passed and not cert.valid
-    # all pairs read the swapped entries: the composed columns count what
-    # walking each unit's word counts
+    # all pairs read the swapped entries: the certificate counts what
+    # walking each word of G, one generator at a time, counts
     cert = verify_witness(FG, FH, beta, (4, 3, 3), exhaustive=True)
-    assert cert.sample["mismatches"] == _walked_all_pairs(G, broken) > 0
+    assert cert.sample["mismatches"] == \
+        word_pair_mismatches(G, broken.columns, pi) > 0
 
 
 def test_closure_unavailable_skips_transport(FG433, FH433, beta433, monkeypatch):
@@ -555,13 +555,36 @@ def test_closure_unavailable_skips_transport(FG433, FH433, beta433, monkeypatch)
 
 
 def test_exhaustive_count_matches_walked_oracle_on_embedded_z():
-    """beta = z: no homomorphism, and the composed columns count the
-    mismatching pairs that walking each unit's word counts."""
+    """beta = z: no homomorphism, and the certificate counts the
+    mismatching pairs that float32 algebra products count, and that
+    walking each word of G one generator at a time counts."""
     FG, FH, ex, bad = _witness_case("embedded-z")
     cert = verify_witness(FG, FH, bad, (4, 3, 3), exhaustive=True)
     assert cert.sample["pairs"] == 512 * 512
+    images = product_transport_images(FG, FH, (ex, bad))
+    sub = unit_closure(FH, (ex, bad))
     assert cert.sample["mismatches"] == \
-        _walked_all_pairs(FG.group, unit_closure(FH, (ex, bad))) > 0
+        float32_pair_mismatches(FG, FH, images) == \
+        word_pair_mismatches(FG.group, sub.columns,
+                             transport(FG.group, sub)[0]) > 0
+
+
+def test_witness_closes_no_group(monkeypatch):
+    """Once the family and H's Frattini subgroup (which clause (f) reads
+    and H caches) are built, a certificate at (4,3,3), sampled and
+    exhaustive, runs no breadth-first closure: the unit group is never
+    built as a group."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
+    beta = build_beta(FH, inst.x, inst.z)
+    frattini(inst.H)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group closure during certification")
+
+    monkeypatch.setattr(groups_mod, "_bfs", refuse)
+    assert verify_witness(FG, FH, beta, (4, 3, 3)).valid
+    assert verify_witness(FG, FH, beta, (4, 3, 3), exhaustive=True).valid
 
 
 # -- clause (e): the unit-sum lemma -------------------------------------------
