@@ -29,8 +29,8 @@ import numpy as np
 from .ambient import (AmbientDescriptor, DEFAULT_GUARD, Element,
                       TWO_GENERATOR_VARIANTS, int_log, make_ambient)
 from .groups import (FiniteGroup, abelian_maximal_subgroups, closure,
-                     derived_subgroup, frattini, generated_subgroup,
-                     intersection, nilpotency_class)
+                     coordinate_box, derived_subgroup, frattini,
+                     generated_subgroup, intersection, nilpotency_class)
 from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
                           isomorphic_bruteforce, pair_relations)
 
@@ -38,7 +38,7 @@ from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
 @dataclass(frozen=True)
 class FamilyInstance:
     """One member of the family: G (and in the 2-case H) enumerated, and the
-    ambient subgroups P and M closed on first access."""
+    ambient subgroups P and M built on first access."""
 
     params: tuple  # (p, variant, n, m, k)
     ambient: AmbientDescriptor
@@ -64,19 +64,35 @@ class FamilyInstance:
 
     @cached_property
     def P(self) -> FiniteGroup:
-        """The ambient group K x C x D, closed on its named generators."""
-        gens = ("t", "r", "c", "d") if self.H is not None else ("s", "s1", "c", "d")
-        return closure(self.ambient, [self.named[g] for g in gens],
+        """The ambient group K x C x D on its named generators.
+
+        2-case: t, r, c, d are the unit vectors of the four coordinates, and
+        every ambient element is t^e r^i c^a d^b, the tuple (e, i, a, b).  P
+        is the coordinate box of all of them (:func:`coordinate_box`), each
+        element's word in t, r, c, d checked, so P = <t, r, c, d>.  Odd
+        case: the breadth-first closure of s, s1, c, d.
+        """
+        if self.H is not None:
+            return coordinate_box(self.ambient)
+        return closure(self.ambient, [self.named[g] for g in ("s", "s1", "c", "d")],
                        guard=self.guard)
 
     @cached_property
     def M(self) -> Optional[FiniteGroup]:
-        """The 2-case subgroup <r, c, d>, checked to have index 2 in P;
-        None in the odd case."""
+        """The 2-case subgroup <r, c, d>, the e = 0 half of P; None in the
+        odd case.
+
+        The half is the coordinate box r^i c^a d^b (:func:`coordinate_box`
+        with ``lead`` 1), each element's word in r, c, d checked, so it lies
+        in <r, c, d>.  It is closed: in every two-generator kind the e of a
+        product is the sum mod 2 of the factors' e
+        (:meth:`AmbientDescriptor.mul_array`), so the half is the kernel of
+        a homomorphism onto C_2.  It holds r, c and d, so <r, c, d> lies in
+        it, and the two are equal.
+        """
         if self.H is None:
             return None
-        M = closure(self.ambient, [self.named[g] for g in ("r", "c", "d")],
-                    guard=self.guard)
+        M = coordinate_box(self.ambient, lead=1)
         if self.P.order != 2 * M.order:
             raise RuntimeError("M is not of index 2 in P")
         return M
@@ -109,7 +125,7 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
     2-case (p = 2, dihedral/semidihedral/quaternion): requires
     n > m >= k >= 3; closes G and H, checks that both have order
     2^(n+m+k-1), and returns them with the elements x, y, z.  P and M are
-    closed when first read: only the structural verification reads them.
+    built when first read: only the structural verification reads them.
 
     Odd case (heisenberg or explicit table): requires n, m, k >= 1; c has
     order p^m and d has order p^n, G = <sc, s1 d>; M, H, z are absent.  The

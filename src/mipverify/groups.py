@@ -8,7 +8,10 @@ Element tuples are built only when :attr:`FiniteGroup.elements` is read.
 All subgroup constructions (derived subgroup, lower central series,
 Frattini and power subgroups, center, centralizers, Jennings series)
 reduce to breadth-first closure over explicit generator sets, so every
-returned group carries valid words by construction.
+returned group carries valid words by construction.  The exception is
+:func:`coordinate_box`, a block of coordinates built without closure: its
+derivation tree is written down, and every word on it is checked by
+products with its generators.
 
 The layer works on the ambient's broadcasting product of rows: closure
 runs one breadth-first level at a time, a seed set is absorbed into one
@@ -18,11 +21,13 @@ permutation columns.  A group caches its Frattini subgroup, its conjugacy
 classes, and the small generators it was built from.  No O(|G|^2) Cayley
 table is built here, nor by the group algebra, whose products run on the
 same rows; :meth:`FiniteGroup.cayley_table` exists for the exports and the
-isomorphism tooling, and refuses a table above ``TABLE_BUDGET_BYTES``.
+isomorphism tooling, stores its entries in the narrowest unsigned type, and
+refuses a table above ``TABLE_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -34,10 +39,13 @@ from .ambient import AmbientDescriptor, Element, GuardExceeded
 
 Word = tuple[int, ...]
 
-# Largest Cayley table (int32 entries) that FiniteGroup.cayley_table builds.
+# Largest Cayley table, in bytes, that FiniteGroup.cayley_table builds.
 TABLE_BUDGET_BYTES = 2 ** 30
 # Table entries filled, and left-column products taken, in one block.
 _BLOCK_ENTRIES = 2 ** 18
+# Elements whose words coordinate_box checks in one product: the parents'
+# rows and their products stay at 0.5 MB each at width 4.
+_BOX_BLOCK_ROWS = 2 ** 14
 
 
 @dataclass
@@ -191,17 +199,21 @@ class FiniteGroup:
         identity's row is the identity permutation, and elements[i] =
         elements[parent] * generator gives row i = row(parent) read at the
         generator's left column j -> index(generator * elements[j]).
-        Raises :class:`GuardExceeded` before allocating when the table would
-        take more than ``TABLE_BUDGET_BYTES``.
+        Entries take the narrowest unsigned type that holds order - 1
+        (uint8, uint16 up to order 2^16, then uint32); readers index with
+        them and compare them, and do no arithmetic on them.  Raises
+        :class:`GuardExceeded` before allocating when the table would take
+        more than ``TABLE_BUDGET_BYTES``.
         """
         if self._table is None:
             size = self.order
-            nbytes = size * size * 4
+            dtype = np.min_scalar_type(size - 1)
+            nbytes = size * size * dtype.itemsize
             if nbytes > TABLE_BUDGET_BYTES:
                 raise GuardExceeded(
                     f"Cayley table of a group of order {size} needs {nbytes} "
                     f"bytes, above the table budget of {TABLE_BUDGET_BYTES}")
-            table = np.empty((size, size), dtype=np.int32)
+            table = np.empty((size, size), dtype=dtype)
             order, parent, via = self.bfs_order, self.bfs_parent, self.bfs_gen
             table[order[0]] = np.arange(size)
             step = max(1, _BLOCK_ENTRIES // size)
@@ -462,6 +474,56 @@ def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
     return _from_bfs(ambient, gens, _bfs(ambient, gens, bound))
 
 
+def coordinate_box(ambient: AmbientDescriptor, lead: int = 0) -> FiniteGroup:
+    """The ambient elements whose first ``lead`` coordinates are 0, built
+    without closure, with the unit vectors of the other coordinates as
+    generators, each element's word checked.
+
+    The box is the first order / (radices[0] ... radices[lead - 1]) keys,
+    in key order.  The parent of an element is the element with its last
+    nonzero coordinate j lowered by one, reached by the unit vector of j,
+    and an element's level is its coordinate sum, one more than its
+    parent's.  One ``mul_cols`` per generator and block of rows proves that
+    every element is its parent times its generator, else RuntimeError; so
+    every element is a word in the generators, and the box lies in the
+    subgroup they generate.  The caller proves the converse: for ``lead`` =
+    0 the box is the whole ambient, otherwise the box must be closed under
+    products.
+    """
+    width, radices = ambient.width, ambient.radices
+    size = ambient.order // math.prod(radices[:lead])
+    keys = np.arange(size, dtype=np.int64)
+    strides = [math.prod(radices[j + 1:]) for j in range(width)]
+    rows = np.zeros((size, width), dtype=np.int64)
+    last = np.full(size, lead, dtype=np.int8)  # the last nonzero coordinate
+    level = np.zeros(size, dtype=np.int32)
+    for j in range(lead, width):
+        col = rows[:, j]
+        np.floor_divide(keys, strides[j], out=col)
+        np.remainder(col, radices[j], out=col)
+        level += col
+        last[col != 0] = j
+    parent = (keys - np.array(strides)[last]).astype(np.int32)
+    via = (last - lead).astype(np.int32)
+    parent[0] = via[0] = 0  # the identity, key 0
+    gens = tuple(tuple(int(i == j) % radices[i] for i in range(width))
+                 for j in range(lead, width))
+    for g, unit in enumerate(gens):
+        child = np.flatnonzero(via == g)[int(g == 0):]
+        for lo in range(0, child.size, _BOX_BLOCK_ROWS):
+            block = child[lo:lo + _BOX_BLOCK_ROWS]
+            products = ambient.mul_cols(rows[parent[block]], unit)
+            if not np.array_equal(ambient.encode(products), block):
+                raise RuntimeError("coordinate box: an element is not its parent "
+                                   "times its generator")
+    levels = (0, *np.cumsum(np.bincount(level)).tolist())
+    bfs_order = np.argsort(level, kind="stable").astype(np.int32)
+    for arr in (rows, keys, bfs_order, parent, via):
+        arr.setflags(write=False)
+    return FiniteGroup(ambient, rows, keys, bfs_order, parent, via, levels,
+                       _generators=gens, _small_gens=gens)
+
+
 def generated_subgroup(ambient: AmbientDescriptor,
                        seeds: Iterable[Element] | np.ndarray,
                        guard: Optional[int] = None) -> FiniteGroup:
@@ -594,11 +656,21 @@ def power_subgroup(group: FiniteGroup, s: int) -> FiniteGroup:
 
 
 def frattini(group: FiniteGroup) -> FiniteGroup:
-    """Frattini subgroup of a finite p-group: G' G^p (computed once per group)."""
+    """Frattini subgroup Phi(G) = G' G^p of a finite p-group (computed once
+    per group), as the normal closure N of the seeds s^p and [s, t] over the
+    small generators s, t of G.
+
+    N = Phi(G).  N is normal, and G/N is generated by the images of the
+    small generators, which commute (their commutators lie in N) and have
+    order dividing p.  So G/N is elementary abelian, and Phi(G), the
+    smallest normal subgroup with an elementary abelian quotient, lies in
+    N.  Every seed lies in G' G^p = Phi(G), which is normal, so N <= Phi(G).
+    """
     if group._frattini is None:
-        seeds = np.concatenate([_rows(group.ambient, derived_subgroup(group).generators),
-                                group.ambient.power_array(group.array(), group.p)])
-        group._frattini = generated_subgroup(group.ambient, seeds, guard=group.order)
+        amb, gens = group.ambient, group.small_generators()
+        seeds = [amb.power(s, group.p) for s in gens]
+        seeds += [amb.comm(s, t) for i, s in enumerate(gens) for t in gens[i + 1:]]
+        group._frattini = normal_closure(group, seeds)
     return group._frattini
 
 
@@ -821,7 +893,7 @@ def jennings_factor_orders(group: FiniteGroup) -> list[int]:
 
 
 __all__ = [
-    "FiniteGroup", "Word", "closure", "generated_subgroup",
+    "FiniteGroup", "Word", "closure", "coordinate_box", "generated_subgroup",
     "subgroup_from_elements", "normal_closure", "commutator_subgroup",
     "derived_subgroup", "lower_central_series", "nilpotency_class",
     "power_subgroup", "frattini", "center", "centralizer_mod", "intersection",

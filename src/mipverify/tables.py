@@ -57,9 +57,11 @@ def semidirect_c9c9_table() -> tuple[np.ndarray, tuple[int, int]]:
     group of order p^4 or the wreath product, whose abelian maximal subgroups
     have exponent p.  Generators returned: (top generator, first C9 factor).
     """
-    # index = (i * 9 + j) * 3 + e
-    i, j, e = np.unravel_index(np.arange(243), (9, 9, 3))
-    companion = np.array([[0, -1], [1, -1]], dtype=np.int64)
+    # index = (i * 9 + j) * 3 + e; the (243, 243) intermediates are int16
+    # (every value lies in [-16, 242]), a quarter of their int64 size
+    i, j, e = (a.astype(np.int16)
+               for a in np.unravel_index(np.arange(243), (9, 9, 3)))
+    companion = np.array([[0, -1], [1, -1]], dtype=np.int16)
     powers = np.stack([np.linalg.matrix_power(companion, r) for r in range(3)])
     # (v1, e1)(v2, e2) = (v1 + act^e1(v2), e1 + e2), with act^e1 the matrix
     # power picked by every row and applied to every column's v2
@@ -68,7 +70,7 @@ def semidirect_c9c9_table() -> tuple[np.ndarray, tuple[int, int]]:
     j3 = (j[:, None] + acted[1]) % 9
     table = (i3 * 9 + j3) * 3 + (e[:, None] + e[None, :]) % 3
     # t = (0, 0; 1) and a = (1, 0; 0)
-    return table, (1, 27)
+    return table.astype(np.int64), (1, 27)
 
 
 __all__ = ["wreath_cyclic_table", "semidirect_c9c9_table"]

@@ -94,9 +94,13 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
     bound = dim * safety_factor
     nbytes = (dim + 7) // 8
     pad = np.arange(dim, 8 * nbytes, dtype=np.int32)
-    gathers = [[np.concatenate((col, pad)) for col in
-                H.right_columns([H.inv(H.element(j)) for j in u.support()])]
-               for u in gens]
+    supports = [u.support() for u in gens]
+    # the right column of h^-1 for each h in some support, and the last
+    # generator whose support holds h
+    distinct = sorted(set().union(*supports) - {H.identity_index})
+    gather = {h: np.concatenate((col, pad)) for h, col in
+              zip(distinct, H.right_columns([H.inv(H.element(h)) for h in distinct]))}
+    last_use = {h: g for g, support in enumerate(supports) for h in support}
     shifts = [np.uint64(j) for j in range(8)]
     lanes = np.uint64(0x0101010101010101)  # bit 0 of each byte of a word
     block = max(1, _CLOSURE_BLOCK_BYTES // (8 * nbytes * (len(gens) + 2)))
@@ -122,9 +126,25 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
             part = part.reshape(8 * nbytes, width)
             # cand[g, b]: byte b of the keys of the units times gens[g]
             cand = np.empty((len(gens), nbytes, width), np.uint64)
-            for g, gather in enumerate(gathers):
-                bits = reduce(np.bitwise_xor, (np.take(part, col, axis=0)
-                                               for col in gather))
+            # each column is gathered once per block, and kept until its
+            # last generator; the identity's column is the block itself
+            kept = {}
+            for g, support in enumerate(supports):
+                bits, owned = None, False
+                for h in support:
+                    term = part if h == H.identity_index else kept.get(h)
+                    if term is None:
+                        term = np.take(part, gather[h], axis=0)
+                        if last_use[h] > g:
+                            kept[h] = term
+                    elif last_use[h] == g:
+                        kept.pop(h, None)
+                    if bits is None:
+                        bits = term
+                    elif owned:
+                        bits ^= term
+                    else:
+                        bits, owned = bits ^ term, True
                 bits = bits.reshape(nbytes, 8, width)
                 np.copyto(cand[g], bits[:, 0])
                 for j in range(1, 8):

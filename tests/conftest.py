@@ -410,6 +410,16 @@ def table_conjugacy_classes(group: FiniteGroup) -> List[tuple]:
     return classes
 
 
+def power_frattini(group: FiniteGroup) -> FiniteGroup:
+    """Phi(G) = G' G^p by its definition: the derived subgroup's generators
+    and the p-th power of every element, absorbed as one seed set."""
+    amb = group.ambient
+    derived = np.array(derived_subgroup(group).generators, dtype=np.int64)
+    seeds = np.concatenate([derived.reshape(-1, amb.width),
+                            amb.power_array(group.array(), group.p)])
+    return generated_subgroup(amb, seeds, guard=group.order)
+
+
 def coset_scan_maximal_subgroups(group: FiniteGroup) -> List[tuple]:
     """Element lists of the maximal subgroups, in sorted order, from one
     scan of g*Phi per element for its minimal element."""

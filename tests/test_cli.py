@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from mipverify.cli import main
+from mipverify.export import write_exports
 from mipverify.report import (SCHEMA_VERSION, canonical_json, envelope,
                               hex_row_to_key, jsonable, row_hex)
+
+from conftest import row_cayley_table
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -403,6 +406,17 @@ def test_export_golden_digests(tmp_path):
     assert sorted(json.loads(r.stdout)["files"]) == sorted(EXPORT_433_SHA256)
     for name, digest in EXPORT_433_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_export_tables_match_int32_reference(tmp_path, inst433):
+    """The CSV tables written from the narrow (uint16) tables are the bytes
+    written from int32 reference tables of G and H."""
+    assert sorted(write_exports(inst433, str(tmp_path))) == sorted(EXPORT_433_SHA256)
+    for name, grp in (("g_table.csv", inst433.G), ("h_table.csv", inst433.H)):
+        reference = row_cayley_table(grp)
+        assert reference.dtype == np.int32 and grp.cayley_table().dtype == np.uint16
+        want = "".join(",".join(map(str, row)) + "\n" for row in reference.tolist())
+        assert (tmp_path / name).read_bytes() == want.encode("ascii"), name
 
 
 def test_no_command_imports_numpy_ma(tmp_path):

@@ -1,8 +1,8 @@
 """Family construction and clause-by-clause structural verification."""
 
 import dataclasses
-import sys
 
+import numpy as np
 import pytest
 
 from mipverify import family as family_mod
@@ -222,20 +222,20 @@ def test_structure_654_builds_no_table(monkeypatch):
 
 
 def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
-    """Phi(G), Phi(H) and Phi(P) are each closed once: clause (iii) and the
+    """Phi(G), Phi(H) and Phi(P) are each computed once: clause (iii) and the
     maximal subgroups of G and H share them."""
     inst = build_family(2, "dihedral", 4, 3, 3)
-    closed_for = []
-    generated = groups_mod.generated_subgroup
+    computed_for = []
+    frattini = groups_mod.frattini
 
-    def counting(*args, **kwargs):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "frattini":
-            closed_for.append(caller.f_locals["group"])
-        return generated(*args, **kwargs)
-    monkeypatch.setattr(groups_mod, "generated_subgroup", counting)
+    def counting(group):
+        if group._frattini is None:
+            computed_for.append(group)
+        return frattini(group)
+    monkeypatch.setattr(groups_mod, "frattini", counting)
+    monkeypatch.setattr(family_mod, "frattini", counting)
     assert verify_structure(inst).ok
-    assert sorted(map(id, closed_for)) == sorted(map(id, (inst.G, inst.H, inst.P)))
+    assert sorted(map(id, computed_for)) == sorted(map(id, (inst.G, inst.H, inst.P)))
 
 
 def test_abelian_maximal_scan_is_cached_per_group(monkeypatch):
@@ -296,15 +296,20 @@ def _named_closure_matches(group, ambient, gens):
 
 
 def test_p_and_m_are_closed_when_first_read():
-    """build_family closes no P or M; the first read closes them, later reads
-    return the same objects, and they are the closures the structural
-    verification has always used: P = <t, r, c, d>, M = <r, c, d> of index 2
-    (2-case) and P = <s, s1, c, d> (odd case)."""
+    """build_family builds no P or M; the first read builds them, later reads
+    return the same objects.  In the 2-case they are the coordinate boxes
+    with the elements of P = <t, r, c, d> and M = <r, c, d> of index 2, and
+    their words are right: read along their own right columns from every
+    element, they give arange.  The odd case closes P = <s, s1, c, d>."""
     inst = build_family(2, "dihedral", 4, 3, 3)
     assert "P" not in vars(inst) and "M" not in vars(inst)
     amb, named = inst.ambient, inst.named
-    assert _named_closure_matches(inst.P, amb, [named[g] for g in "trcd"])
-    assert _named_closure_matches(inst.M, amb, [named[g] for g in "rcd"])
+    for grp, gens in ((inst.P, "trcd"), (inst.M, "rcd")):
+        want = dict_closure(amb, [named[g] for g in gens])
+        assert grp.element_set() == frozenset(want.elements)
+        assert grp.generators == tuple(named[g] for g in gens)
+        columns = np.array(grp.right_columns(grp.generators))
+        assert np.array_equal(grp.transport(columns, np.int32(0)), np.arange(grp.order))
     assert (inst.P.order, inst.M.order) == (2048, 1024)
     assert inst.P is inst.P and inst.M is inst.M
     odd = build_family(3, "heisenberg", 2, 1, 1)

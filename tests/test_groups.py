@@ -23,12 +23,13 @@ from mipverify.groups import (center, centralizer_index, centralizer_mod,
 from conftest import (assert_same_group, coset_scan_maximal_subgroups,
                       dict_closure, greedy_generators, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
-                      reclosing_generated_subgroup,
+                      power_frattini, reclosing_generated_subgroup,
                       row_cayley_table, scalar_centralizer_mod,
                       set_jennings_series, set_normal_closure,
                       table_conjugacy_classes, table_element_orders,
                       tuple_from_bfs, tuple_subgroup_from_elements)
 from mipverify.family import verify_structure
+from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
 
 def _catalog_map(catalog):
@@ -97,6 +98,67 @@ def test_lower_central_series_and_class(catalog):
     assert orders[0] == 16 and orders[-1] == 1
     assert all(orders[i] % orders[i + 1] == 0 for i in range(len(orders) - 1))
     assert nilpotency_class(groups["heis27"]) == 2
+
+
+def _p3_bases():
+    """The p = 3 bases K = <s, s1> (Heisenberg, wreath, (C9 x C9):C3) and
+    the family G of each at (n, m, k) = (2, 1, 1)."""
+    wt, wg = wreath_cyclic_table(3)
+    st, sg = semidirect_c9c9_table()
+    groups = []
+    for base, kwargs in (("heisenberg", {}),
+                         ("wreath", {"table": wt, "table_generators": wg}),
+                         ("c9c9", {"table": st, "table_generators": sg})):
+        inst = build_family(3, "heisenberg" if base == "heisenberg" else "table",
+                            2, 1, 1, **kwargs)
+        K = closure(inst.ambient, [inst.named["s"], inst.named["s1"]])
+        groups += [(f"{base}-K", K), (f"{base}-G-211", inst.G)]
+    return groups
+
+
+def _frattini_without_commutators(group):
+    """A broken frattini: the normal closure of the generators' p-th powers,
+    with the commutator seeds dropped."""
+    return normal_closure(group, [group.power(s, group.p)
+                                  for s in group.small_generators()])
+
+
+def test_frattini_matches_power_oracle(catalog, inst433):
+    """Phi(G) from generator seeds equals G' G^p from all p-th powers on
+    the catalog, the p = 3 bases, and G, H and P at (4,3,3)."""
+    groups = list(catalog) + _p3_bases() + [
+        ("G-433", inst433.G), ("H-433", inst433.H), ("P-433", inst433.P)]
+    for name, grp in groups:
+        got, want = frattini(_fresh(grp)), power_frattini(grp)
+        assert np.array_equal(got.keys(), want.keys()), name
+
+
+def test_frattini_oracle_catches_dropped_commutator_seeds(catalog):
+    """The Heisenberg group of order 27 has exponent 3: its generators'
+    cubes are trivial, and Phi = G' has order 3.  Without the commutator
+    seeds the closure is trivial, and the oracle tells them apart."""
+    heis = _catalog_map(catalog)["heis27"]
+    want = power_frattini(heis)
+    assert want.order == 3 == derived_subgroup(heis).order
+    assert frattini(_fresh(heis)).keys().tolist() == want.keys().tolist()
+    broken = _frattini_without_commutators(_fresh(heis))
+    assert broken.order == 1
+    assert not np.array_equal(broken.keys(), want.keys())
+
+
+def test_coordinate_box_checks_every_word():
+    """The box of a two-generator ambient is the whole ambient, and its half
+    with e = 0 is <r, c, d>, both with valid words; on the Heisenberg
+    ambient (h1, h2, 0) is not (h1, h2 - 1, 0) times (0, 1, 0) when h1 != 0,
+    so the box is refused."""
+    amb = make_ambient(2, "semidihedral", 3, 2, 1)
+    for lead in (0, 1):
+        box = groups_mod.coordinate_box(amb, lead)
+        want = dict_closure(amb, box.generators)
+        assert box.element_set() == frozenset(want.elements)
+        assert all(box.evaluate_word(w) == g for w, g in zip(box.words, box.elements))
+    with pytest.raises(RuntimeError, match="coordinate box"):
+        groups_mod.coordinate_box(make_ambient(3, "heisenberg", 1, 1, 1))
 
 
 def test_power_subgroup_cyclic(catalog):
@@ -317,12 +379,25 @@ def test_frattini_coordinates_homomorphism_onto_with_kernel_phi(layer_groups):
 def test_cayley_table_budget(catalog, monkeypatch):
     D16 = _catalog_map(catalog)["D16"]
     grp = closure(D16.ambient, D16.generators)  # a copy with no cached table
-    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * 4 - 1)
+    itemsize = np.min_scalar_type(15).itemsize
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * itemsize - 1)
     with pytest.raises(GuardExceeded, match="table budget"):
         grp.cayley_table()
     assert grp._table is None
-    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * 4)
+    monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 16 * 16 * itemsize)
     assert grp.cayley_table().shape == (16, 16)
+
+
+def test_cayley_table_takes_the_narrowest_index_type(catalog, inst433):
+    """Entries are min_scalar_type(order - 1): uint8 at |G| = 16, uint16 at
+    512 and 2048, and they equal the int32 row oracle."""
+    G543 = build_family(2, "dihedral", 5, 4, 3).G
+    for grp, want in ((_catalog_map(catalog)["D16"], np.uint8),
+                      (inst433.G, np.uint16), (G543, np.uint16)):
+        table = grp.cayley_table()
+        assert table.dtype == np.min_scalar_type(grp.order - 1) == want
+        assert table.nbytes == grp.order ** 2 * np.dtype(want).itemsize
+    assert np.array_equal(G543.cayley_table(), row_cayley_table(G543))
 
 
 def _verified_closed(amb, elements):

@@ -435,6 +435,27 @@ def test_unit_closure_matches_scalar_oracle(name):
         assert getattr(got, field) == getattr(want, field), field
 
 
+def test_unit_closure_gathers_each_column_once_per_block(monkeypatch):
+    """For x and beta = 1 + x + xz each block gathers two columns, those of
+    x^-1 and (xz)^-1: the identity's column is the block itself, and x^-1's
+    serves both generators.  At (4,3,3) every level is one block."""
+    _, algebra, ex, beta = _witness_case("standard")
+    takes = []
+    take = np.take
+
+    def counting(a, indices, *args, **kwargs):
+        takes.append(indices)
+        return take(a, indices, *args, **kwargs)
+    monkeypatch.setattr(witness_mod.np, "take", counting)
+    got = unit_closure(algebra, (ex, beta))
+    monkeypatch.undo()
+    depth = [0] * got.order
+    for i in range(1, got.order):
+        depth[i] = depth[got.bfs_parent[i]] + 1
+    assert len(takes) == 2 * (max(depth) + 1)
+    assert got.elements == scalar_unit_closure(algebra, (ex, beta)).elements
+
+
 def _bit_plane_cases():
     """(label, algebra, generators): the unit groups of F2[C2] (dim 2) and
     F2[C4] (dim 4), whose coefficients fill part of one byte, and <x, beta>
