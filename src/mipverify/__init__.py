@@ -1,8 +1,6 @@
 """Verification toolkit for non-isomorphic 2-groups with isomorphic modular group algebras."""
 
-from .algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
-                      jennings_dimension_polynomial, is_unit, unit_inverse,
-                      unit_order)
+from .algebra import AlgebraElement, FpMatrix, GroupAlgebra, is_unit, unit_order
 from .ambient import (DEFAULT_GUARD, AmbientDescriptor, Element,
                       GuardExceeded, make_ambient)
 from .family import (FamilyInstance, VerificationReport, build_family,
@@ -29,9 +27,9 @@ __all__ = [
     "build_beta_k3", "build_family", "canonical_json", "certificate_as_dict",
     "closure", "compare_variants", "compute_N", "find_presentation_witness",
     "ideal_subring_dim", "invariant_report", "is_unit",
-    "isomorphic_bruteforce", "jennings_dimension_polynomial", "make_ambient",
+    "isomorphic_bruteforce", "make_ambient",
     "reports_invariant_equal",
     "subgroup_from_elements", "unit_closure",
-    "unit_inverse", "unit_order",
+    "unit_order",
     "verify_structure", "verify_witness", "__version__",
 ]

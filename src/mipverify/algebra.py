@@ -12,7 +12,7 @@ coefficient products are summed exactly as integers and reduced mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -228,20 +228,6 @@ class GroupAlgebra:
             self._aug_power_bases[step] = mx
         return self._aug_power_bases[q]
 
-    def aug_quotient_dims(self, upto: Optional[int] = None) -> list[int]:
-        """dim(A^q / A^(q+1)) for q = 0, 1, ... until A^q = 0 (A^0 = algebra)."""
-        dims = []
-        prev = self.dim
-        q = 1
-        while prev > 0:
-            cur = self.aug_ideal_power_basis(q).rank()
-            dims.append(prev - cur)
-            prev = cur
-            q += 1
-            if upto is not None and q > upto:
-                break
-        return dims
-
     def _as_vec(self, row: RowLike) -> np.ndarray:
         if isinstance(row, AlgebraElement):
             return row.vec()
@@ -340,7 +326,7 @@ class AlgebraElement:
         """Repeated squaring from the lowest set bit of e, with no squaring
         after the highest: u ** 2 takes one product, u ** 3 two."""
         if e < 0:
-            raise ValueError("negative powers: use unit_inverse")
+            raise ValueError("negative powers are not supported")
         if e == 0:
             return self.algebra.one()
         base = self
@@ -418,50 +404,6 @@ def unit_order(u: AlgebraElement) -> int:
     u1 = u.scale(pow(alpha, -1, p)) if p != 2 else u
     s = _normalized_p_power_order(u1)
     return d * p ** s  # lcm(d, p^s): d | p-1 is coprime to p
-
-
-def unit_inverse(u: AlgebraElement) -> AlgebraElement:
-    """Inverse of a unit via nilpotency of the augmentation ideal."""
-    if not is_unit(u):
-        raise ValueError("unit_inverse requires a unit (augmentation != 0)")
-    alg = u.algebra
-    p = alg.p
-    alpha = u.augmentation()
-    inv_alpha = pow(alpha, -1, p)
-    u1 = u.scale(inv_alpha) if p != 2 else u
-    s = _normalized_p_power_order(u1)
-    inv1 = u1 ** (p ** s - 1)
-    return inv1.scale(inv_alpha) if p != 2 else inv1
-
-
-def jennings_dimension_polynomial(factor_orders: Sequence[int], p: int) -> list[int]:
-    """Coefficients of prod_i (1 + X^i + ... + X^((p-1)i))^(d_i).
-
-    ``factor_orders`` are the Jennings factor orders |M_i / M_{i+1}| in order
-    (i = 1, 2, ...); d_i = log_p of each.  The coefficient of X^q equals
-    dim A^q / A^(q+1).
-    """
-    poly = [1]
-    for i, order in enumerate(factor_orders, start=1):
-        d = 0
-        o = order
-        while o > 1:
-            if o % p:
-                raise ValueError("factor order is not a power of p")
-            o //= p
-            d += 1
-        base = [0] * ((p - 1) * i + 1)
-        for j in range(p):
-            base[j * i] = 1
-        for _ in range(d):
-            out = [0] * (len(poly) + len(base) - 1)
-            for ii, cv in enumerate(poly):
-                if cv:
-                    for jj, cb in enumerate(base):
-                        if cb:
-                            out[ii + jj] += cv * cb
-            poly = out
-    return poly
 
 
 # -- GF(p) row spaces ----------------------------------------------------------
@@ -604,6 +546,5 @@ def _bit_indices(mask: int) -> list[int]:
 
 __all__ = [
     "GroupAlgebra", "AlgebraElement", "FpMatrix",
-    "augmentation", "is_unit", "unit_order", "unit_inverse",
-    "jennings_dimension_polynomial", "pack_bits", "unpack_bits",
+    "augmentation", "is_unit", "unit_order", "pack_bits", "unpack_bits",
 ]

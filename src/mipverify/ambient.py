@@ -15,10 +15,12 @@ C and D are cyclic of order p^n and p^m.  Elements are plain int tuples:
 * table:                  (idx, a, b)         idx indexes the Cayley table
 
 Tuple comparison gives the canonical element order used everywhere else.
-All arithmetic is exact integer arithmetic.  Besides the scalar ``mul``,
-each kind has one broadcasting product, :meth:`AmbientDescriptor.mul_array`,
-on int64 numpy arrays with one row per element; ``mul_rows``, ``mul_cols``
-and ``power_array`` are built on it.
+All arithmetic is exact integer arithmetic.  Each kind's law is written
+once, on int64 numpy arrays with one row per element: the broadcasting
+product :meth:`AmbientDescriptor.mul_array` and the closed-form inverse
+:meth:`AmbientDescriptor.inv_array`.  Everything else is built on them:
+``mul_rows``, ``mul_cols`` and ``power_array``, and the one-element
+``mul``, ``inv``, ``power``, ``conj``, ``comm`` and ``order_of``.
 """
 
 from __future__ import annotations
@@ -121,56 +123,97 @@ class AmbientDescriptor:
             "d": (0, 0, 1 % self.radices[2]),
         }
 
-    # -- scalar arithmetic -------------------------------------------------
+    # -- arithmetic: the law on rows, and one-row calls of it ----------------
 
-    def mul(self, g: Element, h: Element) -> Element:
+    def mul_array(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """Row-wise products lefts[i] * rights[i] of int64 element rows.
+
+        Either side has shape (N, width) or (1, width); a single row is
+        broadcast against the other side.
+        """
+        out = np.empty((max(lefts.shape[0], rights.shape[0]), self.width),
+                       dtype=np.int64)
         if self.variant in TWO_GENERATOR_VARIANTS:
-            e1, i1, a1, b1 = g
-            e2, i2, a2, b2 = h
             rot = self.radices[1]
-            i = (self.theta * i1 + i2) if e2 else (i1 + i2)
-            if self.carry and e1 and e2:
-                i += rot >> 1
-            return (e1 ^ e2, i % rot, (a1 + a2) % self.radices[2],
-                    (b1 + b2) % self.radices[3])
-        if self.variant == "heisenberg":
+            e1, e2 = lefts[:, 0], rights[:, 0]
+            i = np.where(e2 == 1, self.theta * lefts[:, 1], lefts[:, 1]) + rights[:, 1]
+            if self.carry:
+                i = i + (rot >> 1) * (e1 & e2)
+            out[:, 0] = e1 ^ e2
+            out[:, 1] = i % rot
+        elif self.variant == "heisenberg":
             p = self.p
-            return ((g[0] + h[0]) % p, (g[1] + h[1]) % p,
-                    (g[2] + h[2] + g[0] * h[1]) % p,
-                    (g[3] + h[3]) % self.radices[3],
-                    (g[4] + h[4]) % self.radices[4])
-        return (int(self.table[g[0], h[0]]), (g[1] + h[1]) % self.radices[1],
-                (g[2] + h[2]) % self.radices[2])
+            out[:, 0] = (lefts[:, 0] + rights[:, 0]) % p
+            out[:, 1] = (lefts[:, 1] + rights[:, 1]) % p
+            out[:, 2] = (lefts[:, 2] + rights[:, 2] + lefts[:, 0] * rights[:, 1]) % p
+        else:
+            out[:, 0] = self.table[lefts[:, 0], rights[:, 0]]
+        for j in (-2, -1):  # C x D: the last two coordinates add
+            out[:, j] = (lefts[:, j] + rights[:, j]) % self.radices[j]
+        return out
 
-    def inv(self, g: Element) -> Element:
+    def inv_array(self, rows: np.ndarray) -> np.ndarray:
+        """Row-wise inverses of int64 element rows, in closed form.
+
+        (t^e r^i)^-1 is r^-i for e = 0, and t r^(-theta i) for e = 1, less
+        the central rotation r^(rot/2) that t^2 carries in the quaternion
+        kind; a unitriangular matrix (h1, h2, h3) has inverse (-h1, -h2,
+        h1 h2 - h3); a table index has the inverse its row's identity entry
+        marks.  A residue x is negated as (radix - x) % radix, not by
+        numpy's unary negative, whose first call in a process adds 64 KB
+        to its resident memory.
+        """
+        out = np.empty(rows.shape, dtype=np.int64)
         if self.variant in TWO_GENERATOR_VARIANTS:
-            e, i, a, b = g
             rot = self.radices[1]
-            if e:
-                j = -self.theta * i
-                if self.carry:
-                    j -= rot >> 1
-            else:
-                j = -i
-            return (e, j % rot, -a % self.radices[2], -b % self.radices[3])
-        if self.variant == "heisenberg":
+            e = rows[:, 0]
+            i = np.where(e == 1, self.theta * rows[:, 1], rows[:, 1])
+            if self.carry:
+                i = i + (rot >> 1) * e
+            out[:, 0] = e
+            out[:, 1] = (rot - i % rot) % rot
+        elif self.variant == "heisenberg":
             p = self.p
-            return (-g[0] % p, -g[1] % p, (-g[2] + g[0] * g[1]) % p,
-                    -g[3] % self.radices[3], -g[4] % self.radices[4])
-        return (int(self.table_inv[g[0]]), -g[1] % self.radices[1],
-                -g[2] % self.radices[2])
+            out[:, 0] = (p - rows[:, 0]) % p
+            out[:, 1] = (p - rows[:, 1]) % p
+            out[:, 2] = (rows[:, 0] * rows[:, 1] + p - rows[:, 2]) % p
+        else:
+            out[:, 0] = self.table_inv[rows[:, 0]]
+        for j in (-2, -1):
+            out[:, j] = (self.radices[j] - rows[:, j]) % self.radices[j]
+        return out
 
-    def power(self, g: Element, e: int) -> Element:
-        if e < 0:
-            g, e = self.inv(g), -e
-        acc = self.identity
-        base = g
+    def power_array(self, rows: np.ndarray, e: int) -> np.ndarray:
+        """Every row raised to the power e >= 0, by repeated squaring."""
+        acc = np.zeros_like(rows)
+        base = rows
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = self.mul_array(acc, base)
             e >>= 1
+            if e:
+                base = self.mul_array(base, base)
         return acc
+
+    def mul_rows(self, g: Element, rights: np.ndarray) -> np.ndarray:
+        """Products g * h for every row h of ``rights`` (int64, shape (N, width))."""
+        return self.mul_array(_row(g), rights)
+
+    def mul_cols(self, lefts: np.ndarray, h: Element) -> np.ndarray:
+        """Products g * h for every row g of ``lefts``."""
+        return self.mul_array(lefts, _row(h))
+
+    def mul(self, g: Element, h: Element) -> Element:
+        return _element(self.mul_array(_row(g), _row(h)))
+
+    def inv(self, g: Element) -> Element:
+        return _element(self.inv_array(_row(g)))
+
+    def power(self, g: Element, e: int) -> Element:
+        row = _row(g)
+        if e < 0:
+            row, e = self.inv_array(row), -e
+        return _element(self.power_array(row, e))
 
     def conj(self, g: Element, h: Element) -> Element:
         """g^h = h^-1 g h."""
@@ -191,59 +234,6 @@ class AmbientDescriptor:
                 raise RuntimeError("element order exceeds group order")
         return o
 
-    # -- vectorized arithmetic ---------------------------------------------
-
-    def mul_array(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """Row-wise products lefts[i] * rights[i] of int64 element rows.
-
-        Either side has shape (N, width) or (1, width); a single row is
-        broadcast against the other side.
-        """
-        out = np.empty((max(lefts.shape[0], rights.shape[0]), self.width),
-                       dtype=np.int64)
-        if self.variant in TWO_GENERATOR_VARIANTS:
-            rot = self.radices[1]
-            e1, e2 = lefts[:, 0], rights[:, 0]
-            i = np.where(e2 == 1, self.theta * lefts[:, 1], lefts[:, 1]) + rights[:, 1]
-            if self.carry:
-                i = i + (rot >> 1) * (e1 & e2)
-            out[:, 0] = e1 ^ e2
-            out[:, 1] = i % rot
-            out[:, 2] = (lefts[:, 2] + rights[:, 2]) % self.radices[2]
-            out[:, 3] = (lefts[:, 3] + rights[:, 3]) % self.radices[3]
-        elif self.variant == "heisenberg":
-            p = self.p
-            out[:, 0] = (lefts[:, 0] + rights[:, 0]) % p
-            out[:, 1] = (lefts[:, 1] + rights[:, 1]) % p
-            out[:, 2] = (lefts[:, 2] + rights[:, 2] + lefts[:, 0] * rights[:, 1]) % p
-            out[:, 3] = (lefts[:, 3] + rights[:, 3]) % self.radices[3]
-            out[:, 4] = (lefts[:, 4] + rights[:, 4]) % self.radices[4]
-        else:
-            out[:, 0] = self.table[lefts[:, 0], rights[:, 0]]
-            out[:, 1] = (lefts[:, 1] + rights[:, 1]) % self.radices[1]
-            out[:, 2] = (lefts[:, 2] + rights[:, 2]) % self.radices[2]
-        return out
-
-    def mul_rows(self, g: Element, rights: np.ndarray) -> np.ndarray:
-        """Products g * h for every row h of ``rights`` (int64, shape (N, width))."""
-        return self.mul_array(np.array([g], dtype=np.int64), rights)
-
-    def mul_cols(self, lefts: np.ndarray, h: Element) -> np.ndarray:
-        """Products g * h for every row g of ``lefts``."""
-        return self.mul_array(lefts, np.array([h], dtype=np.int64))
-
-    def power_array(self, rows: np.ndarray, e: int) -> np.ndarray:
-        """Every row raised to the power e >= 0, by repeated squaring."""
-        acc = np.zeros_like(rows)
-        base = rows
-        while e:
-            if e & 1:
-                acc = self.mul_array(acc, base)
-            e >>= 1
-            if e:
-                base = self.mul_array(base, base)
-        return acc
-
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Mixed-radix keys of element rows; monotone in tuple order."""
         keys = rows[:, 0].astype(np.int64)
@@ -256,6 +246,14 @@ class AmbientDescriptor:
         for j in range(1, self.width):
             key = key * self.radices[j] + g[j]
         return key
+
+
+def _row(g: Element) -> np.ndarray:
+    return np.array([g], dtype=np.int64)
+
+
+def _element(rows: np.ndarray) -> Element:
+    return tuple(rows[0].tolist())
 
 
 def _validate_table(table: np.ndarray, generators: Sequence[int], p: int) -> np.ndarray:

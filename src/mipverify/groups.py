@@ -6,7 +6,7 @@ generating set; and, as int32 arrays, each element's breadth-first
 derivation over the generators with the closure's level boundaries.
 Element tuples are built only when :attr:`FiniteGroup.elements` is read.
 All subgroup constructions (derived subgroup, lower central series,
-Frattini and power subgroups, center, centralizers, Jennings series)
+Frattini and power subgroups, centralizers, Jennings series)
 reduce to breadth-first closure over explicit generator sets, so every
 returned group carries valid words by construction.  The exception is
 :func:`coordinate_box`, a block of coordinates built without closure: its
@@ -286,9 +286,8 @@ class FiniteGroup:
                 for a in factors]
 
     def inverse_permutation(self) -> np.ndarray:
-        """i -> index(elements[i]^-1); the inverse is the (exponent - 1)-th power."""
-        rows = self.ambient.power_array(self.array(), self.exponent() - 1)
-        return self.indices_of_rows(rows).astype(np.int32)
+        """i -> index(elements[i]^-1)."""
+        return self.indices_of_rows(self.ambient.inv_array(self.array())).astype(np.int32)
 
     def element_orders(self) -> np.ndarray:
         """Orders of all elements: p-th powers of all rows until each is 1."""
@@ -533,7 +532,7 @@ def generated_subgroup(ambient: AmbientDescriptor,
     Absorbs seeds one at a time in canonical order, skipping those already
     contained in the subgroup so far, which grows by each absorbed seed
     (:func:`_absorb`); the essential seeds become the generating set, and
-    one breadth-first closure on them gives the result and its words.  This
+    :func:`closure` on them gives the result and its words.  This
     keeps closure cheap when the seed set is much larger than a minimal
     generating set (powers of all elements, commutator seeds, ...).
     """
@@ -541,8 +540,7 @@ def generated_subgroup(ambient: AmbientDescriptor,
     rows = _rows(ambient, seeds)
     # keys ascend with tuple order: the distinct seeds, sorted
     first = np.unique(ambient.encode(rows), return_index=True)[1]
-    essential = _absorb(ambient, rows[first], bound)
-    return _from_bfs(ambient, essential, _bfs(ambient, essential, bound))
+    return closure(ambient, _absorb(ambient, rows[first], bound), bound)
 
 
 def subgroup_from_elements(ambient: AmbientDescriptor,
@@ -597,7 +595,7 @@ def normal_closure(group: FiniteGroup,
     amb = group.ambient
     gens = group.small_generators()
     gen_rows = np.array(gens, dtype=np.int64).reshape(-1, amb.width)
-    inv_rows = np.array([amb.inv(a) for a in gens], dtype=np.int64).reshape(-1, amb.width)
+    inv_rows = amb.inv_array(gen_rows)
     rows = _rows(amb, seeds)
     keys, first = np.unique(amb.encode(rows), return_index=True)
     frontier = rows[first[keys != 0]]  # the identity has key 0
@@ -674,11 +672,6 @@ def frattini(group: FiniteGroup) -> FiniteGroup:
     return group._frattini
 
 
-def center(group: FiniteGroup) -> FiniteGroup:
-    return subgroup_from_elements(group.ambient, group.array()[group.central_mask()],
-                                  verify=False)
-
-
 def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
                     lower: FiniteGroup) -> FiniteGroup:
     """C_group(upper/lower): elements g with [g, u] in lower for all u in upper.
@@ -692,7 +685,7 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
         raise ValueError("lower must be contained in upper")
     amb = group.ambient
     arr = group.array()
-    arr_inv = amb.power_array(arr, group.exponent() - 1)
+    arr_inv = amb.inv_array(arr)
     mask = np.ones(group.order, dtype=bool)
     for u in upper.small_generators():
         conj = amb.mul_cols(amb.mul_rows(amb.inv(u), arr), u)
@@ -839,7 +832,7 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         dots = (elem_coords @ np.array(w, dtype=np.int64)) % p
         sub = subgroup_from_elements(amb, group.array()[dots == 0], verify=False)
         sub._small_gens = phi_gens + tuple(
-            amb.mul(b[i], amb.power(amb.inv(b[j0]), w[i]))
+            amb.mul(b[i], amb.power(b[j0], -w[i]))
             for i in range(rank) if i != j0)
         subgroups.append(sub)
     subgroups.sort(key=lambda s: s.keys().tolist())
@@ -858,26 +851,29 @@ def abelian_maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
 def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     """Dimension subgroups M_1 >= M_2 >= ... with M_i = [M_{i-1}, G] M_{ceil(i/p)}^p.
 
-    Returns the chain down to (and including) the trivial subgroup.
+    Returns the chain down to (and including) the trivial subgroup.  The
+    commutator part is seeded by [h, a] over the small generators h of
+    M_{i-1} and a of G alone.  M_{i-1} is normal in G, so [M_{i-1}, G] is
+    normal and contains the normal closure L of these seeds.  Modulo L
+    every h commutes with every a, so M_{i-1}/L is generated by central
+    elements of G/L and is central: [M_{i-1}, G] <= L.
     """
     p = group.p
     amb = group.ambient
-    # inverses are (exponent - 1)-th powers
-    inv_exp = group.exponent() - 1
-    gens = np.array(group.small_generators(), dtype=np.int64).reshape(-1, amb.width)
-    gens_inv = amb.power_array(gens, inv_exp)
+    gens = _rows(amb, group.small_generators())
+    gens_inv = amb.inv_array(gens)
     series = [group]
     i = 2
     # terms may legitimately repeat; the chain still reaches 1 in finitely
     # many steps (the commutator part strictly shrinks once powers die out)
     while series[-1].order > 1:
-        prev = series[-1]
+        prev = _rows(amb, series[-1].small_generators())
         half = series[(i + p - 1) // p - 1]
-        # [h, a] = h^-1 a^-1 h a for every h in prev and generator a, and
-        # the p-th powers of half
-        hs = np.repeat(prev.array(), len(gens), axis=0)
-        hs_inv = np.repeat(amb.power_array(prev.array(), inv_exp), len(gens), axis=0)
-        a, a_inv = np.tile(gens, (prev.order, 1)), np.tile(gens_inv, (prev.order, 1))
+        # [h, a] = h^-1 a^-1 h a for every pair of small generators h of
+        # M_{i-1} and a of G, and the p-th powers of half
+        hs = np.repeat(prev, len(gens), axis=0)
+        hs_inv = np.repeat(amb.inv_array(prev), len(gens), axis=0)
+        a, a_inv = np.tile(gens, (len(prev), 1)), np.tile(gens_inv, (len(prev), 1))
         comms = amb.mul_array(amb.mul_array(amb.mul_array(hs_inv, a_inv), hs), a)
         seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
         series.append(normal_closure(group, seeds))
@@ -896,7 +892,7 @@ __all__ = [
     "FiniteGroup", "Word", "closure", "coordinate_box", "generated_subgroup",
     "subgroup_from_elements", "normal_closure", "commutator_subgroup",
     "derived_subgroup", "lower_central_series", "nilpotency_class",
-    "power_subgroup", "frattini", "center", "centralizer_mod", "intersection",
+    "power_subgroup", "frattini", "centralizer_mod", "intersection",
     "conjugacy_classes", "centralizer_index", "frattini_coordinates",
     "maximal_subgroups", "abelian_maximal_subgroups", "jennings_series",
     "jennings_factor_orders",

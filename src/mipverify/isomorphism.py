@@ -122,14 +122,14 @@ def defining_relations(mul: Callable, inv: Callable, a, b, n: int, m: int,
 def pair_relations(group: FiniteGroup, a: Element, b: Element, n: int, m: int,
                    k: int, relations: str = "g") -> dict[str, bool]:
     """:func:`defining_relations` on one pair of ``group``'s elements,
-    multiplied on the group's rows (no Cayley table); g^-1 = g^(|G| - 1)."""
+    multiplied and inverted on the group's rows (no Cayley table)."""
     arr, amb = group.array(), group.ambient
 
     def mul(i, j):
         return group.indices_of_rows(amb.mul_array(arr[i], arr[j]))
 
     def inv(i):
-        return group.indices_of_rows(amb.power_array(arr[i], group.order - 1))
+        return group.indices_of_rows(amb.inv_array(arr[i]))
 
     held = defining_relations(mul, inv, np.array([group.index(a)]),
                               np.array([group.index(b)]), n, m, k, relations)

@@ -99,7 +99,7 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
     # generator whose support holds h
     distinct = sorted(set().union(*supports) - {H.identity_index})
     gather = {h: np.concatenate((col, pad)) for h, col in
-              zip(distinct, H.right_columns([H.inv(H.element(h)) for h in distinct]))}
+              zip(distinct, H.right_columns(H.ambient.inv_array(H.array()[distinct])))}
     last_use = {h: g for g, support in enumerate(supports) for h in support}
     shifts = [np.uint64(j) for j in range(8)]
     lanes = np.uint64(0x0101010101010101)  # bit 0 of each byte of a word

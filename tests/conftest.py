@@ -21,6 +21,12 @@ with a dict index and tuple-valued breadth-first fields is an oracle here,
 and so is the absorption of a seed set that closes each prefix again from
 the identity.
 
+Each ambient kind's group law is written once in the program, on rows
+(``mul_array`` and ``inv_array``), and its one-element ``mul`` and ``inv``
+are one-row calls of them; the per-kind scalar law they replaced is the
+reference here (``ref_mul``, ``ref_inv`` and what is built on them), and
+every oracle that multiplies one element at a time uses it.
+
 The table ambient proves associativity by Light's test on the two table
 generators; the n^3 check of all triples is the oracle here, and so are
 the built-in tables filled one entry at a time.
@@ -31,6 +37,11 @@ dense numpy one that shares no code with it.
 Algebra products multiply support pairs on the group engine; the product
 through the Cayley table they replaced is an oracle here, and so are the
 Jennings series seeds collected one scalar commutator and power at a time.
+The program needs neither the filtration quotients of the augmentation
+ideal nor Jennings' formula for them, unit inverses or the center as a
+group; they live here: the quotient dimensions by an elimination over F_p
+of their own, the formula, the inverse as a power, and the center wrapped
+from the central mask.
 
 The witness runs its group theory on the group engine; its earlier
 algebra-element versions are oracles here: the unit-pair recognition by
@@ -71,15 +82,92 @@ import numpy as np
 import pytest
 
 from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
-                               unit_inverse, unit_order)
-from mipverify.ambient import Element, GuardExceeded, int_log, make_ambient
+                               unit_order)
+from mipverify.ambient import (TWO_GENERATOR_VARIANTS, Element, GuardExceeded,
+                               int_log, make_ambient)
 from mipverify.family import FamilyInstance, build_family
 from mipverify import groups as groups_mod
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
-                              frattini, generated_subgroup, normal_closure)
+                              frattini, generated_subgroup, normal_closure,
+                              subgroup_from_elements)
 from mipverify.isomorphism import ClauseList
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import UnitGroupSubgroup
+
+# --- the reference group law ----------------------------------------------------
+
+
+def ref_mul(amb, g: Element, h: Element) -> Element:
+    """g * h by the per-kind scalar law."""
+    if amb.variant in TWO_GENERATOR_VARIANTS:
+        e1, i1, a1, b1 = g
+        e2, i2, a2, b2 = h
+        rot = amb.radices[1]
+        i = (amb.theta * i1 + i2) if e2 else (i1 + i2)
+        if amb.carry and e1 and e2:
+            i += rot >> 1
+        return (e1 ^ e2, i % rot, (a1 + a2) % amb.radices[2],
+                (b1 + b2) % amb.radices[3])
+    if amb.variant == "heisenberg":
+        p = amb.p
+        return ((g[0] + h[0]) % p, (g[1] + h[1]) % p,
+                (g[2] + h[2] + g[0] * h[1]) % p,
+                (g[3] + h[3]) % amb.radices[3],
+                (g[4] + h[4]) % amb.radices[4])
+    return (int(amb.table[g[0], h[0]]), (g[1] + h[1]) % amb.radices[1],
+            (g[2] + h[2]) % amb.radices[2])
+
+
+def ref_inv(amb, g: Element) -> Element:
+    """g^-1 by the per-kind scalar closed forms."""
+    if amb.variant in TWO_GENERATOR_VARIANTS:
+        e, i, a, b = g
+        rot = amb.radices[1]
+        if e:
+            j = -amb.theta * i
+            if amb.carry:
+                j -= rot >> 1
+        else:
+            j = -i
+        return (e, j % rot, -a % amb.radices[2], -b % amb.radices[3])
+    if amb.variant == "heisenberg":
+        p = amb.p
+        return (-g[0] % p, -g[1] % p, (-g[2] + g[0] * g[1]) % p,
+                -g[3] % amb.radices[3], -g[4] % amb.radices[4])
+    return (int(amb.table_inv[g[0]]), -g[1] % amb.radices[1],
+            -g[2] % amb.radices[2])
+
+
+def ref_power(amb, g: Element, e: int) -> Element:
+    if e < 0:
+        g, e = ref_inv(amb, g), -e
+    acc = amb.identity
+    base = g
+    while e:
+        if e & 1:
+            acc = ref_mul(amb, acc, base)
+        base = ref_mul(amb, base, base)
+        e >>= 1
+    return acc
+
+
+def ref_conj(amb, g: Element, h: Element) -> Element:
+    """g^h = h^-1 g h."""
+    return ref_mul(amb, ref_mul(amb, ref_inv(amb, h), g), h)
+
+
+def ref_comm(amb, g: Element, h: Element) -> Element:
+    """[g, h] = g^-1 h^-1 g h."""
+    return ref_mul(amb, ref_inv(amb, ref_mul(amb, h, g)), ref_mul(amb, g, h))
+
+
+def ref_order(amb, g: Element) -> int:
+    o = 1
+    while g != amb.identity:
+        g = ref_power(amb, g, amb.p)
+        o *= amb.p
+    return o
+
 
 # --- naive oracles -------------------------------------------------------------
 
@@ -94,7 +182,7 @@ def naive_product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         ci = u.coeff(i)
         for j in v.support():
             gj = group.elements[j]
-            key = group.mul(gi, gj)
+            key = ref_mul(group.ambient, gi, gj)
             acc[key] = (acc.get(key, 0) + ci * v.coeff(j)) % alg.p
     out = alg.zero()
     for g, coef in acc.items():
@@ -165,14 +253,14 @@ def regular_rep_is_unit(u: AlgebraElement) -> bool:
         for g in group.elements:
             row = 0
             for j in support:
-                row |= 1 << index[group.mul(g, group.elements[j])]
+                row |= 1 << index[ref_mul(group.ambient, g, group.elements[j])]
             packed.append(row)
         return gf2_rank_bitmask(packed) == alg.dim
     rows: List[List[int]] = []
     for g in group.elements:
         row = [0] * alg.dim
         for j in support:
-            idx = index[group.mul(g, group.elements[j])]
+            idx = index[ref_mul(group.ambient, g, group.elements[j])]
             row[idx] = (row[idx] + u.coeff(j)) % alg.p
         rows.append(row)
     return modp_rank(rows, alg.p) == alg.dim
@@ -220,7 +308,7 @@ def naive_closure(group_ambient, generators: Sequence[Element]) -> frozenset:
         nxt = []
         for a in frontier:
             for g in gens:
-                b = group_ambient.mul(a, g)
+                b = ref_mul(group_ambient, a, g)
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
@@ -233,11 +321,11 @@ def naive_derived_centralizer(group: FiniteGroup) -> frozenset:
     commutators and p-th powers."""
     amb = group.ambient
     elems = group.elements
-    der = naive_closure(amb, {amb.comm(g, h) for g in elems for h in elems})
-    phi = naive_closure(amb, {amb.comm(a, b) for a in der for b in der}
-                        | {amb.power(a, amb.p) for a in der})
+    der = naive_closure(amb, {ref_comm(amb, g, h) for g in elems for h in elems})
+    phi = naive_closure(amb, {ref_comm(amb, a, b) for a in der for b in der}
+                        | {ref_power(amb, a, amb.p) for a in der})
     return frozenset(g for g in elems
-                     if all(amb.comm(g, w) in phi for w in der))
+                     if all(ref_comm(amb, g, w) in phi for w in der))
 
 
 class BfsClosure(NamedTuple):
@@ -261,7 +349,7 @@ def dict_closure(ambient, generators: Sequence[Element],
         nxt = []
         for g in frontier:
             for j, a in enumerate(gens):
-                h = ambient.mul(g, a)
+                h = ref_mul(ambient, g, a)
                 if h not in words:
                     words[h] = words[g] + (j,)
                     parents[h] = (g, j)
@@ -450,7 +538,7 @@ def coset_scan_maximal_subgroups(group: FiniteGroup) -> List[tuple]:
             cur = h
             for _ in range(p):
                 new_span.add(rep(cur))
-                cur = group.mul(cur, rg)
+                cur = ref_mul(group.ambient, cur, rg)
         span = new_span
     rank = len(basis)
     assert p ** rank * phi_order == group.order
@@ -458,7 +546,7 @@ def coset_scan_maximal_subgroups(group: FiniteGroup) -> List[tuple]:
     for vec in iter_product(range(p), repeat=rank):
         g = group.identity
         for e, b in zip(vec, basis):
-            g = group.mul(g, group.power(b, e))
+            g = ref_mul(group.ambient, g, ref_power(group.ambient, b, e))
         coords[rep(g)] = vec
     subgroups = []
     for w in iter_product(range(p), repeat=rank):
@@ -548,8 +636,8 @@ def _span_of_central_pair(group: FiniteGroup, u: Element, v: Element,
         uij = ui
         for _ in range(bound_v):
             span.add(uij)
-            uij = group.mul(uij, v)
-        ui = group.mul(ui, u)
+            uij = ref_mul(group.ambient, uij, v)
+        ui = ref_mul(group.ambient, ui, u)
     return span
 
 
@@ -568,13 +656,14 @@ def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
     clauses = ClauseList()
     clauses.add("parameters", "parameters satisfy n > m >= k >= 3",
                 n > m >= k >= 3, n=n, m=m, k=k)
-    oa = group.order_of(a)
+    amb = group.ambient
+    oa = ref_order(amb, a)
     clauses.add("order-a", "first generator has order 2^n",
                 oa == 2 ** n, order=oa, expected=2 ** n)
-    ob = group.order_of(b)
+    ob = ref_order(amb, b)
     clauses.add("order-b", "second generator has order 2^m",
                 ob == 2 ** m, order=ob, expected=2 ** m)
-    a2, b2 = group.mul(a, a), group.mul(b, b)
+    a2, b2 = ref_mul(amb, a, a), ref_mul(amb, b, b)
     clauses.add("a-square-central", "square of the first generator is central",
                 group.is_central(a2))
     clauses.add("b-square-central", "square of the second generator is central",
@@ -619,10 +708,10 @@ def recognize_any_pair(group: FiniteGroup, n: int, m: int, k: int) -> Optional[t
     der_set = der.element_set()
     for ia in a_idx:
         a = group.element(ia)
-        a2 = group.mul(a, a)
+        a2 = ref_mul(group.ambient, a, a)
         for ib in b_idx:
             b = group.element(ib)
-            b2 = group.mul(b, b)
+            b2 = ref_mul(group.ambient, b, b)
             span = _span_of_central_pair(group, a2, b2, 2 ** (n - 1), 2 ** (m - 1))
             if span & der_set != {group.identity}:
                 continue
@@ -644,7 +733,7 @@ def orbit_centralizer_index(group: FiniteGroup, g: Element) -> int:
         nxt = []
         for h in frontier:
             for a in group.small_generators():
-                h2 = group.conj(h, a)
+                h2 = ref_conj(group.ambient, h, a)
                 if h2 not in orbit:
                     orbit.add(h2)
                     nxt.append(h2)
@@ -702,7 +791,7 @@ def scalar_centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
     scalar commutator at a time."""
     lower_set = lower.element_set()
     return frozenset(g for g in group.elements
-                     if all(group.comm(g, u) in lower_set
+                     if all(ref_comm(group.ambient, g, u) in lower_set
                             for u in upper.small_generators()))
 
 
@@ -716,7 +805,7 @@ def set_normal_closure(group: FiniteGroup, seeds: Sequence[Element]) -> FiniteGr
         nxt = []
         for g in frontier:
             for a in group.small_generators():
-                h = group.conj(g, a)
+                h = ref_conj(group.ambient, g, a)
                 if h not in orbit:
                     orbit.add(h)
                     nxt.append(h)
@@ -865,7 +954,7 @@ def packbits_unit_closure(algebra: GroupAlgebra,
     gens = tuple(generators)
     H, dim = algebra.group, algebra.dim
     bound = dim * safety_factor
-    gathers = [np.stack(H.right_columns([H.inv(H.element(j))
+    gathers = [np.stack(H.right_columns([ref_inv(H.ambient, H.element(j))
                                          for j in u.support()]))
                for u in gens]
     block = max(1, 2 ** 24 // (dim * (len(gens) + 2)))
@@ -925,7 +1014,7 @@ def product_generator_mismatches(FG: GroupAlgebra,
     """Number of (g, a), a a generator of G, with image(g a) != image(g) *
     image(a), by group multiplication and algebra products."""
     G = FG.group
-    return sum(images[G.index(G.mul(g, a))] != images[i] * img_a
+    return sum(images[G.index(ref_mul(G.ambient, g, a))] != images[i] * img_a
                for i, g in enumerate(G.elements)
                for a, img_a in zip(G.generators, img_gens))
 
@@ -1072,7 +1161,7 @@ def dense_ideal_dims(G: FiniteGroup, N: FiniteGroup) -> Tuple[int, int]:
         return out
 
     in_rows = [row(nel, G.identity) for nel in N.elements]
-    der_rows = [row(G.mul(w, g), g) for w in derived_subgroup(G).generators
+    der_rows = [row(ref_mul(G.ambient, w, g), g) for w in derived_subgroup(G).generators
                 for g in G.elements]
     return (dense_rank_mod_p(np.array(in_rows), G.p),
             dense_rank_mod_p(np.array(in_rows + der_rows), G.p))
@@ -1096,18 +1185,22 @@ def table_product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return alg.from_vec(acc % alg.p)
 
 
-def set_jennings_series(group: FiniteGroup) -> List[FiniteGroup]:
+def set_jennings_series(group: FiniteGroup,
+                        every_element: bool = False) -> List[FiniteGroup]:
     """Dimension subgroups with seeds from scalar commutators and powers,
-    collected in a set and sorted."""
+    collected in a set and sorted.  The commutators [h, a] take a over G's
+    small generators and h over M_{i-1}'s, or, by the definition of
+    [M_{i-1}, G], over every element of M_{i-1}."""
     p = group.p
     series = [group]
     i = 2
     while series[-1].order > 1:
         prev = series[-1]
         half = series[(i + p - 1) // p - 1]
-        seeds = {group.comm(h, a) for h in prev.elements
+        seeds = {ref_comm(group.ambient, h, a)
+                 for h in (prev.elements if every_element else prev.small_generators())
                  for a in group.small_generators()}
-        seeds.update(group.power(g, p) for g in half.elements)
+        seeds.update(ref_power(group.ambient, g, p) for g in half.elements)
         series.append(normal_closure(group, sorted(seeds)))
         i += 1
         assert i <= p * group.order + 2, "Jennings series failed to terminate"
@@ -1124,6 +1217,108 @@ def pairwise_class_sum_count(alg: GroupAlgebra) -> int:
             if j != i and up == v:
                 hit.add(j)
     return len(hit)
+
+
+def center(group: FiniteGroup) -> FiniteGroup:
+    """Z(G), wrapped from the elements that commute with every small generator."""
+    return subgroup_from_elements(group.ambient, group.array()[group.central_mask()],
+                                  verify=False)
+
+
+def unit_inverse(u: AlgebraElement) -> AlgebraElement:
+    """Inverse of a unit, u^(|u| - 1)."""
+    if u.augmentation() == 0:
+        raise ValueError("unit_inverse requires a unit (augmentation != 0)")
+    return u ** (unit_order(u) - 1)
+
+
+def jennings_dimension_polynomial(factor_orders: Sequence[int], p: int) -> list[int]:
+    """Coefficients of prod_i (1 + X^i + ... + X^((p-1)i))^(d_i).
+
+    ``factor_orders`` are the Jennings factor orders |M_i / M_{i+1}| in order
+    (i = 1, 2, ...); d_i = log_p of each.  The coefficient of X^q equals
+    dim A^q / A^(q+1).
+    """
+    poly = [1]
+    for i, order in enumerate(factor_orders, start=1):
+        d = 0
+        o = order
+        while o > 1:
+            if o % p:
+                raise ValueError("factor order is not a power of p")
+            o //= p
+            d += 1
+        base = [0] * ((p - 1) * i + 1)
+        for j in range(p):
+            base[j * i] = 1
+        for _ in range(d):
+            out = [0] * (len(poly) + len(base) - 1)
+            for ii, cv in enumerate(poly):
+                if cv:
+                    for jj, cb in enumerate(base):
+                        if cb:
+                            out[ii + jj] += cv * cb
+            poly = out
+    return poly
+
+
+def row_basis_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
+    """An echelon basis of the F_p row span of integer rows, by Gaussian
+    elimination on a numpy array; over F_2 the rows are packed eight
+    columns to a byte and reduced by XOR.  No combinations are tracked."""
+    dim = rows.shape[1]
+    if p == 2:
+        mat = np.packbits((rows % 2).astype(np.uint8), axis=1, bitorder="little")
+    else:
+        mat = rows % p
+    basis = []
+    for col in range(dim):
+        hit = np.flatnonzero(mat[:, col >> 3] & (1 << (col & 7)) if p == 2
+                             else mat[:, col])
+        if not hit.size:
+            continue
+        pivot, rest = mat[hit[0]].copy(), hit[1:]
+        if p == 2:
+            mat[rest] ^= pivot
+        else:
+            pivot = pivot * pow(int(pivot[col]), -1, p) % p
+            mat[rest] = (mat[rest] - np.outer(mat[rest, col], pivot)) % p
+        basis.append(pivot)
+        mat = np.delete(mat, hit[0], axis=0)
+    out = np.array(basis, dtype=mat.dtype).reshape(-1, mat.shape[1])
+    if p == 2:
+        return np.unpackbits(out, axis=1, count=dim, bitorder="little").astype(np.int64)
+    return out
+
+
+def aug_quotient_dims(group: FiniteGroup) -> list[int]:
+    """dim A^q / A^(q+1) for q = 0, 1, ... until A^q = 0, with A the
+    augmentation ideal of F_p[G] and A^0 = F_p[G], by :func:`row_basis_mod_p`.
+
+    A^1 is spanned by the rows of g - 1.  With x_s = s - 1 for the small
+    generators s, gh - 1 = (g - 1)(h - 1) + (g - 1) + (h - 1) and s^-1 - 1 =
+    s^(|s| - 1) - 1 make every g - 1 a polynomial in the x_s without constant
+    term, so A^q is spanned by the monomials of degree >= q, and A^(q+1) by
+    the rows (s - 1) v over s and a basis v of A^q.  Left translation by s
+    reads the group's left columns; no Cayley table is built.
+    """
+    p, dim = group.p, group.order
+    left = group.left_columns(group.small_generators())
+    basis = np.eye(dim, dtype=np.int64)[1:]  # the identity has index 0
+    basis[:, 0] = p - 1
+    dims, prev = [], dim
+    while True:
+        basis = row_basis_mod_p(basis, p)
+        dims.append(prev - basis.shape[0])
+        prev = basis.shape[0]
+        if not prev:
+            return dims
+        parts = []
+        for col in left:
+            moved = np.empty_like(basis)
+            moved[:, col] = basis
+            parts.append(moved - basis)
+        basis = np.concatenate(parts)
 
 
 # --- shared instances ------------------------------------------------------------

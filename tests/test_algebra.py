@@ -9,13 +9,13 @@ import mipverify.algebra as algebra_mod
 import mipverify.groups as groups_mod
 
 from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
-                               jennings_dimension_polynomial, is_unit,
-                               pack_bits, unit_inverse, unit_order,
-                               unpack_bits)
+                               is_unit, pack_bits, unit_order, unpack_bits)
 from mipverify.groups import conjugacy_classes, jennings_factor_orders
 
-from conftest import (naive_product, naive_power, pairwise_class_sum_count,
-                      regular_rep_is_unit, table_product)
+from conftest import (aug_quotient_dims, jennings_dimension_polynomial,
+                      naive_product, naive_power, pairwise_class_sum_count,
+                      ref_mul, ref_order, regular_rep_is_unit, table_product,
+                      unit_inverse)
 
 
 def _random_element(alg, rng, density=0.5):
@@ -61,8 +61,8 @@ def test_embed_is_multiplicative(catalog):
         for _ in range(40):
             g = grp.elements[rng.randrange(grp.order)]
             h = grp.elements[rng.randrange(grp.order)]
-            assert alg.embed(g) * alg.embed(h) == alg.embed(grp.mul(g, h))
-            assert unit_order(alg.embed(g)) == grp.order_of(g)
+            assert alg.embed(g) * alg.embed(h) == alg.embed(ref_mul(grp.ambient, g, h))
+            assert unit_order(alg.embed(g)) == ref_order(grp.ambient, g)
 
 
 def test_powers_match_naive(catalog):
@@ -131,7 +131,7 @@ def test_product_builds_no_table(catalog, monkeypatch):
     for alg in _algebras(catalog, ["Q16", "heis27"]):
         u, v = _random_element(alg, rng), _random_element(alg, rng)
         assert u * v == naive_product(u, v)
-        assert alg.aug_quotient_dims() == jennings_dimension_polynomial(
+        assert aug_quotient_dims(alg.group) == jennings_dimension_polynomial(
             jennings_factor_orders(alg.group), alg.p)
 
 
@@ -227,7 +227,7 @@ def test_class_sum_matches_need_whole_classes(catalog):
 
 def test_aug_ideal_filtration_c4(catalog):
     alg = GroupAlgebra(dict(catalog)["C4"])
-    assert alg.aug_quotient_dims() == [1, 1, 1, 1]
+    assert aug_quotient_dims(alg.group) == [1, 1, 1, 1]
     assert alg.aug_ideal_power_basis(1).rank() == 3
     assert alg.aug_ideal_power_basis(2).rank() == 2
     assert alg.aug_ideal_power_basis(3).rank() == 1
@@ -235,11 +235,16 @@ def test_aug_ideal_filtration_c4(catalog):
 
 
 def test_jennings_formula_small_groups(catalog):
+    """Jennings' formula against the filtration quotients, and the
+    program's basis of each A^q against the quotients' tail sums."""
     for name in ("C4", "C8", "V4", "D8", "Q8", "D16", "C9", "heis27"):
         grp = dict(catalog)[name]
         alg = GroupAlgebra(grp)
+        dims = aug_quotient_dims(grp)
         poly = jennings_dimension_polynomial(jennings_factor_orders(grp), grp.p)
-        assert alg.aug_quotient_dims() == poly, name
+        assert dims == poly, name
+        assert [alg.aug_ideal_power_basis(q).rank() for q in range(1, len(dims) + 1)] \
+            == [sum(dims[q:]) for q in range(1, len(dims) + 1)], name
 
 
 def test_jennings_polynomial_values():

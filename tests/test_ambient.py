@@ -12,7 +12,7 @@ from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, int_log,
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
 from conftest import (cubic_associative, loop_semidirect_c9c9_table,
-                      loop_wreath_cyclic_table)
+                      loop_wreath_cyclic_table, ref_inv, ref_mul, ref_power)
 
 
 AMBIENTS = {
@@ -65,6 +65,8 @@ ARRAY_AMBIENTS = dict(AMBIENTS, **{
 
 @pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
 def test_mul_array_matches_scalar_mul(name):
+    """The row law, both broadcasting sides included, and the one-element
+    ``mul`` built on it, against the scalar reference law."""
     amb = ARRAY_AMBIENTS[name]
     rng = random.Random(31337)
     lefts = [random_element(amb, rng) for _ in range(300)]
@@ -73,18 +75,39 @@ def test_mul_array_matches_scalar_mul(name):
     R = np.array(rights, dtype=np.int64)
     got = amb.mul_array(L, R)
     assert got.dtype == np.int64 and got.shape == L.shape
-    assert [tuple(r) for r in got.tolist()] == \
-        [amb.mul(a, b) for a, b in zip(lefts, rights)]
+    want = [ref_mul(amb, a, b) for a, b in zip(lefts, rights)]
+    assert [tuple(r) for r in got.tolist()] == want
+    assert [amb.mul(a, b) for a, b in zip(lefts[:20], rights[:20])] == want[:20]
     g = lefts[0]
     left_bcast = [tuple(r) for r in amb.mul_array(L[:1], R).tolist()]
     right_bcast = [tuple(r) for r in amb.mul_array(L, R[:1]).tolist()]
-    assert left_bcast == [amb.mul(g, b) for b in rights]
-    assert right_bcast == [amb.mul(a, rights[0]) for a in lefts]
+    assert left_bcast == [ref_mul(amb, g, b) for b in rights]
+    assert right_bcast == [ref_mul(amb, a, rights[0]) for a in lefts]
     assert left_bcast == [tuple(r) for r in amb.mul_rows(g, R).tolist()]
     assert right_bcast == [tuple(r) for r in amb.mul_cols(L, rights[0]).tolist()]
     if amb.carry:
         both_odd = L[:, 0] & R[:, 0]
         assert both_odd.any() and not both_odd.all()
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
+def test_inv_array_matches_reference_inverse(name):
+    """The closed-form row inverses, and the one-element ``inv`` built on
+    them, against the scalar reference; each row times its inverse is 1."""
+    amb = ARRAY_AMBIENTS[name]
+    rng = random.Random(2718)
+    elems = [random_element(amb, rng) for _ in range(300)]
+    rows = np.array(elems, dtype=np.int64)
+    got = amb.inv_array(rows)
+    assert got.dtype == np.int64 and got.shape == rows.shape
+    want = [ref_inv(amb, a) for a in elems]
+    assert [tuple(r) for r in got.tolist()] == want
+    assert [amb.inv(a) for a in elems[:20]] == want[:20]
+    assert not amb.mul_array(rows, got).any()
+    if amb.variant != "table":
+        # the carry and the twist act on rows with t and r, the cross term
+        # on rows with h1 h2 != 0
+        assert (rows[:, 0] * rows[:, 1]).any()
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
@@ -94,8 +117,11 @@ def test_power_array_matches_scalar_power(name):
     elems = [random_element(amb, rng) for _ in range(100)]
     rows = np.array(elems, dtype=np.int64)
     for e in (0, 1, 2, 3, 5, 8, 27):
-        assert [tuple(r) for r in amb.power_array(rows, e).tolist()] == \
-            [amb.power(a, e) for a in elems]
+        want = [ref_power(amb, a, e) for a in elems]
+        assert [tuple(r) for r in amb.power_array(rows, e).tolist()] == want
+        assert [amb.power(a, e) for a in elems[:10]] == want[:10]
+    assert [amb.power(a, -3) for a in elems[:10]] == \
+        [ref_power(amb, a, -3) for a in elems[:10]]
 
 
 def test_two_generator_relations():

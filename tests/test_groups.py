@@ -9,7 +9,7 @@ import numpy as np
 from mipverify import groups as groups_mod
 from mipverify.ambient import GuardExceeded, make_ambient
 from mipverify.family import build_family
-from mipverify.groups import (center, centralizer_index, centralizer_mod,
+from mipverify.groups import (centralizer_index, centralizer_mod,
                               closure,
                               commutator_subgroup, conjugacy_classes,
                               derived_subgroup, frattini,
@@ -20,7 +20,7 @@ from mipverify.groups import (center, centralizer_index, centralizer_mod,
                               nilpotency_class, normal_closure,
                               power_subgroup, subgroup_from_elements)
 
-from conftest import (assert_same_group, coset_scan_maximal_subgroups,
+from conftest import (assert_same_group, center, coset_scan_maximal_subgroups,
                       dict_closure, greedy_generators, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
                       power_frattini, reclosing_generated_subgroup,
@@ -230,14 +230,18 @@ def test_jennings_series_c4():
 
 
 def test_jennings_series_matches_set_oracle(layer_groups):
-    """Vectorized seeds give the same terms, generators and words."""
+    """Vectorized seeds give the same terms, generators and words as scalar
+    seeds over the same small generators, and the same terms as seeds over
+    every element of M_{i-1}."""
     for name, grp in layer_groups:
         got, want = jennings_series(grp), set_jennings_series(grp)
-        assert len(got) == len(want), name
-        for a, b in zip(got, want):
+        full = set_jennings_series(grp, every_element=True)
+        assert len(got) == len(want) == len(full), name
+        for a, b, c in zip(got, want, full):
             assert (a.elements, a.generators) == (b.elements, b.generators), name
             assert np.array_equal(a.bfs_parent, b.bfs_parent), name
             assert np.array_equal(a.bfs_gen, b.bfs_gen), name
+            assert a.elements == c.elements, name
 
 
 def test_jennings_series_shape(catalog):

@@ -10,7 +10,7 @@ import pytest
 import mipverify.groups as groups_mod
 import mipverify.witness as witness_mod
 
-from mipverify.algebra import GroupAlgebra, is_unit, unit_inverse, unit_order
+from mipverify.algebra import GroupAlgebra, is_unit, unit_order
 from mipverify.ambient import GuardExceeded
 from mipverify.cli import _make_zeta
 from mipverify.family import build_family
@@ -25,7 +25,7 @@ from conftest import (algebra_unit_recognition, eliminated_a2_independence,
                       matmul_unit_table, packbits_unit_closure,
                       product_generator_mismatches, product_transport_images,
                       sampled_product_mismatches, scalar_unit_closure,
-                      small_group_catalog, word_pair_mismatches)
+                      small_group_catalog, unit_inverse, word_pair_mismatches)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "spanning", "independent-mod-a2", "basis-transport"]
