@@ -193,10 +193,10 @@ class GroupAlgebra:
     def aug_ideal_power_basis(self, q: int) -> "FpMatrix":
         """Row basis of A^q, the q-th power of the augmentation ideal.
 
-        A^1 is spanned by {g - 1}; A^q by {(a - 1) v} for generators a and
-        basis rows v of A^(q-1) (left multiplication by the ideal generators
-        a - 1 spans the product because F_p[G] (a - 1) translates within the
-        same row family).
+        A^1 is spanned by {g - 1}; A^q by {(a - 1) v} for the small
+        generators a and basis rows v of A^(q-1).  gh - 1 = (g - 1)(h - 1) +
+        (g - 1) + (h - 1) and a^-1 - 1 = a^(|a| - 1) - 1 make every g - 1 a
+        sum of products (a - 1) r, and r v lies in the ideal A^(q-1).
         """
         if q < 1:
             raise ValueError("power must be >= 1")
@@ -210,7 +210,7 @@ class GroupAlgebra:
                     mx.add_row(self.from_indices((i,)) - one)
             else:
                 prev = self._aug_power_bases[step - 1]
-                gens = [g for g in self.group.generators
+                gens = [g for g in self.group.small_generators()
                         if g != self.group.identity]
                 arr = self.group.array()
                 for a in gens:

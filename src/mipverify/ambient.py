@@ -18,9 +18,10 @@ Tuple comparison gives the canonical element order used everywhere else.
 All arithmetic is exact integer arithmetic.  Each kind's law is written
 once, on int64 numpy arrays with one row per element: the broadcasting
 product :meth:`AmbientDescriptor.mul_array` and the closed-form inverse
-:meth:`AmbientDescriptor.inv_array`.  Everything else is built on them:
-``mul_rows``, ``mul_cols`` and ``power_array``, and the one-element
-``mul``, ``inv``, ``power``, ``conj``, ``comm`` and ``order_of``.
+:meth:`AmbientDescriptor.inv_array`.  Everything else is built on them, on
+rows: ``power_array``, ``comm_array``, ``conj_array``, ``orders_array``,
+``mul_rows`` and ``mul_cols``; and the one-element ``mul``, ``inv``,
+``power`` and ``comm``, which are one-row calls of the row law.
 """
 
 from __future__ import annotations
@@ -195,6 +196,32 @@ class AmbientDescriptor:
                 base = self.mul_array(base, base)
         return acc
 
+    def comm_array(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """Row-wise commutators [g, h] = g^-1 h^-1 g h = (h g)^-1 (g h);
+        broadcasts like :meth:`mul_array`."""
+        return self.mul_array(self.inv_array(self.mul_array(rights, lefts)),
+                              self.mul_array(lefts, rights))
+
+    def conj_array(self, rows: np.ndarray, by: np.ndarray) -> np.ndarray:
+        """Row-wise conjugates g^h = h^-1 g h of the rows g by the rows h of
+        ``by``; broadcasts like :meth:`mul_array`."""
+        return self.mul_array(self.mul_array(self.inv_array(by), rows), by)
+
+    def orders_array(self, rows: np.ndarray) -> np.ndarray:
+        """Row-wise element orders: p-th powers until each row is the zero
+        row, the identity."""
+        orders = np.ones(rows.shape[0], dtype=np.int64)
+        live = np.arange(rows.shape[0])
+        q = 1
+        while (pending := rows.any(axis=1)).any():
+            live, rows = live[pending], rows[pending]
+            q *= self.p
+            if q > self.order:
+                raise RuntimeError("element order exceeds group order")
+            orders[live] = q
+            rows = self.power_array(rows, self.p)
+        return orders
+
     def mul_rows(self, g: Element, rights: np.ndarray) -> np.ndarray:
         """Products g * h for every row h of ``rights`` (int64, shape (N, width))."""
         return self.mul_array(_row(g), rights)
@@ -215,24 +242,9 @@ class AmbientDescriptor:
             row, e = self.inv_array(row), -e
         return _element(self.power_array(row, e))
 
-    def conj(self, g: Element, h: Element) -> Element:
-        """g^h = h^-1 g h."""
-        return self.mul(self.mul(self.inv(h), g), h)
-
     def comm(self, g: Element, h: Element) -> Element:
         """[g, h] = g^-1 h^-1 g h."""
-        return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
-
-    def order_of(self, g: Element) -> int:
-        o = 1
-        cur = g
-        ident = self.identity
-        while cur != ident:
-            cur = self.power(cur, self.p)
-            o *= self.p
-            if o > self.order:
-                raise RuntimeError("element order exceeds group order")
-        return o
+        return _element(self.comm_array(_row(g), _row(h)))
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Mixed-radix keys of element rows; monotone in tuple order."""

@@ -168,7 +168,7 @@ def _make_zeta(FH: GroupAlgebra, inst, kind: str, seed: int, m: int):
         return FH.one()
     if kind == "central-element":
         c = inst.named["c"]
-        return FH.embed(FH.group.power(c, 2 ** (inst.params[2] - 1)))
+        return FH.embed(FH.group.ambient.power(c, 2 ** (inst.params[2] - 1)))
     sums = [s for s in FH.class_sums() if s.augmentation() == 0]
     rng = random.Random(seed)
     for _ in range(64):

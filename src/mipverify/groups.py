@@ -142,30 +142,6 @@ class FiniteGroup:
         """The elements as int64 rows, one row per element."""
         return self._array
 
-    def mul(self, g: Element, h: Element) -> Element:
-        return self.ambient.mul(g, h)
-
-    def inv(self, g: Element) -> Element:
-        return self.ambient.inv(g)
-
-    def conj(self, g: Element, h: Element) -> Element:
-        return self.ambient.conj(g, h)
-
-    def comm(self, g: Element, h: Element) -> Element:
-        return self.ambient.comm(g, h)
-
-    def power(self, g: Element, e: int) -> Element:
-        return self.ambient.power(g, e)
-
-    def order_of(self, g: Element) -> int:
-        return self.ambient.order_of(g)
-
-    def evaluate_word(self, word: Word) -> Element:
-        acc = self.identity
-        for j in word:
-            acc = self.mul(acc, self.generators[j])
-        return acc
-
     # -- derived data ----------------------------------------------------------
 
     def keys(self) -> np.ndarray:
@@ -290,23 +266,9 @@ class FiniteGroup:
         return self.indices_of_rows(self.ambient.inv_array(self.array())).astype(np.int32)
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements: p-th powers of all rows until each is 1."""
+        """Orders of all elements, by :meth:`AmbientDescriptor.orders_array`."""
         if self._orders is None:
-            orders = np.ones(self.order, dtype=np.int64)
-            live = np.arange(self.order)
-            cur = self.array()
-            q = 1
-            while True:
-                # the identity is the all-zero row
-                pending = cur.any(axis=1)
-                live, cur = live[pending], cur[pending]
-                if not live.size:
-                    break
-                q *= self.p
-                orders[live] = q
-                if q > self.order:
-                    raise RuntimeError("order computation exceeded group order")
-                cur = self.ambient.power_array(cur, self.p)
+            orders = self.ambient.orders_array(self.array())
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
@@ -341,14 +303,10 @@ class FiniteGroup:
             self._central_mask = mask
         return self._central_mask
 
-    def is_central(self, g: Element) -> bool:
-        return all(self.mul(g, a) == self.mul(a, g)
-                   for a in self.small_generators())
-
     def is_abelian(self) -> bool:
-        gens = self.small_generators()
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for i, a in enumerate(gens) for b in gens[i + 1:])
+        gens = _rows(self.ambient, self.small_generators())
+        i, j = _pairs(len(gens))
+        return not self.ambient.comm_array(gens[i], gens[j]).any()
 
     def exponent(self) -> int:
         return int(self.element_orders().max()) if self.order > 1 else 1
@@ -363,6 +321,12 @@ def _rows(ambient: AmbientDescriptor,
                       or (rows >= np.array(ambient.radices)).any()):
         raise ValueError("rows are not ambient elements")
     return rows.reshape(-1, ambient.width)
+
+
+def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j < count, in row order."""
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
@@ -593,22 +557,17 @@ def normal_closure(group: FiniteGroup,
     the orbit is the seed set of :func:`generated_subgroup`.
     """
     amb = group.ambient
-    gens = group.small_generators()
-    gen_rows = np.array(gens, dtype=np.int64).reshape(-1, amb.width)
-    inv_rows = amb.inv_array(gen_rows)
+    gen_rows = _rows(amb, group.small_generators())
     rows = _rows(amb, seeds)
     keys, first = np.unique(amb.encode(rows), return_index=True)
     frontier = rows[first[keys != 0]]  # the identity has key 0
     seen = np.zeros(amb.order, dtype=bool)
     seen[keys] = True
     orbit = [frontier]
-    while frontier.shape[0] and len(gens):
-        # a^-1 h a for every small generator a and frontier row h
-        size = frontier.shape[0]
-        cand = amb.mul_array(
-            amb.mul_array(np.repeat(inv_rows, size, axis=0),
-                          np.tile(frontier, (len(gens), 1))),
-            np.repeat(gen_rows, size, axis=0))
+    while frontier.shape[0] and len(gen_rows):
+        # h^a for every small generator a and frontier row h
+        cand = amb.conj_array(np.tile(frontier, (len(gen_rows), 1)),
+                              np.repeat(gen_rows, frontier.shape[0], axis=0))
         keys, first = np.unique(amb.encode(cand), return_index=True)
         fresh = ~seen[keys]
         seen[keys[fresh]] = True
@@ -618,16 +577,17 @@ def normal_closure(group: FiniteGroup,
 
 
 def commutator_subgroup(group: FiniteGroup, left: FiniteGroup) -> FiniteGroup:
-    """[left, group] for left a subgroup of group (both sharing the ambient)."""
-    seeds = [group.comm(h, a) for h in left.small_generators()
-             for a in group.small_generators()]
-    return normal_closure(group, seeds)
+    """[left, group] for left a subgroup of group (both sharing the ambient),
+    the normal closure of [h, a] over the small generators h of left and a
+    of group."""
+    amb = group.ambient
+    hs, gens = _rows(amb, left.small_generators()), _rows(amb, group.small_generators())
+    return normal_closure(group, amb.comm_array(np.repeat(hs, len(gens), axis=0),
+                                                np.tile(gens, (len(hs), 1))))
 
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
-    gens = group.small_generators()
-    seeds = [group.comm(a, b) for a in gens for b in gens]
-    return normal_closure(group, seeds)
+    return commutator_subgroup(group, group)
 
 
 def lower_central_series(group: FiniteGroup) -> list[FiniteGroup]:
@@ -665,10 +625,11 @@ def frattini(group: FiniteGroup) -> FiniteGroup:
     N.  Every seed lies in G' G^p = Phi(G), which is normal, so N <= Phi(G).
     """
     if group._frattini is None:
-        amb, gens = group.ambient, group.small_generators()
-        seeds = [amb.power(s, group.p) for s in gens]
-        seeds += [amb.comm(s, t) for i, s in enumerate(gens) for t in gens[i + 1:]]
-        group._frattini = normal_closure(group, seeds)
+        amb = group.ambient
+        gens = _rows(amb, group.small_generators())
+        i, j = _pairs(len(gens))
+        group._frattini = normal_closure(group, np.concatenate(
+            [amb.power_array(gens, group.p), amb.comm_array(gens[i], gens[j])]))
     return group._frattini
 
 
@@ -678,18 +639,16 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
 
     ``lower`` must be normalized by both ``group`` and ``upper`` for the result
     to be a subgroup; closure of the filtered set is verified and a violation
-    raises ValueError.  [g, u] = g^-1 (u^-1 g u) is taken for every row g at
-    once, for each small generator u of ``upper``.
+    raises ValueError.  [g, u] is taken for every row g at once, for each
+    small generator u of ``upper``.
     """
     if not upper.contains(lower):
         raise ValueError("lower must be contained in upper")
     amb = group.ambient
     arr = group.array()
-    arr_inv = amb.inv_array(arr)
     mask = np.ones(group.order, dtype=bool)
-    for u in upper.small_generators():
-        conj = amb.mul_cols(amb.mul_rows(amb.inv(u), arr), u)
-        mask &= lower.has_keys(amb.encode(amb.mul_array(arr_inv, conj)))
+    for u in _rows(amb, upper.small_generators()):
+        mask &= lower.has_keys(amb.encode(amb.comm_array(arr, u[None])))
     return subgroup_from_elements(amb, arr[mask], verify=True)
 
 
@@ -734,9 +693,8 @@ def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
     if group._classes is None:
         arr = group.array()
         # columns of the conjugation maps g -> a^-1 g a for each generator
-        conj_cols = [group.indices_of_rows(group.ambient.mul_cols(
-                         group.ambient.mul_rows(group.inv(a), arr), a))
-                     for a in group.small_generators()]
+        conj_cols = [group.indices_of_rows(group.ambient.conj_array(arr, a[None]))
+                     for a in _rows(group.ambient, group.small_generators())]
         label = _orbit_minima(conj_cols, group.order)
         label.setflags(write=False)
         members = np.argsort(label, kind="stable")
@@ -821,7 +779,10 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     p, amb = group.p, group.ambient
     elem_coords, basis = _frattini_basis(group)
     rank = elem_coords.shape[1]
-    b = [group.element(i) for i in basis]
+    b = group.array()[basis]
+    # b_j^-e for every exponent e < p and basis element j
+    b_inv = amb.inv_array(b)
+    inv_powers = np.stack([amb.power_array(b_inv, e) for e in range(p)])
     phi_gens = frattini(group).generators
     # hyperplane normals up to scalar: first nonzero coefficient equal 1
     subgroups = []
@@ -831,9 +792,9 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
             continue
         dots = (elem_coords @ np.array(w, dtype=np.int64)) % p
         sub = subgroup_from_elements(amb, group.array()[dots == 0], verify=False)
-        sub._small_gens = phi_gens + tuple(
-            amb.mul(b[i], amb.power(b[j0], -w[i]))
-            for i in range(rank) if i != j0)
+        others = np.array([i for i in range(rank) if i != j0], dtype=np.intp)
+        carried = amb.mul_array(b[others], inv_powers[np.array(w)[others], j0])
+        sub._small_gens = phi_gens + tuple(map(tuple, carried.tolist()))
         subgroups.append(sub)
     subgroups.sort(key=lambda s: s.keys().tolist())
     return subgroups
@@ -861,7 +822,6 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     p = group.p
     amb = group.ambient
     gens = _rows(amb, group.small_generators())
-    gens_inv = amb.inv_array(gens)
     series = [group]
     i = 2
     # terms may legitimately repeat; the chain still reaches 1 in finitely
@@ -871,10 +831,8 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
         half = series[(i + p - 1) // p - 1]
         # [h, a] = h^-1 a^-1 h a for every pair of small generators h of
         # M_{i-1} and a of G, and the p-th powers of half
-        hs = np.repeat(prev, len(gens), axis=0)
-        hs_inv = np.repeat(amb.inv_array(prev), len(gens), axis=0)
-        a, a_inv = np.tile(gens, (len(prev), 1)), np.tile(gens_inv, (len(prev), 1))
-        comms = amb.mul_array(amb.mul_array(amb.mul_array(hs_inv, a_inv), hs), a)
+        comms = amb.comm_array(np.repeat(prev, len(gens), axis=0),
+                               np.tile(gens, (len(prev), 1)))
         seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
         series.append(normal_closure(group, seeds))
         i += 1

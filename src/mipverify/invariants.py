@@ -159,16 +159,18 @@ def invariant_report(G: FiniteGroup, FG: GroupAlgebra,
             census[len(cls)] = census.get(len(cls), 0) + 1
 
     sehgal = []
+    gens = np.array(G.generators, dtype=np.int64).reshape(-1, G.ambient.width)
+    orders = G.ambient.orders_array(gens).tolist()
+    powers_central = G.central_mask()[
+        G.indices_of_rows(G.ambient.power_array(gens, G.p))].tolist()
     for pos, y in enumerate(G.generators):
-        yp = G.power(y, G.p)
-        yp_central = bool(G.central_mask()[G.index(yp)])
         idx = centralizer_index(G, y)
         sehgal.append({
             "generator": pos,
-            "order": G.order_of(y),
-            "p_th_power_central": yp_central,
+            "order": orders[pos],
+            "p_th_power_central": powers_central[pos],
             "centralizer_index": idx,
-            "index_equals_p": (idx == G.p) if not yp_central else None,
+            "index_equals_p": (idx == G.p) if not powers_central[pos] else None,
         })
 
     return InvariantReport(

@@ -178,22 +178,20 @@ def find_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
 
 
 def _pair_profile(group: FiniteGroup, a: Element, b: Element) -> tuple:
-    """Isomorphism-invariant fingerprint of a generating pair."""
-    u = group.comm(b, a)
-    ab = group.mul(a, b)
-    a2 = group.mul(a, a)
-    b2 = group.mul(b, b)
-    return (
-        group.order_of(a),
-        group.order_of(b),
-        group.order_of(u),
-        group.order_of(ab),
-        group.is_central(a2),
-        group.is_central(b2),
-        group.is_central(u),
-        group.is_central(group.mul(ab, ab)),
-        group.order_of(group.mul(a2, b2)),
-    )
+    """Isomorphism-invariant fingerprint of a generating pair: the orders of
+    a, b, u = [b, a], ab and a^2 b^2, and whether a^2, b^2, u and (ab)^2
+    are central."""
+    amb = group.ambient
+    pair = np.array([a, b], dtype=np.int64)
+    ab = amb.mul_array(pair[:1], pair[1:])
+    squares = amb.mul_array(pair, pair)
+    u = amb.comm_array(pair[1:], pair[:1])
+    # a, b, u, ab, a^2 b^2 for their orders; a^2, b^2, u, (ab)^2 for centrality
+    rows = np.concatenate([pair, u, ab, amb.mul_array(squares[:1], squares[1:]),
+                           squares, u, amb.mul_array(ab, ab)])
+    orders = amb.orders_array(rows[:5]).tolist()
+    central = group.central_mask()[group.indices_of_rows(rows[5:])].tolist()
+    return (*orders[:4], *central, orders[4])
 
 
 def _check_candidate(a_group: FiniteGroup, a_cols: list[np.ndarray],

@@ -42,16 +42,12 @@ UNIT_BUDGET_BYTES = 2 ** 30
 class UnitGroupSubgroup:
     """A finite subgroup of the normalized units, in discovery order.
 
-    Element i (other than the identity, element 0) equals
-    elements[bfs_parent[i]] * generators[bfs_gen[i]], and columns[j][i] is
-    the position of elements[i] * generators[j].
+    columns[j][i] is the position of elements[i] * generators[j].
     """
 
     algebra: GroupAlgebra
     elements: tuple[AlgebraElement, ...]
     generators: tuple[AlgebraElement, ...]
-    bfs_parent: tuple[int, ...]
-    bfs_gen: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
 
     @property
@@ -106,7 +102,6 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
     block = max(1, _CLOSURE_BLOCK_BYTES // (8 * nbytes * (len(gens) + 2)))
     keys = [algebra.one().key]
     seen = {keys[0]: 0}  # packed key -> discovery number
-    parents, genidx = [0], [0]
     columns: list[list[int]] = [[] for _ in gens]
     frontier = [0]
     while gens and frontier:
@@ -157,8 +152,6 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
                 if idx is None:
                     idx = seen[key] = len(keys)
                     keys.append(key)
-                    parents.append(ids[c // len(gens)])
-                    genidx.append(c % len(gens))
                     nxt.append(idx)
                     if len(keys) > bound:
                         raise RuntimeError(f"unit closure exceeded {bound} elements")
@@ -166,9 +159,7 @@ def unit_closure(algebra: GroupAlgebra, generators: Sequence[AlgebraElement],
         frontier = nxt
     return UnitGroupSubgroup(algebra=algebra,
                              elements=tuple(AlgebraElement(algebra, k) for k in keys),
-                             generators=gens, bfs_parent=tuple(parents),
-                             bfs_gen=tuple(genidx),
-                             columns=tuple(map(tuple, columns)))
+                             generators=gens, columns=tuple(map(tuple, columns)))
 
 
 def spanning_rank(subgroup: UnitGroupSubgroup) -> tuple[int, bool]:
@@ -198,7 +189,7 @@ def build_beta(FH: GroupAlgebra, x: Element, z: Element) -> AlgebraElement:
     H = FH.group
     if x not in H or z not in H:
         raise ValueError("witness generators must lie in H")
-    xz = H.mul(x, z)
+    xz = H.ambient.mul(x, z)
     if len({H.identity, x, xz}) != 3:
         raise ValueError("degenerate witness support")
     return FH.from_elements([H.identity, x, xz])
@@ -213,9 +204,9 @@ def build_beta_k3(FH: GroupAlgebra, x: Element, z: Element, d_sq: Element,
     for g in (x, z, d_sq):
         if g not in H:
             raise ValueError("witness ingredients must lie in H")
-    u = H.comm(z, x)
-    zxu = H.mul(H.mul(z, x), u)
-    return FH.from_elements([d_sq, zxu, H.mul(zxu, z)])
+    amb = H.ambient
+    zxu = amb.mul(amb.mul(z, x), amb.comm(z, x))
+    return FH.from_elements([d_sq, zxu, amb.mul(zxu, z)])
 
 
 def build_beta_general(FH: GroupAlgebra, zeta: AlgebraElement, x_t: Element,
@@ -235,10 +226,10 @@ def build_beta_general(FH: GroupAlgebra, zeta: AlgebraElement, x_t: Element,
     zorder = unit_order(zeta)
     if zorder >= 2 ** m:
         raise ValueError(f"zeta has order {zorder}, not below 2^m = {2 ** m}")
-    if H.conj(z, x_t) == z:
+    if H.ambient.comm(z, x_t) == H.identity:
         raise ValueError("x_t must not fix z under conjugation")
     ext = FH.embed(x_t)
-    return zeta + ext + FH.embed(H.mul(x_t, z))
+    return zeta + ext + FH.embed(H.ambient.mul(x_t, z))
 
 
 # -- certification -----------------------------------------------------------------
@@ -329,7 +320,7 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
     # (b) beta^2 central
     beta_sq = beta * beta
     ex = FH.embed(x)
-    ex_inv = FH.embed(H.inv(x))
+    ex_inv = FH.embed(H.ambient.inv(x))
     conj_sq = ex_inv * beta_sq * ex
     add("beta-square-central", "the square of the witness unit is central",
         beta_sq.is_central(), fixed_by_x=conj_sq == beta_sq)

@@ -22,10 +22,12 @@ and so is the absorption of a seed set that closes each prefix again from
 the identity.
 
 Each ambient kind's group law is written once in the program, on rows
-(``mul_array`` and ``inv_array``), and its one-element ``mul`` and ``inv``
-are one-row calls of them; the per-kind scalar law they replaced is the
-reference here (``ref_mul``, ``ref_inv`` and what is built on them), and
-every oracle that multiplies one element at a time uses it.
+(``mul_array`` and ``inv_array``, with ``comm_array``, ``conj_array`` and
+``orders_array`` built on them), and its one-element ``mul``, ``inv``,
+``power`` and ``comm`` are one-row calls of them; the per-kind scalar law
+they replaced is the reference here (``ref_mul``, ``ref_inv`` and what is
+built on them: ``ref_conj``, ``ref_comm``, ``ref_order`` and ``ref_word``),
+and every oracle that multiplies one element at a time uses it.
 
 The table ambient proves associativity by Light's test on the two table
 generators; the n^3 check of all triples is the oracle here, and so are
@@ -167,6 +169,14 @@ def ref_order(amb, g: Element) -> int:
         g = ref_power(amb, g, amb.p)
         o *= amb.p
     return o
+
+
+def ref_word(group: FiniteGroup, word: Sequence[int]) -> Element:
+    """The product of ``group``'s generators along ``word``, left to right."""
+    acc = group.identity
+    for j in word:
+        acc = ref_mul(group.ambient, acc, group.generators[j])
+    return acc
 
 
 # --- naive oracles -------------------------------------------------------------
@@ -665,9 +675,9 @@ def recognize_presented_group(group: FiniteGroup, a: Element, b: Element,
                 ob == 2 ** m, order=ob, expected=2 ** m)
     a2, b2 = ref_mul(amb, a, a), ref_mul(amb, b, b)
     clauses.add("a-square-central", "square of the first generator is central",
-                group.is_central(a2))
+                bool(group.central_mask()[group.index(a2)]))
     clauses.add("b-square-central", "square of the second generator is central",
-                group.is_central(b2))
+                bool(group.central_mask()[group.index(b2)]))
     der = derived_subgroup(group)
     clauses.add("derived-order", "derived subgroup has order 2^(k-1)",
                 der.order == 2 ** (k - 1), order=der.order,
@@ -909,10 +919,12 @@ def matmul_unit_table(subgroup) -> np.ndarray:
 
 def scalar_unit_closure(algebra: GroupAlgebra,
                         generators: Sequence[AlgebraElement],
-                        safety_factor: int = 4) -> UnitGroupSubgroup:
+                        safety_factor: int = 4
+                        ) -> Tuple[UnitGroupSubgroup, Tuple[tuple, tuple]]:
     """Breadth-first closure of units one product at a time, by
     ``AlgebraElement.__mul__``: FIFO discovery with generators tried in
-    order, the bound checked after every new element."""
+    order, the bound checked after every new element.  Returns the
+    subgroup and its discovery tree: each unit's parent and generator."""
     gens = tuple(generators)
     bound = algebra.dim * safety_factor
     one = algebra.one()
@@ -938,10 +950,9 @@ def scalar_unit_closure(algebra: GroupAlgebra,
                             f"unit closure exceeded {bound} elements")
                 columns[j].append(seen[prod.key])
         frontier = nxt
-    return UnitGroupSubgroup(algebra=algebra, elements=tuple(elements),
-                             generators=gens, bfs_parent=tuple(parents),
-                             bfs_gen=tuple(genidx),
-                             columns=tuple(map(tuple, columns)))
+    return (UnitGroupSubgroup(algebra=algebra, elements=tuple(elements),
+                              generators=gens, columns=tuple(map(tuple, columns))),
+            (tuple(parents), tuple(genidx)))
 
 
 def packbits_unit_closure(algebra: GroupAlgebra,
@@ -961,7 +972,6 @@ def packbits_unit_closure(algebra: GroupAlgebra,
     nbytes = (dim + 7) // 8
     keys = [algebra.one().key]
     seen = {keys[0]: 0}
-    parents, genidx = [0], [0]
     columns: List[List[int]] = [[] for _ in gens]
     frontier = [0]
     while gens and frontier:
@@ -980,8 +990,6 @@ def packbits_unit_closure(algebra: GroupAlgebra,
                 if idx is None:
                     idx = seen[key] = len(keys)
                     keys.append(key)
-                    parents.append(ids[c // len(gens)])
-                    genidx.append(c % len(gens))
                     nxt.append(idx)
                     if len(keys) > bound:
                         raise RuntimeError(f"unit closure exceeded {bound} elements")
@@ -989,9 +997,22 @@ def packbits_unit_closure(algebra: GroupAlgebra,
         frontier = nxt
     return UnitGroupSubgroup(algebra=algebra,
                              elements=tuple(AlgebraElement(algebra, k) for k in keys),
-                             generators=gens, bfs_parent=tuple(parents),
-                             bfs_gen=tuple(genidx),
-                             columns=tuple(map(tuple, columns)))
+                             generators=gens, columns=tuple(map(tuple, columns)))
+
+
+def unit_tree(subgroup: UnitGroupSubgroup) -> Tuple[tuple, tuple]:
+    """Each unit's parent and generator in the closure's discovery tree,
+    read off the columns: products are taken in (position, generator)
+    order, positions in discovery order, so a unit's first appearance in
+    that order is the product that found it."""
+    parent, via = [0] * subgroup.order, [0] * subgroup.order
+    found = {0}
+    for pos in range(subgroup.order):
+        for j, col in enumerate(subgroup.columns):
+            if col[pos] not in found:
+                found.add(col[pos])
+                parent[col[pos]], via[col[pos]] = pos, j
+    return tuple(parent), tuple(via)
 
 
 def product_transport_images(FG: GroupAlgebra, FH: GroupAlgebra,

@@ -157,10 +157,10 @@ def _power_closed_form(inst, FH, j, final):
     st = inst.ambient.mul(inst.named["s"], inst.named["t"])
     e = 2 ** j
     one = FH.one()
-    inner = one + FH.embed(H.power(st, e))
-    zpart = FH.embed(H.power(inst.z, e // 2)) * inner
-    bracket = one + zpart + FH.embed(H.power(final, e))
-    return one + FH.embed(H.power(inst.x, e)) * bracket
+    inner = one + FH.embed(H.ambient.power(st, e))
+    zpart = FH.embed(H.ambient.power(inst.z, e // 2)) * inner
+    bracket = one + zpart + FH.embed(H.ambient.power(final, e))
+    return one + FH.embed(H.ambient.power(inst.x, e)) * bracket
 
 
 def test_criterion_6_power_closed_form():

@@ -247,6 +247,35 @@ def test_jennings_formula_small_groups(catalog):
             == [sum(dims[q:]) for q in range(1, len(dims) + 1)], name
 
 
+def test_aug_ideal_power_basis_on_an_element_set_group(catalog, monkeypatch):
+    """A maximal subgroup of D16 is wrapped from its element set, so every
+    element is a generator; each power of the augmentation ideal is reached
+    by translating through its small generators alone, with the ranks of
+    the filtration quotients' tail sums."""
+    sub = groups_mod.maximal_subgroups(dict(catalog)["D16"])[0]
+    assert len(sub.generators) == sub.order == 8
+    small = [g for g in sub.small_generators() if g != sub.identity]
+    assert len(small) < sub.order - 1
+    dims = aug_quotient_dims(sub)
+    added = []
+    add_row = FpMatrix.add_row
+
+    def counting(self, row):
+        added.append(1)
+        return add_row(self, row)
+    monkeypatch.setattr(FpMatrix, "add_row", counting)
+    alg = GroupAlgebra(sub)
+    ranks = []
+    for q in range(1, len(dims) + 1):
+        before = len(added)
+        ranks.append(alg.aug_ideal_power_basis(q).rank())
+        # A^1 from the dim - 1 rows g - 1, A^q from (s - 1) v over the
+        # small generators s and the basis rows v of A^(q-1)
+        assert len(added) - before == (sub.order - 1 if q == 1 else
+                                       len(small) * ranks[-2])
+    assert ranks == [sum(dims[q:]) for q in range(1, len(dims) + 1)]
+
+
 def test_jennings_polynomial_values():
     assert jennings_dimension_polynomial([2, 2], 2) == [1, 1, 1, 1]
     assert jennings_dimension_polynomial([4, 2], 2) == [1, 2, 2, 2, 1]
@@ -257,8 +286,8 @@ def test_jennings_polynomial_values():
 def test_central_elements(catalog):
     groups = dict(catalog)
     alg = GroupAlgebra(groups["D8"])
-    zname = [g for g in groups["D8"].elements
-             if groups["D8"].is_central(g)]
+    D8 = groups["D8"]
+    zname = [g for g in D8.elements if D8.central_mask()[D8.index(g)]]
     assert len(zname) == 2
     for g in zname:
         assert alg.embed(g).is_central()

@@ -12,7 +12,8 @@ from mipverify.ambient import (DEFAULT_GUARD, GuardExceeded, int_log,
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
 from conftest import (cubic_associative, loop_semidirect_c9c9_table,
-                      loop_wreath_cyclic_table, ref_inv, ref_mul, ref_power)
+                      loop_wreath_cyclic_table, ref_comm, ref_conj, ref_inv,
+                      ref_mul, ref_order, ref_power)
 
 
 AMBIENTS = {
@@ -37,7 +38,7 @@ def test_group_axioms_sampled(name):
         assert amb.mul(amb.mul(a, b), c) == amb.mul(a, amb.mul(b, c))
         assert amb.mul(a, e) == a and amb.mul(e, a) == a
         assert amb.mul(a, amb.inv(a)) == e
-        assert amb.conj(a, b) == amb.mul(amb.inv(b), amb.mul(a, b))
+        assert ref_conj(amb, a, b) == amb.mul(amb.inv(b), amb.mul(a, b))
         assert amb.comm(a, b) == amb.mul(amb.inv(amb.mul(b, a)), amb.mul(a, b))
 
 
@@ -110,6 +111,36 @@ def test_inv_array_matches_reference_inverse(name):
         assert (rows[:, 0] * rows[:, 1]).any()
 
 
+def _tuples(rows):
+    return [tuple(r) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
+def test_comm_conj_orders_arrays_match_reference(name):
+    """Commutators and conjugates on rows, both broadcasting sides
+    included, the one-element ``comm`` built on them, and the orders of
+    rows, against the scalar reference law."""
+    amb = ARRAY_AMBIENTS[name]
+    rng = random.Random(1618)
+    lefts = [random_element(amb, rng) for _ in range(300)]
+    rights = [random_element(amb, rng) for _ in range(300)]
+    L = np.array(lefts, dtype=np.int64)
+    R = np.array(rights, dtype=np.int64)
+    for row_op, ref in ((amb.comm_array, ref_comm), (amb.conj_array, ref_conj)):
+        want = [ref(amb, a, b) for a, b in zip(lefts, rights)]
+        got = row_op(L, R)
+        assert got.dtype == np.int64 and _tuples(got) == want
+        assert _tuples(row_op(L[:1], R)) == [ref(amb, lefts[0], b) for b in rights]
+        assert _tuples(row_op(L, R[:1])) == [ref(amb, a, rights[0]) for a in lefts]
+    assert [amb.comm(a, b) for a, b in zip(lefts[:20], rights[:20])] == \
+        [ref_comm(amb, a, b) for a, b in zip(lefts[:20], rights[:20])]
+    orders = amb.orders_array(np.concatenate([L, np.zeros_like(L[:1])]))
+    want = [ref_order(amb, a) for a in lefts] + [1]
+    assert orders.dtype == np.int64 and orders.tolist() == want
+    assert len(set(want)) >= 3
+    assert amb.orders_array(L[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("name", sorted(ARRAY_AMBIENTS))
 def test_power_array_matches_scalar_power(name):
     amb = ARRAY_AMBIENTS[name]
@@ -129,19 +160,19 @@ def test_two_generator_relations():
         amb = AMBIENTS[name]
         g = amb.standard_generators()
         t, r = g["t"], g["r"]
-        assert amb.order_of(r) == 2 ** amb.k
-        rt = amb.conj(r, t)
+        assert ref_order(amb, r) == 2 ** amb.k
+        rt = ref_conj(amb, r, t)
         if name == "dihedral":
-            assert amb.order_of(t) == 2
+            assert ref_order(amb, t) == 2
             assert rt == amb.inv(r)
         elif name == "semidihedral":
-            assert amb.order_of(t) == 2
+            assert ref_order(amb, t) == 2
             assert rt == amb.power(r, 2 ** (amb.k - 1) - 1)
         else:
             assert amb.power(t, 2) == amb.power(r, 2 ** (amb.k - 1))
             assert rt == amb.inv(r)
-        assert amb.order_of(g["c"]) == 2 ** amb.n
-        assert amb.order_of(g["d"]) == 2 ** amb.m
+        assert ref_order(amb, g["c"]) == 2 ** amb.n
+        assert ref_order(amb, g["d"]) == 2 ** amb.m
 
 
 def test_central_factors_commute():
@@ -159,8 +190,8 @@ def test_heisenberg_relations():
     g = amb.standard_generators()
     s, s1 = g["s"], g["s1"]
     u = amb.comm(s, s1)
-    assert amb.order_of(s) == 3 and amb.order_of(s1) == 3
-    assert amb.order_of(u) == 3
+    assert ref_order(amb, s) == 3 and ref_order(amb, s1) == 3
+    assert ref_order(amb, u) == 3
     assert amb.comm(u, s) == amb.identity and amb.comm(u, s1) == amb.identity
     assert amb.k_order == 27
 
@@ -373,9 +404,9 @@ def test_wreath_table_is_wreath_product():
     amb = make_ambient(3, "table", 1, 1, 1, table=wt, table_generators=wgens)
     g = amb.standard_generators()
     s, s1 = g["s"], g["s1"]
-    assert amb.order_of(s) == 3  # top cycle
-    assert amb.order_of(s1) == 3  # one base coordinate
-    conj = amb.conj(s1, s)
+    assert ref_order(amb, s) == 3  # top cycle
+    assert ref_order(amb, s1) == 3  # one base coordinate
+    conj = ref_conj(amb, s1, s)
     assert amb.comm(s1, conj) == amb.identity  # base stays abelian
 
 

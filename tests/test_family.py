@@ -16,7 +16,7 @@ from mipverify.groups import (closure, derived_subgroup, intersection,
 from mipverify.invariants import abelian_type
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
-from conftest import dict_closure
+from conftest import dict_closure, ref_order
 
 CLAUSE_IDS = ["orders", "derived-and-class", "frattini", "m-abelian-maximal",
               "g-meet-m", "h-meet-m", "exponent-gap-non-isomorphic"]
@@ -29,9 +29,9 @@ def test_build_family_shapes(inst433):
     assert inst433.G.order == 512
     assert inst433.H.order == 512
     amb = inst433.ambient
-    assert amb.order_of(inst433.x) == 16
-    assert amb.order_of(inst433.y) == 8
-    assert amb.order_of(inst433.z) == 8
+    assert ref_order(amb, inst433.x) == 16
+    assert ref_order(amb, inst433.y) == 8
+    assert ref_order(amb, inst433.z) == 8
     # the two groups share the generator x inside the same ambient
     assert inst433.x in inst433.G and inst433.x in inst433.H
 

@@ -1,5 +1,6 @@
 """Subgroup machinery: closure, series, classes, maximal subgroups."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 import numpy as np
 
 from mipverify import groups as groups_mod
-from mipverify.ambient import GuardExceeded, make_ambient
+from mipverify.ambient import AmbientDescriptor, GuardExceeded, make_ambient
 from mipverify.family import build_family
-from mipverify.groups import (centralizer_index, centralizer_mod,
-                              closure,
+from mipverify.groups import (abelian_maximal_subgroups, centralizer_index,
+                              centralizer_mod, closure,
                               commutator_subgroup, conjugacy_classes,
                               derived_subgroup, frattini,
                               frattini_coordinates,
@@ -19,11 +20,13 @@ from mipverify.groups import (centralizer_index, centralizer_mod,
                               lower_central_series, maximal_subgroups,
                               nilpotency_class, normal_closure,
                               power_subgroup, subgroup_from_elements)
+from mipverify.isomorphism import isomorphic_bruteforce
 
 from conftest import (assert_same_group, center, coset_scan_maximal_subgroups,
                       dict_closure, greedy_generators, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
                       power_frattini, reclosing_generated_subgroup,
+                      ref_comm, ref_inv, ref_word,
                       row_cayley_table, scalar_centralizer_mod,
                       set_jennings_series, set_normal_closure,
                       table_conjugacy_classes, table_element_orders,
@@ -119,7 +122,7 @@ def _p3_bases():
 def _frattini_without_commutators(group):
     """A broken frattini: the normal closure of the generators' p-th powers,
     with the commutator seeds dropped."""
-    return normal_closure(group, [group.power(s, group.p)
+    return normal_closure(group, [group.ambient.power(s, group.p)
                                   for s in group.small_generators()])
 
 
@@ -156,7 +159,7 @@ def test_coordinate_box_checks_every_word():
         box = groups_mod.coordinate_box(amb, lead)
         want = dict_closure(amb, box.generators)
         assert box.element_set() == frozenset(want.elements)
-        assert all(box.evaluate_word(w) == g for w, g in zip(box.words, box.elements))
+        assert all(ref_word(box, w) == g for w, g in zip(box.words, box.elements))
     with pytest.raises(RuntimeError, match="coordinate box"):
         groups_mod.coordinate_box(make_ambient(3, "heisenberg", 1, 1, 1))
 
@@ -346,7 +349,7 @@ def test_greedy_generators_match_oracle(layer_groups):
 def test_words_read_off_the_bfs_tree(catalog):
     for name, grp in catalog:
         for i, word in enumerate(grp.words):
-            assert grp.evaluate_word(word) == grp.elements[i], name
+            assert ref_word(grp, word) == grp.elements[i], name
     D16 = _catalog_map(catalog)["D16"]
     fat = subgroup_from_elements(D16.ambient, D16.elements)
     ident = fat.identity_index
@@ -549,6 +552,38 @@ def test_maximal_subgroups_carry_generators(layer_groups, monkeypatch):
     assert [sub.is_abelian() for sub in subs] == want
 
 
+def _group_summary(grp):
+    """What the group layer reads off grp, as key lists and counts."""
+    der = derived_subgroup(grp)
+    return (frattini(grp).keys().tolist(), der.keys().tolist(),
+            [sub.keys().tolist() for sub in maximal_subgroups(grp)],
+            [sub.keys().tolist() for sub in abelian_maximal_subgroups(grp)],
+            [term.order for term in jennings_series(grp)],
+            conjugacy_classes(grp),
+            centralizer_mod(grp, grp, der).keys().tolist(), grp.is_abelian())
+
+
+def test_group_layer_runs_on_rows_alone(layer_groups, monkeypatch):
+    """With the one-element mul, inv, power and comm of the ambient made to
+    raise, every structural operation and the isomorphism oracle still run
+    on fresh copies of the groups (no cached results), with the same
+    answers."""
+    fresh = [(name, dataclasses.replace(
+        grp, _table=None, _orders=None, _central_mask=None, _frattini=None,
+        _classes=None, _class_label=None, _abelian_maximal=None))
+        for name, grp in layer_groups]
+    want = [_group_summary(grp) for _, grp in layer_groups]
+
+    def scalar_call(*args, **kwargs):
+        raise AssertionError("one-element group law called")
+    for method in ("mul", "inv", "power", "comm"):
+        monkeypatch.setattr(AmbientDescriptor, method, scalar_call)
+    assert [_group_summary(grp) for _, grp in fresh] == want
+    pairs = [grp for _, grp in fresh if len(grp.generators) == 2]
+    assert len(pairs) >= 8
+    assert all(isomorphic_bruteforce(grp, grp) for grp in pairs)
+
+
 def test_centralizer_index_matches_orbit_oracle(layer_groups):
     for name, grp in layer_groups:
         for cls in conjugacy_classes(grp):
@@ -559,7 +594,7 @@ def test_centralizer_index_matches_orbit_oracle(layer_groups):
 
 def test_inverse_permutation_matches_scalar_inverses(layer_groups):
     for name, grp in layer_groups:
-        want = [grp.index(grp.inv(g)) for g in grp.elements]
+        want = [grp.index(ref_inv(grp.ambient, g)) for g in grp.elements]
         got = grp.inverse_permutation()
         assert got.dtype == np.int32 and got.tolist() == want, name
 
@@ -594,7 +629,7 @@ def test_normal_closure_matches_set_oracle(layer_groups):
     for name, grp in layer_groups:
         gens = grp.small_generators()
         seed_sets = [[grp.identity], list(gens[:1]),
-                     [grp.comm(a, b) for a in gens for b in gens]]
+                     [ref_comm(grp.ambient, a, b) for a in gens for b in gens]]
         seed_sets += [rng.sample(grp.elements, min(3, grp.order))
                       for _ in range(3)]
         for seeds in seed_sets:

@@ -227,7 +227,7 @@ def test_derived_ideal_dimension_433(inst433, FG433):
         if w == G.identity:
             continue
         for g in G.elements:
-            mx.add_row(FG433.embed(G.mul(w, g)) + FG433.embed(g))
+            mx.add_row(FG433.embed(G.ambient.mul(w, g)) + FG433.embed(g))
     assert mx.rank() == G.order - G.order // der.order == 384
 
 

@@ -13,7 +13,7 @@ from mipverify.isomorphism import (OracleBoundExceeded, _generates,
                                    isomorphic_bruteforce, pair_relations)
 
 from conftest import (closure_presentation_witness, recognize_any_pair,
-                      recognize_presented_group)
+                      recognize_presented_group, ref_conj, ref_order)
 
 
 def _by_name(catalog):
@@ -34,7 +34,8 @@ def test_bruteforce_accepts_relabelled_copy(catalog):
     D16 = groups["D16"]
     t, r = D16.generators
     # same group on a different generating pair: (t r^2, r) still presents D16
-    other = closure(D16.ambient, [D16.mul(t, D16.mul(r, r)), r])
+    amb = D16.ambient
+    other = closure(amb, [amb.mul(t, amb.mul(r, r)), r])
     assert other.element_set() == D16.element_set()
     assert isomorphic_bruteforce(other, D16)
     assert isomorphic_bruteforce(D16, D16)
@@ -92,12 +93,13 @@ def test_presentation_witness_g_and_h(inst433):
 def test_witness_pair_satisfies_relations(inst433):
     G = inst433.G
     a, b = find_presentation_witness(G, 4, 3, 3, relations="g")
-    u = G.comm(b, a)
-    assert G.order_of(a) == 16 and G.order_of(b) == 8
-    assert G.order_of(u) == 4
-    assert G.conj(b, a) == G.mul(b, u)
-    assert G.conj(u, a) == G.inv(u)
-    assert G.conj(u, b) == G.inv(u)
+    amb = G.ambient
+    u = amb.comm(b, a)
+    assert ref_order(amb, a) == 16 and ref_order(amb, b) == 8
+    assert ref_order(amb, u) == 4
+    assert ref_conj(amb, b, a) == amb.mul(b, u)
+    assert ref_conj(amb, u, a) == amb.inv(u)
+    assert ref_conj(amb, u, b) == amb.inv(u)
     assert closure(G.ambient, [a, b]).order == G.order
 
 
@@ -171,10 +173,10 @@ def test_presentation_witness_none_for_three_generator_group(inst433):
     a, b = amb.mul(named["t"], named["c"]), named["r"]
     grp = closure(amb, [a, b, amb.power(named["d"], 2)])
     assert grp.order == 512 and frattini_coordinates(grp).shape[1] == 3
-    u = grp.comm(b, a)
-    assert (grp.order_of(a), grp.order_of(b), grp.order_of(u)) == (16, 8, 4)
-    assert grp.conj(b, a) == grp.mul(b, u) and grp.conj(u, a) == grp.inv(u)
-    assert grp.conj(u, b) == u
+    u = amb.comm(b, a)
+    assert (ref_order(amb, a), ref_order(amb, b), ref_order(amb, u)) == (16, 8, 4)
+    assert ref_conj(amb, b, a) == amb.mul(b, u) and ref_conj(amb, u, a) == amb.inv(u)
+    assert ref_conj(amb, u, b) == u
     assert closure(amb, [a, b]).order == 128
     for relations in ("g", "h"):
         assert find_presentation_witness(grp, 4, 3, 3, relations) is None

@@ -25,7 +25,8 @@ from conftest import (algebra_unit_recognition, eliminated_a2_independence,
                       matmul_unit_table, packbits_unit_closure,
                       product_generator_mismatches, product_transport_images,
                       sampled_product_mismatches, scalar_unit_closure,
-                      small_group_catalog, unit_inverse, word_pair_mismatches)
+                      small_group_catalog, unit_inverse, unit_tree,
+                      word_pair_mismatches)
 
 CLAUSE_IDS = ["beta-order", "beta-square-central", "closure-size",
               "spanning", "independent-mod-a2", "basis-transport"]
@@ -43,7 +44,7 @@ def cert433(FG433, FH433, beta433):
 
 def test_beta_support(FH433, inst433, beta433):
     H = FH433.group
-    xz = H.mul(inst433.x, inst433.z)
+    xz = H.ambient.mul(inst433.x, inst433.z)
     expected = {H.index(H.identity), H.index(inst433.x), H.index(xz)}
     assert set(beta433.support()) == expected
     assert beta433.augmentation() == 1
@@ -133,10 +134,10 @@ def test_power_closed_form(FG433, FH433, inst433, beta433):
     for j in range(1, m + 1):
         e = 2 ** j
         lhs = beta433 ** e
-        inner = one + FH433.embed(H.power(st, e))
-        zpart = FH433.embed(H.power(inst433.z, e // 2)) * inner
-        bracket = one + zpart + FH433.embed(H.power(d, e))
-        rhs = one + FH433.embed(H.power(inst433.x, e)) * bracket
+        inner = one + FH433.embed(H.ambient.power(st, e))
+        zpart = FH433.embed(H.ambient.power(inst433.z, e // 2)) * inner
+        bracket = one + zpart + FH433.embed(H.ambient.power(d, e))
+        rhs = one + FH433.embed(H.ambient.power(inst433.x, e)) * bracket
         assert lhs == rhs, f"j={j}"
     assert beta433 ** (2 ** m) == one
 
@@ -151,10 +152,10 @@ def test_power_z_final_term_variant_boundary(FG433, FH433, inst433, beta433):
     for j in range(1, m + 1):
         e = 2 ** j
         lhs = beta433 ** e
-        inner = one + FH433.embed(H.power(st, e))
-        zpart = FH433.embed(H.power(inst433.z, e // 2)) * inner
-        bracket = one + zpart + FH433.embed(H.power(inst433.z, e))
-        rhs = one + FH433.embed(H.power(inst433.x, e)) * bracket
+        inner = one + FH433.embed(H.ambient.power(st, e))
+        zpart = FH433.embed(H.ambient.power(inst433.z, e // 2)) * inner
+        bracket = one + zpart + FH433.embed(H.ambient.power(inst433.z, e))
+        rhs = one + FH433.embed(H.ambient.power(inst433.x, e)) * bracket
         assert (lhs == rhs) == (j >= k or j == m), f"j={j}"
 
 
@@ -165,7 +166,7 @@ def test_commutator_closed_form(FG433, FH433, inst433, beta433):
     ts2 = amb.power(amb.mul(inst433.named["t"], inst433.named["s"]), 2)
     x_emb = FH433.embed(inst433.x)
     comm = unit_inverse(beta433) * unit_inverse(x_emb) * beta433 * x_emb
-    zx = FH433.embed(H.mul(inst433.z, inst433.x))
+    zx = FH433.embed(H.ambient.mul(inst433.z, inst433.x))
     rhs = FH433.one() + unit_inverse(beta433) * zx * \
         (FH433.embed(ts2) + FH433.one())
     assert comm == rhs
@@ -186,7 +187,7 @@ def test_k3_witness(FG433, FH433, inst433):
 def test_general_witness_and_preconditions(FG433, FH433, inst433):
     H = FH433.group
     c = inst433.named["c"]
-    zeta = FH433.embed(H.power(c, 8))  # central of order 2 < 2^m
+    zeta = FH433.embed(H.ambient.power(c, 8))  # central of order 2 < 2^m
     beta = build_beta_general(FH433, zeta, inst433.x, inst433.z, 3)
     cert = verify_witness(FG433, FH433, beta, (4, 3, 3))
     assert cert.valid
@@ -196,7 +197,7 @@ def test_general_witness_and_preconditions(FG433, FH433, inst433):
     with pytest.raises(ValueError):  # zeta order too large
         build_beta_general(FH433, FH433.embed(c), inst433.x, inst433.z, 3)
     with pytest.raises(ValueError):  # x_t must move z
-        build_beta_general(FH433, zeta, H.power(inst433.z, 2), inst433.z, 3)
+        build_beta_general(FH433, zeta, H.ambient.power(inst433.z, 2), inst433.z, 3)
     with pytest.raises(ValueError):  # non-unit zeta
         build_beta_general(FH433, FH433.zero(), inst433.x, inst433.z, 3)
 
@@ -279,7 +280,7 @@ def test_unit_group_of_c4_structure(catalog):
     c = C4.generators[0]
     u1 = FC4.embed(c)
     # c + c^2 + c^3 squares to 1 in characteristic 2 and lies outside <c>
-    u2 = FC4.from_elements([c, C4.power(c, 2), C4.power(c, 3)])
+    u2 = FC4.from_elements([c, C4.ambient.power(c, 2), C4.ambient.power(c, 3)])
     assert unit_order(u2) == 2
     sub = unit_closure(FC4, [u1, u2])
     assert sub.order == 8  # all augmentation-1 elements
@@ -334,9 +335,9 @@ def _witness_pairs(FH, inst, n, m, k):
     """The witness units of the recognition oracle test, by name."""
     H = FH.group
     pairs = {"standard": build_beta(FH, inst.x, inst.z),
-             "x-z-squared": build_beta(FH, inst.x, H.power(inst.z, 2))}
+             "x-z-squared": build_beta(FH, inst.x, H.ambient.power(inst.z, 2))}
     if (n, m, k) == (4, 3, 3):
-        d_sq = H.power(inst.named["d"], 2)
+        d_sq = H.ambient.power(inst.named["d"], 2)
         pairs["k3"] = build_beta_k3(FH, inst.x, inst.z, d_sq, k)
         zeta = _make_zeta(FH, inst, "class-sum", 7, m)
         pairs["general-class-sum"] = build_beta_general(FH, zeta, inst.x,
@@ -365,8 +366,8 @@ def test_unit_recognition_matches_algebra_oracle(nmk):
 
 def test_independence_mod_a2_matches_elimination(FG433, FH433, inst433):
     H = FH433.group
-    d_sq = H.power(inst433.named["d"], 2)
-    zeta = FH433.embed(H.power(inst433.named["c"], 8))
+    d_sq = H.ambient.power(inst433.named["d"], 2)
+    zeta = FH433.embed(H.ambient.power(inst433.named["c"], 8))
     betas = {
         "standard": build_beta(FH433, inst433.x, inst433.z),
         "k3": build_beta_k3(FH433, inst433.x, inst433.z, d_sq, 3),
@@ -400,7 +401,7 @@ def _witness_case(name):
     FG, FH = GroupAlgebra(inst.G), GroupAlgebra(inst.H)
     if name == "k3":
         beta = build_beta_k3(FH, inst.x, inst.z,
-                             FH.group.power(inst.named["d"], 2), 3)
+                             FH.group.ambient.power(inst.named["d"], 2), 3)
     elif name == "general":
         zeta = _make_zeta(FH, inst, "class-sum", 7, nmk[1])
         beta = build_beta_general(FH, zeta, inst.x, inst.z, nmk[1])
@@ -416,23 +417,25 @@ def _c4_units():
     FC4 = GroupAlgebra(C4)
     c = C4.generators[0]
     return FC4, (FC4.embed(c),
-                 FC4.from_elements([c, C4.power(c, 2), C4.power(c, 3)]))
+                 FC4.from_elements([c, C4.ambient.power(c, 2), C4.ambient.power(c, 3)]))
 
 
 @pytest.mark.parametrize("name", ["standard", "standard-543", "k3", "general",
                                   "quaternion", "c4-units"])
 def test_unit_closure_matches_scalar_oracle(name):
-    """Discovery order, tree and columns equal the one-product-at-a-time
-    closure's, field by field."""
+    """Discovery order and columns equal the one-product-at-a-time
+    closure's, field by field, and the tree read off the columns is its
+    discovery tree."""
     if name == "c4-units":
         algebra, gens = _c4_units()
     else:
         _, algebra, ex, beta = _witness_case(name)
         gens = (ex, beta)
     got = unit_closure(algebra, gens)
-    want = scalar_unit_closure(algebra, gens)
-    for field in ("elements", "bfs_parent", "bfs_gen", "columns"):
+    want, tree = scalar_unit_closure(algebra, gens)
+    for field in ("elements", "columns"):
         assert getattr(got, field) == getattr(want, field), field
+    assert unit_tree(got) == tree
 
 
 def test_unit_closure_gathers_each_column_once_per_block(monkeypatch):
@@ -449,11 +452,11 @@ def test_unit_closure_gathers_each_column_once_per_block(monkeypatch):
     monkeypatch.setattr(witness_mod.np, "take", counting)
     got = unit_closure(algebra, (ex, beta))
     monkeypatch.undo()
-    depth = [0] * got.order
+    depth, parent = [0] * got.order, unit_tree(got)[0]
     for i in range(1, got.order):
-        depth[i] = depth[got.bfs_parent[i]] + 1
+        depth[i] = depth[parent[i]] + 1
     assert len(takes) == 2 * (max(depth) + 1)
-    assert got.elements == scalar_unit_closure(algebra, (ex, beta)).elements
+    assert got.elements == scalar_unit_closure(algebra, (ex, beta))[0].elements
 
 
 def _bit_plane_cases():
@@ -470,7 +473,7 @@ def _bit_plane_cases():
         zeta = _make_zeta(FH, inst, "class-sum", 7, nmk[1])
         betas = {"standard": build_beta(FH, inst.x, inst.z),
                  "k3": build_beta_k3(FH, inst.x, inst.z,
-                                     FH.group.power(inst.named["d"], 2), 3),
+                                     FH.group.ambient.power(inst.named["d"], 2), 3),
                  "class-sum": build_beta_general(FH, zeta, inst.x, inst.z,
                                                  nmk[1])}
         cases += [(f"{name}-{''.join(map(str, nmk))}", FH,
@@ -479,15 +482,15 @@ def _bit_plane_cases():
 
 
 def test_unit_closure_matches_packbits_oracle():
-    """The bit-plane closure gives the keys, tree, generators and columns
-    of the closure that packs along the coefficient axis, including where
-    dim is not a multiple of 8."""
+    """The bit-plane closure gives the keys, generators and columns (which
+    fix the tree) of the closure that packs along the coefficient axis,
+    including where dim is not a multiple of 8."""
     sizes = []
     for label, algebra, gens in _bit_plane_cases():
         got = unit_closure(algebra, gens)
         want = packbits_unit_closure(algebra, gens)
         assert [u.key for u in got.elements] == [u.key for u in want.elements], label
-        for field in ("bfs_parent", "bfs_gen", "generators", "columns"):
+        for field in ("generators", "columns"):
             assert getattr(got, field) == getattr(want, field), (label, field)
         sizes.append((algebra.dim, got.order))
     assert sizes == [(2, 2), (4, 8)] + [(512, 512)] * 3 + [(2048, 2048)] * 3
@@ -537,7 +540,8 @@ def test_generator_check_alone_fails_the_certificate(monkeypatch):
     sub = unit_closure(FH, (ex, beta))
     pi, _ = transport(G, sub)
     read = {int(pi[G.bfs_parent[i]]) for i in G.bfs_order[1:] if G.bfs_gen[i] == 1}
-    read |= {sub.bfs_parent[i] for i in range(1, sub.order) if sub.bfs_gen[i] == 1}
+    parent, via = unit_tree(sub)
+    read |= {parent[i] for i in range(1, sub.order) if via[i] == 1}
     p, q = [i for i in range(sub.order) if i not in read][:2]
     col = list(sub.columns[1])
     col[p], col[q] = col[q], col[p]
@@ -646,9 +650,9 @@ def test_spanning_and_rank_match_elimination_on_failing_witnesses(FG433, FH433,
     and the images' rank are the eliminated ranks.  1 + x(1 + z^2) gives
     128 independent units, which G's basis covers 4 to 1."""
     H = FH433.group
-    c4 = H.power(inst433.named["c"], 4)
+    c4 = H.ambient.power(inst433.named["c"], 4)
     betas = {  # name: (beta, |U|, U independent, pi onto U)
-        "x-z-squared": (build_beta(FH433, inst433.x, H.power(inst433.z, 2)),
+        "x-z-squared": (build_beta(FH433, inst433.x, H.ambient.power(inst433.z, 2)),
                         128, True, True),
         "embedded-z": (FH433.embed(inst433.z), 512, True, False),
         "x-c4": (build_beta(FH433, inst433.x, c4), 64, False, True),
