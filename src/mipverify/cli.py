@@ -13,8 +13,9 @@ Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
 (including a run refused by the guard or a memory budget), 3 I/O error, 4
 internal error (an uncaught RuntimeError or ArithmeticError, which signals
 a broken internal invariant).  Reports are canonical JSON on stdout (or
-``--output``); equal configurations produce byte-identical reports.  Timing
-goes to stderr only.
+``--output``); equal configurations produce byte-identical reports.  A
+report is streamed in pieces of about 64 KiB, and an ``--output`` file
+appears only once it is complete.  Timing goes to stderr only.
 The environment variable MIPVERIFY_GUARD overrides the built-in guard
 default; like ``--guard`` and ``--sample-size``, it must be an integer of at
 least 1, or the run exits 2.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 import time
 from typing import Optional, Sequence
@@ -33,7 +35,7 @@ from .ambient import DEFAULT_GUARD, GuardExceeded
 from .algebra import GroupAlgebra, is_unit, unit_order
 from .family import build_family, compare_variants, verify_structure
 from .invariants import invariant_report, reports_invariant_equal
-from .report import canonical_json, certificate_as_dict, envelope
+from .report import certificate_as_dict, envelope, iter_canonical_json
 from .tables import semidirect_c9c9_table, wreath_cyclic_table
 from .witness import (DEFAULT_SAMPLE_SIZE, build_beta, build_beta_general,
                       build_beta_k3, verify_witness)
@@ -139,12 +141,54 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+# Characters handed to the report's destination in one write: the encoder's
+# fragments are gathered to about this size, so at most this much of a
+# report (plus one fragment, at most one matrix row) is held at once.
+_PIECE_CHARS = 2 ** 16
+
+
+def _write_report(doc: dict, stream) -> None:
+    pieces, size = [], 0
+    for fragment in iter_canonical_json(doc):
+        pieces.append(fragment)
+        size += len(fragment)
+        if size >= _PIECE_CHARS:
+            stream.write("".join(pieces))
+            pieces, size = [], 0
+    if pieces:
+        stream.write("".join(pieces))
+
+
+def _emit(doc: dict, output: Optional[str]) -> None:
+    """Stream the canonical JSON of ``doc`` to stdout or to ``output``.
+
+    A file is written under a temporary name in its directory and renamed
+    over ``output`` only once the whole report is written, so a run that
+    fails partway leaves no truncated report (and any earlier file intact).
+    As with ``open(output, "w")``, the file keeps its mode and a symbolic
+    link is written through; a target that is not a regular file, such as
+    ``/dev/stdout``, is written in place.
+    """
     if output is None:
-        sys.stdout.write(text)
-    else:
+        _write_report(doc, sys.stdout)
+        return
+    if os.path.exists(output) and not os.path.isfile(output):
         with open(output, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            _write_report(doc, fh)
+        return
+    target = os.path.realpath(output)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n") as fh:
+            if os.path.exists(target):
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            _write_report(doc, fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -159,7 +203,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         variants = compare_variants(inst)
         payload["variants"] = variants.as_dict()
         ok = ok and variants.ok
-    _emit(canonical_json(envelope("family", config, payload)), args.output)
+    _emit(envelope("family", config, payload), args.output)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -205,7 +249,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
                           exhaustive=args.exhaustive)
     payload = {"certificate": certificate_as_dict(
         cert, include_matrix=not args.no_matrix)}
-    _emit(canonical_json(envelope("witness", config, payload)), args.output)
+    _emit(envelope("witness", config, payload), args.output)
     return EXIT_OK if cert.valid else EXIT_VERIFICATION
 
 
@@ -242,8 +286,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             reports.append(invariant_report(inst.H, GroupAlgebra(inst.H), "H"))
             payload["invariant_equal"] = reports_invariant_equal(*reports)
         payload["reports"] = [r.as_dict() for r in reports]
-        _emit(canonical_json(envelope("invariants", config, payload)),
-              args.output)
+        _emit(envelope("invariants", config, payload), args.output)
         if args.pair and not payload["invariant_equal"]:
             return EXIT_VERIFICATION
         return EXIT_OK
@@ -254,7 +297,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     inst = _odd_instance(p, variant, args.n, args.m, args.k, args.guard)
     rep = invariant_report(inst.G, GroupAlgebra(inst.G), variant)
     payload = {"reports": [rep.as_dict()]}
-    _emit(canonical_json(envelope("invariants", config, payload)), args.output)
+    _emit(envelope("invariants", config, payload), args.output)
     return EXIT_OK
 
 
@@ -265,7 +308,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     config = {"n": args.n, "m": args.m, "k": args.k, "variant": args.variant,
               "outdir": args.outdir, "guard": args.guard}
     payload = {"files": written}
-    _emit(canonical_json(envelope("export", config, payload)), args.output)
+    _emit(envelope("export", config, payload), args.output)
     return EXIT_OK
 
 

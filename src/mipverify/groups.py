@@ -796,7 +796,10 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
         carried = amb.mul_array(b[others], inv_powers[np.array(w)[others], j0])
         sub._small_gens = phi_gens + tuple(map(tuple, carried.tolist()))
         subgroups.append(sub)
-    subgroups.sort(key=lambda s: s.keys().tolist())
+    # sorted by key lists, compared as big-endian bytes: keys are
+    # non-negative and every list has |G|/p of them, so the byte order is
+    # the lists' order, and no key becomes a Python int
+    subgroups.sort(key=lambda s: s.keys().astype(">i8").tobytes())
     return subgroups
 
 

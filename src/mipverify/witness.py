@@ -390,14 +390,14 @@ def verify_witness(FG: GroupAlgebra, FH: GroupAlgebra, beta: AlgebraElement,
         g_cols = np.stack(G.right_columns(G.generators))
         u_cols = np.array(subgroup.columns, dtype=np.int32)
         if exhaustive:
-            # rg[j, i] = index(g_i g_j) and ru[j, i] = pi(g_i) pi(g_j), both
-            # read along g_j's word; compared in row blocks
-            rg = G.transport(g_cols, np.arange(G.order, dtype=np.int32))
-            ru = G.transport(u_cols, pi.astype(np.int32))
+            # for a block of left factors g_i, rg[j, i] = index(g_i g_j) and
+            # ru[j, i] = pi(g_i) pi(g_j), both read along g_j's word
+            origins = np.arange(G.order, dtype=np.int32)
             step = max(1, _PAIR_BLOCK // G.order)
             for lo in range(0, G.order, step):
-                sample["mismatches"] += int(np.count_nonzero(
-                    pi[rg[lo:lo + step]] != ru[lo:lo + step]))
+                rg = G.transport(g_cols, origins[lo:lo + step])
+                ru = G.transport(u_cols, pi[lo:lo + step].astype(np.int32))
+                sample["mismatches"] += int(np.count_nonzero(pi[rg] != ru))
         else:
             rng = random.Random(seed)
             lefts, rights = np.array([rng.randrange(G.order) for _ in

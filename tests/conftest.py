@@ -68,10 +68,15 @@ an oracle here.  So are those clauses (orders, central squares, derived
 subgroup, <a^2, b^2> meeting it trivially) on a generating pair, which the
 witness once ran on its unit group: its basis transport proves that group
 isomorphic to G.  On unit pairs they run on algebra products.
+
+Reports are streamed by the program's own canonical encoder; the stdlib
+rendering it replaced, ``json.dumps`` of a converted copy of the whole
+report, is the oracle for its bytes here (``reference_json``).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from collections import Counter
@@ -93,6 +98,7 @@ from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup, normal_closure,
                               subgroup_from_elements)
 from mipverify.isomorphism import ClauseList
+from mipverify.report import HexRows
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import UnitGroupSubgroup
 
@@ -1340,6 +1346,33 @@ def aug_quotient_dims(group: FiniteGroup) -> list[int]:
             moved[:, col] = basis
             parts.append(moved - basis)
         basis = np.concatenate(parts)
+
+
+# --- the report encoding ------------------------------------------------------
+
+
+def jsonable_copy(value):
+    """A copy of a report in JSON types: numpy scalars and arrays as Python
+    values, tuples and matrix rows as lists, keys as ``str(key)``."""
+    if isinstance(value, dict):
+        return {str(k): jsonable_copy(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, HexRows)):
+        return [jsonable_copy(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable_copy(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def reference_json(obj) -> str:
+    """The canonical report text as the stdlib renders the whole copy."""
+    return json.dumps(jsonable_copy(obj), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
 
 
 # --- shared instances ------------------------------------------------------------

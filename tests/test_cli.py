@@ -4,20 +4,23 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mipverify.cli import main
 from mipverify.export import write_exports
-from mipverify.report import (SCHEMA_VERSION, canonical_json, envelope,
-                              hex_row_to_key, jsonable, row_hex)
+from mipverify.report import (SCHEMA_VERSION, HexRows, canonical_json,
+                              envelope, hex_row_to_key, iter_canonical_json,
+                              row_hex)
 
-from conftest import row_cayley_table
+from conftest import reference_json, row_cayley_table
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -30,6 +33,9 @@ def run_cli(args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+NMK433 = ["--n", "4", "--m", "3", "--k", "3"]
+
+
 # --- serialization units -----------------------------------------------------------
 
 
@@ -39,11 +45,64 @@ def test_canonical_json_shape():
     assert text.endswith("\n")
 
 
-def test_jsonable_numpy_values():
-    doc = jsonable({"x": np.int64(3), "y": np.bool_(True),
-                    "z": np.array([1, 2]), "t": (np.uint8(1),)})
-    assert doc == {"x": 3, "y": True, "z": [1, 2], "t": [1]}
-    assert json.dumps(doc)  # round-trips through the stdlib encoder
+def test_canonical_json_numpy_values():
+    doc = {"x": np.int64(3), "y": np.bool_(True), "z": np.array([1, 2]),
+           "t": (np.uint8(1),)}
+    text = canonical_json(doc)
+    assert json.loads(text) == {"x": 3, "y": True, "z": [1, 2], "t": [1]}
+    assert text == reference_json(doc)
+
+
+# Values at the edges of the encoding, each compared with the stdlib's
+# rendering of a converted copy (``reference_json``).
+EDGE_DOCS = {
+    "empty-dict": {},
+    "empty-list": [],
+    "nested-empties": {"a": {}, "b": [], "c": [[], {}, [[]]], "d": {"e": {}}},
+    "tuple-none-negative": {"t": (1, None, -3), "n": None, "i": -(2 ** 70),
+                            "z": 0},
+    "numpy": {"b": np.bool_(False), "i": np.int64(-7), "f": np.float64(0.1),
+              "a": np.array([[1, 2], [3, 4]]), "e": np.array([], dtype=np.int64),
+              "u": np.uint8(255), "h": np.float32(0.5),
+              "l": [np.bool_(True), np.int32(2)]},
+    "non-ascii": {"s": "h\u00e9llo \u2603 \U0001f600 \u2028",
+                  "\u043a\u043b\u044e\u0447": "\"q\" \\ \t\x00 \x7f"},
+    "floats": [0.1, 1e-07, 1e22, -0.0, 123456789.123, 1.0, 2.5e-300,
+               float("inf"), float("nan")],
+    "int-keys": {2: "x", 10: "y", "b": [True, False]},
+    "hex-rows": {"rows": HexRows((0, 1, 2 ** 100, 2 ** 128 - 1), 128),
+                 "none": HexRows((), 64)},
+    "top-level-scalar": "top",
+    "top-level-tuple": (None, -1, ()),
+}
+
+
+@pytest.mark.parametrize("doc", list(EDGE_DOCS.values()), ids=list(EDGE_DOCS))
+def test_canonical_json_matches_stdlib_on_edge_values(doc):
+    assert canonical_json(doc) == reference_json(doc)
+
+
+def test_canonical_json_rejects_unknown_types():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json({"a": [object()]})
+
+
+def test_stream_pieces_are_bounded():
+    """The stream never receives more than 64 KiB plus one matrix row at once,
+    and the pieces join to the canonical text."""
+    import mipverify.cli as cli_mod
+
+    doc = envelope("witness", {"n": 6},
+                   {"certificate": {"matrix_rows": HexRows(
+                       tuple(3 ** e for e in range(300)), 2 ** 12)}})
+    one_row = max(len(f) for f in iter_canonical_json(doc))
+    assert one_row == len(",\n      ") + len(row_hex(0, 2 ** 12)) + 2
+    pieces = []
+    cli_mod._write_report(doc, SimpleNamespace(write=pieces.append))
+    assert cli_mod._PIECE_CHARS == 2 ** 16
+    assert len(pieces) > 2
+    assert max(map(len, pieces)) <= cli_mod._PIECE_CHARS + one_row
+    assert "".join(pieces) == canonical_json(doc) == reference_json(doc)
 
 
 def test_row_hex_roundtrip():
@@ -90,6 +149,74 @@ def test_io_error_exit_three(tmp_path):
     r = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",
                  "--output", str(tmp_path / "no-such-dir" / "x.json")])
     assert r.returncode == 3
+
+
+def _fail_after_first_piece(monkeypatch):
+    """Make the CLI's encoder raise an I/O error once a piece has gone out."""
+    import mipverify.cli as cli_mod
+
+    encode = cli_mod.iter_canonical_json
+
+    def failing(doc):
+        sent = 0
+        for fragment in encode(doc):
+            yield fragment
+            sent += len(fragment)
+            if sent > cli_mod._PIECE_CHARS:
+                raise OSError(28, "No space left on device")
+        raise AssertionError("the report ended before the failure")
+
+    monkeypatch.setattr(cli_mod, "iter_canonical_json", failing)
+
+
+def test_output_failing_partway_leaves_no_file(tmp_path, monkeypatch, capsys):
+    _fail_after_first_piece(monkeypatch)
+    out = tmp_path / "report.json"
+    code = main(["witness", *NMK433, "--output", str(out)])
+    assert code == 3 and "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_failing_partway_keeps_earlier_file(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+    _fail_after_first_piece(monkeypatch)
+    assert main(["witness", *NMK433, "--output", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "earlier report\n"
+
+
+def test_output_file_mode_as_plain_open(tmp_path):
+    """A new report file gets the mode open(path, "w") gives; a replaced one
+    keeps its own mode, as truncating it would."""
+    plain = tmp_path / "plain.json"
+    open(plain, "w").close()
+    out = tmp_path / "report.json"
+    args = ["invariants", "--p", "3", "--n", "2", "--m", "1", "--k", "1",
+            "--output", str(out)]
+    assert main(args) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    os.chmod(out, 0o600)
+    assert main(args) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "report.json"]
+
+
+def test_output_through_symlink_and_to_device(tmp_path):
+    """A symbolic link is written through, not replaced, and a target that
+    is not a regular file is written in place."""
+    real = tmp_path / "real.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    args = ["invariants", "--p", "3", "--n", "2", "--m", "1", "--k", "1"]
+    want = run_cli(args).stdout
+    assert run_cli([*args, "--output", str(link)]).returncode == 0
+    assert link.is_symlink() and real.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+    if not Path("/dev/stdout").exists():
+        pytest.skip("no /dev/stdout on this platform")
+    r = run_cli([*args, "--output", "/dev/stdout"])
+    assert r.returncode == 0 and r.stdout == want
 
 
 def test_verification_failure_exit_one(monkeypatch, capsys):
@@ -175,6 +302,41 @@ WITNESS_GOLDEN_SHA256 = {
 }
 
 
+# sha256 of `witness --n 6 --m 5 --k 4` with its matrix (seed 0, sample size
+# 1024), as written when the whole report text was built before the write.
+WITNESS_654_MATRIX_SHA256 = \
+    "44400c75cf222142f0b2fab2ad5b43fb50a0e1c41783fadbe4506c9367637863"
+
+# Reads the peak resident set (VmHWM) of the CLI process itself, as the
+# benchmark's launcher does, and reports it on the last line of stderr.
+_PEAK_SCRIPT = (
+    "import sys\n"
+    "from mipverify.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status', encoding='ascii') as fh:\n"
+    "    peak = [line for line in fh if line.startswith('VmHWM:')]\n"
+    "sys.stderr.write(peak[0])\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="VmHWM is read from /proc/self/status (Linux)")
+def test_witness_654_matrix_streams_in_bounded_memory(tmp_path):
+    """The 16,384-row certificate streams to its destination: the process
+    peaks below 120 MB (262 MB when the report was built as one string)
+    and the bytes are unchanged."""
+    out = tmp_path / "witness-6-5-4.json"
+    with open(out, "wb") as fh:
+        r = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, "witness",
+                            "--n", "6", "--m", "5", "--k", "4"],
+                           stdout=fh, stderr=subprocess.PIPE, text=True)
+    assert r.returncode == 0, r.stderr
+    peak_kb = int(r.stderr.rsplit("VmHWM:", 1)[1].split()[0])
+    assert peak_kb / 1024 < 120, peak_kb
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WITNESS_654_MATRIX_SHA256
+
+
 def test_witness_golden_digests():
     for (args, seed), digest in WITNESS_GOLDEN_SHA256.items():
         n, m, k, *extra = args.split()
@@ -209,12 +371,49 @@ def test_family_golden_digests():
 
 
 def test_output_file_matches_stdout(tmp_path):
+    """--output writes the bytes of stdout, also for a witness report of
+    several pieces, and leaves no other file."""
     out = tmp_path / "report.json"
-    r_file = run_cli(["family", "--n", "4", "--m", "3", "--k", "3",
-                      "--output", str(out)])
-    r_std = run_cli(["family", "--n", "4", "--m", "3", "--k", "3"])
-    assert r_file.returncode == 0 and r_file.stdout == ""
-    assert out.read_text() == r_std.stdout
+    for args in (["family", *NMK433], ["witness", *NMK433]):
+        r_file = run_cli([*args, "--output", str(out)])
+        r_std = run_cli(args)
+        assert r_file.returncode == r_std.returncode == 0 and r_file.stdout == ""
+        assert out.read_text() == r_std.stdout
+        assert list(tmp_path.iterdir()) == [out]
+    assert len(r_std.stdout) > 2 ** 16
+
+
+# Every subcommand's report, streamed; OUTDIR stands for a fresh directory.
+OUTDIR = object()
+SUBCOMMAND_RUNS = {
+    "family-variants": ["family", *NMK433, "--variants"],
+    "witness-matrix": ["witness", *NMK433],
+    "witness-no-matrix": ["witness", *NMK433, "--no-matrix"],
+    "invariants-pair": ["invariants", *NMK433, "--pair"],
+    "invariants-odd": ["invariants", "--p", "3", "--n", "2", "--m", "1",
+                       "--k", "1", "--variant", "heisenberg"],
+    "export": ["export", *NMK433, "--outdir", OUTDIR],
+}
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_RUNS.values()),
+                         ids=list(SUBCOMMAND_RUNS))
+def test_streamed_report_matches_stdlib(argv, tmp_path, monkeypatch, capsys):
+    """The bytes the CLI streams are the stdlib's rendering of the report."""
+    import mipverify.cli as cli_mod
+
+    docs = []
+    emit = cli_mod._emit
+
+    def recording_emit(doc, output):
+        docs.append(doc)
+        emit(doc, output)
+
+    monkeypatch.setattr(cli_mod, "_emit", recording_emit)
+    argv = [str(tmp_path / "out") if a is OUTDIR else a for a in argv]
+    assert main(argv) == 0
+    assert len(docs) == 1
+    assert capsys.readouterr().out == reference_json(docs[0])
 
 
 def test_timing_goes_to_stderr_only():
