@@ -92,7 +92,6 @@ class GroupAlgebra:
         self.group = group
         self.p = group.p
         self.dim = group.order
-        self._nbytes = (self.dim + 7) // 8
         self._class_sums: Optional[list[AlgebraElement]] = None
         self._aug_power_bases: dict[int, FpMatrix] = {}
 
@@ -265,9 +264,6 @@ class AlgebraElement:
         if self.algebra.p == 2:
             return self.key.bit_count()
         return int(np.count_nonzero(self.vec()))
-
-    def is_zero(self) -> bool:
-        return (self.key == 0) if self.algebra.p == 2 else not any(self.key)
 
     def augmentation(self) -> int:
         if self.algebra.p == 2:

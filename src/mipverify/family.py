@@ -180,7 +180,8 @@ def _verify_odd_base(K: FiniteGroup, p: int) -> None:
     if cls != logk - 1:
         raise ValueError(
             f"K has class {cls}, not maximal class {logk - 1} for order p^{logk}")
-    if not abelian_maximal_subgroups(K):
+    # every maximal subgroup of an abelian K is abelian
+    if not K.is_abelian() and not abelian_maximal_subgroups(K):
         raise ValueError("K has no abelian maximal subgroup")
 
 

@@ -16,8 +16,9 @@ products with its generators.
 The layer works on the ambient's broadcasting product of rows: closure
 runs one breadth-first level at a time, a seed set is absorbed into one
 subgroup grown seed by seed, element orders come from repeated p-th
-powers, and coset and conjugacy-class labels from orbit minima under
-permutation columns.  A group caches its Frattini subgroup, its conjugacy
+powers, conjugacy-class labels from orbit minima under permutation
+columns, and coordinates in G/Phi(G) from the letter counts of the
+breadth-first words.  A group caches its Frattini subgroup, its conjugacy
 classes, and the small generators it was built from.  No O(|G|^2) Cayley
 table is built here, nor by the group algebra, whose products run on the
 same rows; :meth:`FiniteGroup.cayley_table` exists for the exports and the
@@ -713,52 +714,28 @@ def centralizer_index(group: FiniteGroup, g: Element) -> int:
 
 
 def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
-    """Coordinates of every element in G/Phi(G) = F_p^d, one row per element.
+    """Coordinates of every element in G/Phi(G) = F_p^s, one row per element:
+    the letter counts of its breadth-first word, mod p.
 
-    The basis of the elementary abelian quotient is taken greedily in
-    canonical order: each basis element is the smallest element whose
-    Phi-coset the earlier ones do not span.  Row i holds the exponents e
-    with elements[i] Phi = b_1^e_1 ... b_d^e_d Phi, so the rows form a
-    homomorphism onto F_p^d whose kernel is Phi(G).
+    The s stored generators must be a basis of G/Phi(G), which holds iff
+    p^s |Phi(G)| = |G|; otherwise, or for a group wrapped from an element
+    set, ValueError.  Their images span G/Phi(G), which is elementary
+    abelian of order p^s, so they are independent.  The quotient map sends
+    generator j to e_j and is a homomorphism, so an element reached as its
+    parent times generator j has its parent's row plus e_j.  The rows form
+    a homomorphism onto F_p^s whose kernel is Phi(G), with stored
+    generator j on row e_j.
     """
-    return _frattini_basis(group)[0]
-
-
-def _frattini_basis(group: FiniteGroup) -> tuple[np.ndarray, list[int]]:
-    """:func:`frattini_coordinates` and the indices of the basis elements
-    b_1, ..., b_d, whose coordinate rows are the unit vectors."""
-    p = group.p
-    phi = frattini(group)
-    # Phi-coset of every element, numbered by its smallest element
-    label = _orbit_minima(group.right_columns(phi.generators), group.order)
-    reps, coset = np.unique(label, return_inverse=True)
-    rep_rows = group.array()[reps]
-
-    # the cosets spanned by the basis so far, with their coordinates
-    span = coset[[group.identity_index]]
-    span_coords = np.zeros((1, 0), dtype=np.int64)
-    in_span = np.zeros(reps.size, dtype=bool)
-    in_span[span] = True
-    basis: list[int] = []
-    while not in_span.all():
-        basis.append(int(reps[int(np.argmin(in_span))]))
-        b = group.element(basis[-1])
-        # the coset of c*b for every coset c
-        step = coset[group.indices_of_rows(group.ambient.mul_cols(rep_rows, b))]
-        parts, part_coords = [span], [span_coords]
-        for _ in range(1, p):
-            parts.append(step[parts[-1]])
-            part_coords.append(span_coords)
-        span = np.concatenate(parts)
-        span_coords = np.column_stack([np.concatenate(part_coords),
-                                       np.repeat(np.arange(p), parts[0].size)])
-        in_span[span] = True
-    rank = span_coords.shape[1]
-    if p ** rank * phi.order != group.order or span.size != reps.size:
-        raise RuntimeError("Frattini quotient rank inconsistent with order")
-    coset_coords = np.empty_like(span_coords)
-    coset_coords[span] = span_coords
-    return coset_coords[coset], basis
+    p, gens = group.p, group._generators
+    if gens is None or p ** len(gens) * frattini(group).order != group.order:
+        raise ValueError("the stored generators are not a basis of G/Phi(G)")
+    unit = np.eye(len(gens), dtype=np.int64)
+    coords = np.zeros((group.order, len(gens)), dtype=np.int64)
+    order, parent, via = group.bfs_order, group.bfs_parent, group.bfs_gen
+    for lo, hi in zip(group.bfs_levels[1:-1], group.bfs_levels[2:]):
+        level = order[lo:hi]
+        coords[level] = (coords[parent[level]] + unit[via[level]]) % p
+    return coords
 
 
 def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
@@ -767,19 +744,20 @@ def maximal_subgroups(group: FiniteGroup) -> list[FiniteGroup]:
     M_w is the preimage of the hyperplane w.e = 0, where w is taken up to
     scalars with first nonzero entry w_j0 = 1.  It carries as small
     generators the generators of Phi(G) and b_i * b_j0^(-w_i) for i != j0,
-    with b_j the basis of :func:`frattini_coordinates`.  These generate
-    M_w: each lies in M_w, since its coordinates e_i - w_i e_j0 have dot
-    product w_i - w_i w_j0 = 0 with w; those d - 1 vectors are
-    independent, so they span ker w, of dimension d - 1; and Phi(G), the
-    kernel of the coordinates, is generated too.  A subgroup containing
-    Phi(G) and mapping onto ker w is all of M_w.
+    with b_j the stored generators, the basis of
+    :func:`frattini_coordinates`.  These generate M_w: each lies in M_w,
+    since its coordinates e_i - w_i e_j0 have dot product w_i - w_i w_j0 =
+    0 with w; those d - 1 vectors are independent, so they span ker w, of
+    dimension d - 1; and Phi(G), the kernel of the coordinates, is
+    generated too.  A subgroup containing Phi(G) and mapping onto ker w is
+    all of M_w.
 
     Returned sorted by key lists, so the order is deterministic.
     """
     p, amb = group.p, group.ambient
-    elem_coords, basis = _frattini_basis(group)
+    elem_coords = frattini_coordinates(group)
     rank = elem_coords.shape[1]
-    b = group.array()[basis]
+    b = _rows(amb, group.generators)
     # b_j^-e for every exponent e < p and basis element j
     b_inv = amb.inv_array(b)
     inv_powers = np.stack([amb.power_array(b_inv, e) for e in range(p)])

@@ -359,6 +359,8 @@ FAMILY_GOLDEN_SHA256 = {
     "6 5 4": "47a93e6607b4870fc240400ff9cd8076d312862dc3d4bbd168526b10d660c676",
     # no schema 1 report: the control's oracle refused |G| = 2^14 (exit 2)
     "6 5 4 --variants": "8b6af5fc5e363057b71c13fe7b3831247128ee819a1bb25f112f56f0a942f60b",
+    "7 6 4 --variants": "f747dbd7e312aa7f4313c717d45bfbea3573e65d0d28121a2742d2d8f261f17a",
+    "8 7 4": "435a9b6ae19dbe44b503fbcc1c3c7acee5e00498c7108d45f7cd03e2b777ae61",
 }
 
 

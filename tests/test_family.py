@@ -1,6 +1,7 @@
 """Family construction and clause-by-clause structural verification."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +205,16 @@ def test_odd_base_hypotheses_enforced():
         build_family(3, "table", 1, 1, 1, table=table, table_generators=(1,))
 
 
+def test_abelian_odd_base_with_a_redundant_generator_pair():
+    """C9 given by its table with the generator pair (1, 3): abelian, so
+    its maximal subgroup is abelian, and no Frattini coordinates are read
+    (3 is a power of 1, so the pair is no basis of C9/Phi)."""
+    table = [[(i + j) % 9 for j in range(9)] for i in range(9)]
+    inst = build_family(3, "table", 1, 1, 1, table=table, table_generators=(1, 3))
+    assert inst.P.order == 9 * 3 * 3 and inst.G.order == 27
+    assert derived_subgroup(inst.G).order == 1
+
+
 def test_odd_requires_positive_parameters():
     with pytest.raises(ValueError):
         build_family(3, "heisenberg", 0, 1, 1)
@@ -236,6 +247,21 @@ def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
     monkeypatch.setattr(family_mod, "frattini", counting)
     assert verify_structure(inst).ok
     assert sorted(map(id, computed_for)) == sorted(map(id, (inst.G, inst.H, inst.P)))
+
+
+def test_verify_structure_labels_no_orbits(monkeypatch):
+    """The structure report reads its Frattini coordinates off the words
+    of G and H: no orbit labelling runs, not even for conjugacy classes."""
+    inst = build_family(2, "dihedral", 4, 3, 3)
+    orbit_minima = groups_mod._orbit_minima
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(sys._getframe(1).f_code.co_name)
+        return orbit_minima(*args, **kwargs)
+    monkeypatch.setattr(groups_mod, "_orbit_minima", counting)
+    assert verify_structure(inst).ok
+    assert runs == []
 
 
 def test_abelian_maximal_scan_is_cached_per_group(monkeypatch):

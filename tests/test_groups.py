@@ -381,6 +381,27 @@ def test_frattini_coordinates_homomorphism_onto_with_kernel_phi(layer_groups):
         assert len({tuple(r) for r in coords.tolist()}) == p ** d, name
         kernel = {grp.elements[i] for i in np.flatnonzero(~coords.any(axis=1))}
         assert kernel == frattini(grp).element_set(), name
+        # the stored generators are the basis: generator j has row e_j
+        rows = coords[[grp.index(a) for a in grp.generators]]
+        assert np.array_equal(rows, np.eye(d, dtype=rows.dtype)), name
+
+
+def test_frattini_coordinates_need_a_basis_of_stored_generators(layer_groups):
+    """Coordinates are refused when the stored generators are not a basis
+    of G/Phi(G): C8 closed on c and c^2 (d = 1, two generators), and a
+    maximal subgroup wrapped from its element set."""
+    amb = make_ambient(2, "dihedral", 3, 3, 1)
+    c = amb.standard_generators()["c"]
+    c8 = closure(amb, [c, amb.power(c, 2)])
+    assert c8.order == 8 and frattini(c8).order == 4
+    with pytest.raises(ValueError, match="not a basis"):
+        frattini_coordinates(c8)
+    with pytest.raises(ValueError, match="not a basis"):
+        maximal_subgroups(c8)
+    sub = maximal_subgroups(dict(layer_groups)["dihedral-G-433"])[1]
+    assert sub._generators is None
+    with pytest.raises(ValueError, match="not a basis"):
+        frattini_coordinates(sub)
 
 
 def test_cayley_table_budget(catalog, monkeypatch):
