@@ -4,11 +4,13 @@ For p = 2, K is dihedral (or semidihedral/quaternion) of order 2^(k+1) with
 reflection t and rotation r = ts, C = <c> has order 2^n and D = <d> has order
 2^m with n > m >= k >= 3.  The family instance carries
 
-    x = tc,  y = sd,  z = rd = tsd,  G = <x, y>,  H = <x, z>,
+    x = tc,  y = sd,  z = rd = tsd,  G = <x, y>,  H = <x, z>.
 
-together with the abelian index-2 subgroup M = <r, c, d> of P.  G and H share
-the literal element x because both live in the same ambient, which is what
-makes the unit-witness construction exact.
+Neither P nor its abelian index-2 subgroup M = <r, c, d> is enumerated:
+:func:`verify_structure` proves the ambient's normal form t^e r^i c^a d^b
+on the factors, and M is its e = 0 half.  G and H share the literal
+element x because both live in the same ambient, which is what makes the
+unit-witness construction exact.
 
 For odd p the analogous construction takes K = <s, s1> of maximal class with
 an abelian maximal subgroup, C = <c> of order p^m, D = <d> of order p^n
@@ -21,7 +23,6 @@ explicit multiplication table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,16 +30,17 @@ import numpy as np
 from .ambient import (AmbientDescriptor, DEFAULT_GUARD, Element,
                       TWO_GENERATOR_VARIANTS, int_log, make_ambient)
 from .groups import (FiniteGroup, abelian_maximal_subgroups, closure,
-                     coordinate_box, derived_subgroup, frattini,
-                     generated_subgroup, intersection, nilpotency_class)
+                     derived_subgroup, frattini, frattini_seeds,
+                     generated_subgroup, nilpotency_class, normal_closure,
+                     pair_commutators, subgroup_from_elements)
 from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
                           isomorphic_bruteforce, pair_relations)
 
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """One member of the family: G (and in the 2-case H) enumerated, and the
-    ambient subgroups P and M built on first access."""
+    """One member of the family: G (and in the 2-case H) enumerated in the
+    ambient P = K x C x D, which is not."""
 
     params: tuple  # (p, variant, n, m, k)
     ambient: AmbientDescriptor
@@ -61,41 +63,6 @@ class FamilyInstance:
     @property
     def nmk(self) -> tuple[int, int, int]:
         return (self.params[2], self.params[3], self.params[4])
-
-    @cached_property
-    def P(self) -> FiniteGroup:
-        """The ambient group K x C x D on its named generators.
-
-        2-case: t, r, c, d are the unit vectors of the four coordinates, and
-        every ambient element is t^e r^i c^a d^b, the tuple (e, i, a, b).  P
-        is the coordinate box of all of them (:func:`coordinate_box`), each
-        element's word in t, r, c, d checked, so P = <t, r, c, d>.  Odd
-        case: the breadth-first closure of s, s1, c, d.
-        """
-        if self.H is not None:
-            return coordinate_box(self.ambient)
-        return closure(self.ambient, [self.named[g] for g in ("s", "s1", "c", "d")],
-                       guard=self.guard)
-
-    @cached_property
-    def M(self) -> Optional[FiniteGroup]:
-        """The 2-case subgroup <r, c, d>, the e = 0 half of P; None in the
-        odd case.
-
-        The half is the coordinate box r^i c^a d^b (:func:`coordinate_box`
-        with ``lead`` 1), each element's word in r, c, d checked, so it lies
-        in <r, c, d>.  It is closed: in every two-generator kind the e of a
-        product is the sum mod 2 of the factors' e
-        (:meth:`AmbientDescriptor.mul_array`), so the half is the kernel of
-        a homomorphism onto C_2.  It holds r, c and d, so <r, c, d> lies in
-        it, and the two are equal.
-        """
-        if self.H is None:
-            return None
-        M = coordinate_box(self.ambient, lead=1)
-        if self.P.order != 2 * M.order:
-            raise RuntimeError("M is not of index 2 in P")
-        return M
 
 
 @dataclass(frozen=True)
@@ -125,7 +92,7 @@ def build_family(p: int, variant: str, n: int, m: int, k: int,
     2-case (p = 2, dihedral/semidihedral/quaternion): requires
     n > m >= k >= 3; closes G and H, checks that both have order
     2^(n+m+k-1), and returns them with the elements x, y, z.  P and M are
-    built when first read: only the structural verification reads them.
+    never enumerated.
 
     Odd case (heisenberg or explicit table): requires n, m, k >= 1; c has
     order p^m and d has order p^n, G = <sc, s1 d>; M, H, z are absent.  The
@@ -197,29 +164,47 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
     subgroups of G and H, and G is not isomorphic to H (exponent-gap
     argument always; brute-force oracle additionally when |G| <=
     ``DEFAULT_ORACLE_BOUND``).
+
+    P and M are read off the normal form t^e r^i c^a d^b, not enumerated.
+    K = <t, ts> is closed; when it has 2^(k+1) rows, all zero on C x D, it
+    is every (e, i, 0, 0), each a word in t and r = ts.  When r, c and d
+    also have the orders radices[1:], every tuple (e, i, a, b) is
+    t^e r^i c^a d^b, since :meth:`AmbientDescriptor.mul_array` multiplies
+    K, C and D apart and adds C x D coordinate-wise
+    (``test_mul_array_matches_scalar_mul`` pins this); else RuntimeError.
+    So P = <t, r, c, d> is the whole ambient.  The e of a product is the
+    sum mod 2 of the factors' e, so the e = 0 half, every r^i c^a d^b, is
+    M = <r, c, d>, of index 2.  Hence P' and Phi(P) are normal closures
+    under t, r, c, d; M is abelian when r, c and d commute; and G meet M,
+    H meet M are the rows of G and H with e = 0.
     """
-    if inst.M is None or inst.H is None or inst.z is None:
+    if inst.H is None or inst.z is None:
         raise ValueError("structural verification applies to the 2-case family")
     p, variant, n, m, k = inst.params
     amb = inst.ambient
-    P, M, G, H = inst.P, inst.M, inst.G, inst.H
+    G, H = inst.G, inst.H
     x, y, z = inst.x, inst.y, inst.z
     t, s, c, d = inst.named["t"], inst.named["s"], inst.named["c"], inst.named["d"]
     clauses = ClauseList()
     add = clauses.add
 
+    trcd = np.array([inst.named[g] for g in "trcd"], dtype=np.int64)
+    K = closure(amb, [t, amb.mul(t, s)], guard=amb.order)
+    if (K.order != amb.radices[0] * amb.radices[1] or K.array()[:, 2:].any()
+            or amb.orders_array(trcd[1:]).tolist() != list(amb.radices[1:])):
+        raise RuntimeError("the ambient is not the product of t^e r^i, c^a and d^b")
+    order_p, order_m = amb.order, amb.order // 2
     expected = 2 ** (n + m + k - 1)
     add("orders", "|G| = |H| = 2^(n+m+k-1), |P| = 2|M| = 2^(k+1+n+m)",
         G.order == expected and H.order == expected
-        and P.order == 2 ** (k + 1 + n + m) and 2 * M.order == P.order,
-        order_g=G.order, order_h=H.order, order_p=P.order, order_m=M.order,
+        and order_p == 2 ** (k + 1 + n + m),
+        order_g=G.order, order_h=H.order, order_p=order_p, order_m=order_m,
         expected=expected)
 
     ts2 = amb.power(amb.mul(t, s), 2)
-    derived_target = closure(amb, [ts2], guard=P.order)
-    dG, dH, dP = derived_subgroup(G), derived_subgroup(H), derived_subgroup(P)
-    K = closure(amb, [t, amb.mul(t, s)], guard=P.order)
-    dK = derived_subgroup(K)
+    derived_target = closure(amb, [ts2], guard=order_p)
+    dG, dH, dK = derived_subgroup(G), derived_subgroup(H), derived_subgroup(K)
+    dP = normal_closure(amb, trcd, pair_commutators(amb, trcd), order_p)
     same_derived = all(np.array_equal(sub.keys(), derived_target.keys())
                        for sub in (dG, dH, dP, dK))
     class_g, class_h = nilpotency_class(G), nilpotency_class(H)
@@ -231,23 +216,24 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
 
     c2, d2 = amb.power(c, 2), amb.power(d, 2)
     frat_target = generated_subgroup(amb, [ts2, c2, d2])
-    fG, fH, fP = frattini(G), frattini(H), frattini(P)
+    fG, fH = frattini(G), frattini(H)
+    fP = normal_closure(amb, trcd, frattini_seeds(amb, trcd), order_p)
     add("frattini",
         "Frattini subgroups of G, H, P coincide and equal <(ts)^2, c^2, d^2>",
         all(np.array_equal(sub.keys(), frat_target.keys()) for sub in (fG, fH, fP)),
         frattini_order=fG.order)
 
-    add("m-abelian-maximal", "M is abelian of index 2 in P",
-        M.is_abelian() and 2 * M.order == P.order,
-        order_m=M.order, abelian=M.is_abelian())
+    m_abelian = not pair_commutators(amb, trcd[1:]).any()
+    add("m-abelian-maximal", "M is abelian of index 2 in P", m_abelian,
+        order_m=order_m, abelian=m_abelian)
 
-    gm = intersection(G, M)
+    gm = subgroup_from_elements(amb, G.array()[G.array()[:, 0] == 0], verify=False)
     gm_target = generated_subgroup(amb, [amb.mul(x, y), c2, d2])
     add("g-meet-m", "G meet M = <xy, c^2, d^2> has index 2 in G",
         np.array_equal(gm.keys(), gm_target.keys()) and 2 * gm.order == G.order,
         order=gm.order)
 
-    hm = intersection(H, M)
+    hm = subgroup_from_elements(amb, H.array()[H.array()[:, 0] == 0], verify=False)
     hm_target = generated_subgroup(amb, [z, c2, d2])
     add("h-meet-m", "H meet M = <z, c^2, d^2> has index 2 in H",
         np.array_equal(hm.keys(), hm_target.keys()) and 2 * hm.order == H.order,

@@ -8,10 +8,11 @@ Element tuples are built only when :attr:`FiniteGroup.elements` is read.
 All subgroup constructions (derived subgroup, lower central series,
 Frattini and power subgroups, centralizers, Jennings series)
 reduce to breadth-first closure over explicit generator sets, so every
-returned group carries valid words by construction.  The exception is
-:func:`coordinate_box`, a block of coordinates built without closure: its
-derivation tree is written down, and every word on it is checked by
-products with its generators.
+returned group carries valid words by construction.  A normal closure
+needs only the generators of the normalizing group and a bound on its
+order, not its elements, so the derived and Frattini subgroups of a group
+that is never enumerated, such as the whole ambient, are normal closures
+too.
 
 The layer works on the ambient's broadcasting product of rows: closure
 runs one breadth-first level at a time, a seed set is absorbed into one
@@ -28,7 +29,6 @@ refuses a table above ``TABLE_BUDGET_BYTES``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -44,9 +44,6 @@ Word = tuple[int, ...]
 TABLE_BUDGET_BYTES = 2 ** 30
 # Table entries filled, and left-column products taken, in one block.
 _BLOCK_ENTRIES = 2 ** 18
-# Elements whose words coordinate_box checks in one product: the parents'
-# rows and their products stay at 0.5 MB each at width 4.
-_BOX_BLOCK_ROWS = 2 ** 14
 
 
 @dataclass
@@ -305,9 +302,7 @@ class FiniteGroup:
         return self._central_mask
 
     def is_abelian(self) -> bool:
-        gens = _rows(self.ambient, self.small_generators())
-        i, j = _pairs(len(gens))
-        return not self.ambient.comm_array(gens[i], gens[j]).any()
+        return not pair_commutators(self.ambient, self.small_generators()).any()
 
     def exponent(self) -> int:
         return int(self.element_orders().max()) if self.order > 1 else 1
@@ -322,12 +317,6 @@ def _rows(ambient: AmbientDescriptor,
                       or (rows >= np.array(ambient.radices)).any()):
         raise ValueError("rows are not ambient elements")
     return rows.reshape(-1, ambient.width)
-
-
-def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the pairs i < j < count, in row order."""
-    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
@@ -438,56 +427,6 @@ def closure(ambient: AmbientDescriptor, generators: Sequence[Element],
     return _from_bfs(ambient, gens, _bfs(ambient, gens, bound))
 
 
-def coordinate_box(ambient: AmbientDescriptor, lead: int = 0) -> FiniteGroup:
-    """The ambient elements whose first ``lead`` coordinates are 0, built
-    without closure, with the unit vectors of the other coordinates as
-    generators, each element's word checked.
-
-    The box is the first order / (radices[0] ... radices[lead - 1]) keys,
-    in key order.  The parent of an element is the element with its last
-    nonzero coordinate j lowered by one, reached by the unit vector of j,
-    and an element's level is its coordinate sum, one more than its
-    parent's.  One ``mul_cols`` per generator and block of rows proves that
-    every element is its parent times its generator, else RuntimeError; so
-    every element is a word in the generators, and the box lies in the
-    subgroup they generate.  The caller proves the converse: for ``lead`` =
-    0 the box is the whole ambient, otherwise the box must be closed under
-    products.
-    """
-    width, radices = ambient.width, ambient.radices
-    size = ambient.order // math.prod(radices[:lead])
-    keys = np.arange(size, dtype=np.int64)
-    strides = [math.prod(radices[j + 1:]) for j in range(width)]
-    rows = np.zeros((size, width), dtype=np.int64)
-    last = np.full(size, lead, dtype=np.int8)  # the last nonzero coordinate
-    level = np.zeros(size, dtype=np.int32)
-    for j in range(lead, width):
-        col = rows[:, j]
-        np.floor_divide(keys, strides[j], out=col)
-        np.remainder(col, radices[j], out=col)
-        level += col
-        last[col != 0] = j
-    parent = (keys - np.array(strides)[last]).astype(np.int32)
-    via = (last - lead).astype(np.int32)
-    parent[0] = via[0] = 0  # the identity, key 0
-    gens = tuple(tuple(int(i == j) % radices[i] for i in range(width))
-                 for j in range(lead, width))
-    for g, unit in enumerate(gens):
-        child = np.flatnonzero(via == g)[int(g == 0):]
-        for lo in range(0, child.size, _BOX_BLOCK_ROWS):
-            block = child[lo:lo + _BOX_BLOCK_ROWS]
-            products = ambient.mul_cols(rows[parent[block]], unit)
-            if not np.array_equal(ambient.encode(products), block):
-                raise RuntimeError("coordinate box: an element is not its parent "
-                                   "times its generator")
-    levels = (0, *np.cumsum(np.bincount(level)).tolist())
-    bfs_order = np.argsort(level, kind="stable").astype(np.int32)
-    for arr in (rows, keys, bfs_order, parent, via):
-        arr.setflags(write=False)
-    return FiniteGroup(ambient, rows, keys, bfs_order, parent, via, levels,
-                       _generators=gens, _small_gens=gens)
-
-
 def generated_subgroup(ambient: AmbientDescriptor,
                        seeds: Iterable[Element] | np.ndarray,
                        guard: Optional[int] = None) -> FiniteGroup:
@@ -548,33 +487,56 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
 # -- classical subgroups -----------------------------------------------------
 
 
-def normal_closure(group: FiniteGroup,
-                   seeds: Sequence[Element] | np.ndarray) -> FiniteGroup:
-    """Smallest subgroup containing ``seeds`` (tuples or element rows)
-    normalized by ``group``.
+def pair_commutators(ambient: AmbientDescriptor,
+                     gens: Sequence[Element] | np.ndarray) -> np.ndarray:
+    """[s, t] for every pair s before t of ``gens`` (tuples or rows), as
+    rows: all are trivial iff the group the gens generate is abelian, and
+    its derived subgroup is their normal closure."""
+    gens = _rows(ambient, gens)
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return ambient.comm_array(gens[i], gens[j])
 
-    The conjugation orbit of the nontrivial seeds under the small
-    generators grows one level at a time on rows, deduplicated on keys, and
-    the orbit is the seed set of :func:`generated_subgroup`.
+
+def frattini_seeds(ambient: AmbientDescriptor,
+                   gens: Sequence[Element] | np.ndarray) -> np.ndarray:
+    """s^p for every s in ``gens`` (tuples or rows), then
+    :func:`pair_commutators`: the seeds whose normal closure is the
+    Frattini subgroup of the group they generate (:func:`frattini`)."""
+    gens = _rows(ambient, gens)
+    return np.concatenate([ambient.power_array(gens, ambient.p),
+                           pair_commutators(ambient, gens)])
+
+
+def normal_closure(ambient: AmbientDescriptor,
+                   generators: Sequence[Element] | np.ndarray,
+                   seeds: Sequence[Element] | np.ndarray,
+                   guard: int) -> FiniteGroup:
+    """Smallest subgroup containing ``seeds`` normalized by the group the
+    ``generators`` generate, which has at most ``guard`` elements;
+    ``generators`` and ``seeds`` are tuples or element rows.
+
+    The conjugation orbit of the nontrivial seeds under the generators
+    grows one level at a time on rows, deduplicated on keys, and the orbit
+    is the seed set of :func:`generated_subgroup`.
     """
-    amb = group.ambient
-    gen_rows = _rows(amb, group.small_generators())
-    rows = _rows(amb, seeds)
-    keys, first = np.unique(amb.encode(rows), return_index=True)
+    gen_rows = _rows(ambient, generators)
+    rows = _rows(ambient, seeds)
+    keys, first = np.unique(ambient.encode(rows), return_index=True)
     frontier = rows[first[keys != 0]]  # the identity has key 0
-    seen = np.zeros(amb.order, dtype=bool)
+    seen = np.zeros(ambient.order, dtype=bool)
     seen[keys] = True
     orbit = [frontier]
     while frontier.shape[0] and len(gen_rows):
-        # h^a for every small generator a and frontier row h
-        cand = amb.conj_array(np.tile(frontier, (len(gen_rows), 1)),
-                              np.repeat(gen_rows, frontier.shape[0], axis=0))
-        keys, first = np.unique(amb.encode(cand), return_index=True)
+        # h^a for every generator a and frontier row h
+        cand = ambient.conj_array(np.tile(frontier, (len(gen_rows), 1)),
+                                  np.repeat(gen_rows, frontier.shape[0], axis=0))
+        keys, first = np.unique(ambient.encode(cand), return_index=True)
         fresh = ~seen[keys]
         seen[keys[fresh]] = True
         frontier = cand[first[fresh]]
         orbit.append(frontier)
-    return generated_subgroup(amb, np.concatenate(orbit), guard=group.order)
+    return generated_subgroup(ambient, np.concatenate(orbit), guard=guard)
 
 
 def commutator_subgroup(group: FiniteGroup, left: FiniteGroup) -> FiniteGroup:
@@ -583,8 +545,9 @@ def commutator_subgroup(group: FiniteGroup, left: FiniteGroup) -> FiniteGroup:
     of group."""
     amb = group.ambient
     hs, gens = _rows(amb, left.small_generators()), _rows(amb, group.small_generators())
-    return normal_closure(group, amb.comm_array(np.repeat(hs, len(gens), axis=0),
-                                                np.tile(gens, (len(hs), 1))))
+    return normal_closure(amb, gens, amb.comm_array(np.repeat(hs, len(gens), axis=0),
+                                                    np.tile(gens, (len(hs), 1))),
+                          group.order)
 
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
@@ -626,11 +589,9 @@ def frattini(group: FiniteGroup) -> FiniteGroup:
     N.  Every seed lies in G' G^p = Phi(G), which is normal, so N <= Phi(G).
     """
     if group._frattini is None:
-        amb = group.ambient
-        gens = _rows(amb, group.small_generators())
-        i, j = _pairs(len(gens))
-        group._frattini = normal_closure(group, np.concatenate(
-            [amb.power_array(gens, group.p), amb.comm_array(gens[i], gens[j])]))
+        amb, gens = group.ambient, group.small_generators()
+        group._frattini = normal_closure(amb, gens, frattini_seeds(amb, gens),
+                                         group.order)
     return group._frattini
 
 
@@ -651,11 +612,6 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
     for u in _rows(amb, upper.small_generators()):
         mask &= lower.has_keys(amb.encode(amb.comm_array(arr, u[None])))
     return subgroup_from_elements(amb, arr[mask], verify=True)
-
-
-def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    common = a.array()[b.has_keys(a.keys())]
-    return subgroup_from_elements(a.ambient, common, verify=False)
 
 
 def _orbit_minima(columns: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -815,7 +771,7 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
         comms = amb.comm_array(np.repeat(prev, len(gens), axis=0),
                                np.tile(gens, (len(prev), 1)))
         seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
-        series.append(normal_closure(group, seeds))
+        series.append(normal_closure(amb, gens, seeds, group.order))
         i += 1
         if i > p * group.order + 2:
             raise RuntimeError("Jennings series failed to terminate")
@@ -828,10 +784,11 @@ def jennings_factor_orders(group: FiniteGroup) -> list[int]:
 
 
 __all__ = [
-    "FiniteGroup", "Word", "closure", "coordinate_box", "generated_subgroup",
-    "subgroup_from_elements", "normal_closure", "commutator_subgroup",
+    "FiniteGroup", "Word", "closure", "generated_subgroup",
+    "subgroup_from_elements", "pair_commutators", "frattini_seeds",
+    "normal_closure", "commutator_subgroup",
     "derived_subgroup", "lower_central_series", "nilpotency_class",
-    "power_subgroup", "frattini", "centralizer_mod", "intersection",
+    "power_subgroup", "frattini", "centralizer_mod",
     "conjugacy_classes", "centralizer_index", "frattini_coordinates",
     "maximal_subgroups", "abelian_maximal_subgroups", "jennings_series",
     "jennings_factor_orders",

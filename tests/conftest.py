@@ -72,11 +72,18 @@ isomorphic to G.  On unit pairs they run on algebra products.
 Reports are streamed by the program's own canonical encoder; the stdlib
 rendering it replaced, ``json.dumps`` of a converted copy of the whole
 report, is the oracle for its bytes here (``reference_json``).
+
+The structure report reads P = K x C x D and its index-2 subgroup
+M = <r, c, d> from the ambient's normal form and enumerates neither; the
+coordinate box that once held them, every element with its word checked
+(``coordinate_box``), is the oracle here, with the intersection of two
+groups by key search (``intersection``) for the meets with M.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -101,6 +108,10 @@ from mipverify.isomorphism import ClauseList
 from mipverify.report import HexRows
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import UnitGroupSubgroup
+
+# Elements whose words coordinate_box checks in one product: the parents'
+# rows and their products stay at 0.5 MB each at width 4.
+_BOX_BLOCK_ROWS = 2 ** 14
 
 # --- the reference group law ----------------------------------------------------
 
@@ -512,6 +523,61 @@ def table_conjugacy_classes(group: FiniteGroup) -> List[tuple]:
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return classes
+
+
+def coordinate_box(ambient, lead: int = 0) -> FiniteGroup:
+    """The ambient elements whose first ``lead`` coordinates are 0, built
+    without closure, with the unit vectors of the other coordinates as
+    generators, each element's word checked.
+
+    The box is the first order / (radices[0] ... radices[lead - 1]) keys,
+    in key order.  The parent of an element is the element with its last
+    nonzero coordinate j lowered by one, reached by the unit vector of j,
+    and an element's level is its coordinate sum, one more than its
+    parent's.  One ``mul_cols`` per generator and block of rows proves that
+    every element is its parent times its generator, else RuntimeError; so
+    every element is a word in the generators, and the box lies in the
+    subgroup they generate.  The caller proves the converse: for ``lead`` =
+    0 the box is the whole ambient, otherwise the box must be closed under
+    products.
+    """
+    width, radices = ambient.width, ambient.radices
+    size = ambient.order // math.prod(radices[:lead])
+    keys = np.arange(size, dtype=np.int64)
+    strides = [math.prod(radices[j + 1:]) for j in range(width)]
+    rows = np.zeros((size, width), dtype=np.int64)
+    last = np.full(size, lead, dtype=np.int8)  # the last nonzero coordinate
+    level = np.zeros(size, dtype=np.int32)
+    for j in range(lead, width):
+        col = rows[:, j]
+        np.floor_divide(keys, strides[j], out=col)
+        np.remainder(col, radices[j], out=col)
+        level += col
+        last[col != 0] = j
+    parent = (keys - np.array(strides)[last]).astype(np.int32)
+    via = (last - lead).astype(np.int32)
+    parent[0] = via[0] = 0  # the identity, key 0
+    gens = tuple(tuple(int(i == j) % radices[i] for i in range(width))
+                 for j in range(lead, width))
+    for g, unit in enumerate(gens):
+        child = np.flatnonzero(via == g)[int(g == 0):]
+        for lo in range(0, child.size, _BOX_BLOCK_ROWS):
+            block = child[lo:lo + _BOX_BLOCK_ROWS]
+            products = ambient.mul_cols(rows[parent[block]], unit)
+            if not np.array_equal(ambient.encode(products), block):
+                raise RuntimeError("coordinate box: an element is not its parent "
+                                   "times its generator")
+    levels = (0, *np.cumsum(np.bincount(level)).tolist())
+    bfs_order = np.argsort(level, kind="stable").astype(np.int32)
+    for arr in (rows, keys, bfs_order, parent, via):
+        arr.setflags(write=False)
+    return FiniteGroup(ambient, rows, keys, bfs_order, parent, via, levels,
+                       _generators=gens, _small_gens=gens)
+
+
+def intersection(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    common = a.array()[b.has_keys(a.keys())]
+    return subgroup_from_elements(a.ambient, common, verify=False)
 
 
 def power_frattini(group: FiniteGroup) -> FiniteGroup:
@@ -1228,7 +1294,8 @@ def set_jennings_series(group: FiniteGroup,
                  for h in (prev.elements if every_element else prev.small_generators())
                  for a in group.small_generators()}
         seeds.update(ref_power(group.ambient, g, p) for g in half.elements)
-        series.append(normal_closure(group, sorted(seeds)))
+        series.append(normal_closure(group.ambient, group.small_generators(),
+                                     sorted(seeds), group.order))
         i += 1
         assert i <= p * group.order + 2, "Jennings series failed to terminate"
     return series

@@ -17,15 +17,15 @@ import pytest
 
 from mipverify.algebra import GroupAlgebra, is_unit
 from mipverify.family import build_family, compare_variants, verify_structure
-from mipverify.groups import (derived_subgroup, intersection,
-                              jennings_factor_orders)
+from mipverify.groups import derived_subgroup, jennings_factor_orders
 from mipverify.invariants import abelian_type, compute_N, invariant_report
 from mipverify.isomorphism import isomorphic_bruteforce
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import build_beta, build_beta_k3, verify_witness
 
 from conftest import (abelian_type_census_check, algebra_unit_recognition,
-                      aug_quotient_dims, jennings_dimension_polynomial,
+                      aug_quotient_dims, coordinate_box, intersection,
+                      jennings_dimension_polynomial,
                       naive_derived_centralizer, naive_product,
                       pairwise_class_sum_count, ref_comm,
                       regular_rep_is_unit)
@@ -289,7 +289,7 @@ def test_criterion_8_property_suites(catalog, inst433, FG433):
     # order <= 2^9 constructed in the suite
     groups = list(catalog) + [
         ("G433", inst433.G), ("H433", inst433.H),
-        ("GmeetM", intersection(inst433.G, inst433.M)),
+        ("GmeetM", intersection(inst433.G, coordinate_box(inst433.ambient, lead=1))),
     ]
     for name, grp in groups:
         assert grp.order <= 512, name

@@ -8,16 +8,17 @@ import pytest
 
 from mipverify import family as family_mod
 from mipverify import groups as groups_mod
-from mipverify.ambient import TWO_GENERATOR_VARIANTS, make_ambient
+from mipverify.ambient import (AmbientDescriptor, TWO_GENERATOR_VARIANTS,
+                               make_ambient)
 from mipverify.cli import main
 from mipverify.family import (FamilyInstance, build_family, compare_variants,
                               verify_structure)
-from mipverify.groups import (closure, derived_subgroup, intersection,
-                              maximal_subgroups)
+from mipverify.groups import closure, derived_subgroup, maximal_subgroups
 from mipverify.invariants import abelian_type
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
-from conftest import dict_closure, ref_order
+from conftest import (coordinate_box, dict_closure, intersection,
+                      power_frattini, ref_order)
 
 CLAUSE_IDS = ["orders", "derived-and-class", "frattini", "m-abelian-maximal",
               "g-meet-m", "h-meet-m", "exponent-gap-non-isomorphic"]
@@ -25,8 +26,7 @@ CLAUSE_IDS = ["orders", "derived-and-class", "frattini", "m-abelian-maximal",
 
 def test_build_family_shapes(inst433):
     assert inst433.params == (2, "dihedral", 4, 3, 3)
-    assert inst433.P.order == 2048
-    assert inst433.M.order == 1024
+    assert inst433.ambient.order == 2048
     assert inst433.G.order == 512
     assert inst433.H.order == 512
     amb = inst433.ambient
@@ -62,6 +62,7 @@ def test_verify_structure_all_clauses(inst433):
     assert report.ok and report.clauses.first_failing is None
     data = {c.id: c.data for c in report.clauses}
     assert data["orders"]["order_g"] == 512
+    assert (data["orders"]["order_p"], data["orders"]["order_m"]) == (2048, 1024)
     assert data["derived-and-class"]["derived_order"] == 4
     assert data["derived-and-class"]["class_g"] == 3
     assert data["frattini"]["frattini_order"] == 128  # 4 * 8 * 4
@@ -83,10 +84,11 @@ def test_exponent_gap_at_5_3_3_and_5_4_3():
 
 
 def test_g_meet_m_type(inst433):
-    gm = intersection(inst433.G, inst433.M)
+    M = coordinate_box(inst433.ambient, lead=1)
+    gm = intersection(inst433.G, M)
     assert gm.order == 256
     assert abelian_type(gm) == (16, 4, 4)
-    hm = intersection(inst433.H, inst433.M)
+    hm = intersection(inst433.H, M)
     assert hm.order == 256
     assert abelian_type(hm) == (8, 8, 4)
 
@@ -178,9 +180,9 @@ def test_compare_variants_builds_only_the_controls_table(monkeypatch):
 def test_odd_heisenberg_instance():
     inst = build_family(3, "heisenberg", 2, 1, 1)
     assert inst.p == 3
-    assert inst.P.order == 729
+    assert inst.ambient.order == 729
     assert inst.G.order == 81
-    assert inst.M is None and inst.H is None and inst.z is None
+    assert inst.H is None and inst.z is None
     der = derived_subgroup(inst.G)
     assert der.order == 3
 
@@ -188,11 +190,11 @@ def test_odd_heisenberg_instance():
 def test_odd_wreath_and_semidirect_instances():
     wt, wg = wreath_cyclic_table(3)
     inst = build_family(3, "table", 2, 1, 1, table=wt, table_generators=wg)
-    assert inst.P.order == 2187 and inst.G.order == 243
+    assert inst.ambient.order == 2187 and inst.G.order == 243
     assert derived_subgroup(inst.G).order == 9
     st, sg = semidirect_c9c9_table()
     inst2 = build_family(3, "table", 1, 1, 1, table=st, table_generators=sg)
-    assert inst2.P.order == 2187 and inst2.G.order == 243
+    assert inst2.ambient.order == 2187 and inst2.G.order == 243
     assert derived_subgroup(inst2.G).order == 27
 
 
@@ -211,7 +213,7 @@ def test_abelian_odd_base_with_a_redundant_generator_pair():
     (3 is a power of 1, so the pair is no basis of C9/Phi)."""
     table = [[(i + j) % 9 for j in range(9)] for i in range(9)]
     inst = build_family(3, "table", 1, 1, 1, table=table, table_generators=(1, 3))
-    assert inst.P.order == 9 * 3 * 3 and inst.G.order == 27
+    assert inst.ambient.order == 9 * 3 * 3 and inst.G.order == 27
     assert derived_subgroup(inst.G).order == 1
 
 
@@ -233,8 +235,9 @@ def test_structure_654_builds_no_table(monkeypatch):
 
 
 def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
-    """Phi(G), Phi(H) and Phi(P) are each computed once: clause (iii) and the
-    maximal subgroups of G and H share them."""
+    """Phi(G) and Phi(H) are each computed once: clause (iii) and the
+    maximal subgroups of G and H share them.  Phi(P) is a normal closure
+    under P's generators; P is no group."""
     inst = build_family(2, "dihedral", 4, 3, 3)
     computed_for = []
     frattini = groups_mod.frattini
@@ -246,7 +249,7 @@ def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
     monkeypatch.setattr(groups_mod, "frattini", counting)
     monkeypatch.setattr(family_mod, "frattini", counting)
     assert verify_structure(inst).ok
-    assert sorted(map(id, computed_for)) == sorted(map(id, (inst.G, inst.H, inst.P)))
+    assert sorted(map(id, computed_for)) == sorted(map(id, (inst.G, inst.H)))
 
 
 def test_verify_structure_labels_no_orbits(monkeypatch):
@@ -312,54 +315,95 @@ def test_variants_reuse_the_structure_instance(variant, monkeypatch):
     assert len(scanned) == (0 if variant == "dihedral" else 2)
 
 
-def _named_closure_matches(group, ambient, gens):
-    """Whether ``group`` is the breadth-first closure of ``gens``: the same
-    elements and the same derivation tree as the dict-based oracle."""
-    want = dict_closure(ambient, gens)
-    return (group.elements == want.elements
-            and group.bfs_parent.tolist() == list(want.bfs_parent)
-            and group.bfs_gen.tolist() == list(want.bfs_gen))
-
-
-def test_p_and_m_are_closed_when_first_read():
-    """build_family builds no P or M; the first read builds them, later reads
-    return the same objects.  In the 2-case they are the coordinate boxes
-    with the elements of P = <t, r, c, d> and M = <r, c, d> of index 2, and
-    their words are right: read along their own right columns from every
-    element, they give arange.  The odd case closes P = <s, s1, c, d>."""
-    inst = build_family(2, "dihedral", 4, 3, 3)
-    assert "P" not in vars(inst) and "M" not in vars(inst)
+@pytest.mark.parametrize("variant", TWO_GENERATOR_VARIANTS)
+@pytest.mark.parametrize("nmk", [(4, 3, 3), (5, 4, 3)], ids=["433", "543"])
+def test_structure_reads_p_and_m_like_the_coordinate_box(nmk, variant, monkeypatch):
+    """The report reads P and M off the ambient's normal form; its P',
+    Phi(P), |M|, "M is abelian" and meets with M equal those of the
+    enumerated coordinate boxes.  The boxes hold the elements of P =
+    <t, r, c, d> and M = <r, c, d>, and their words are right: read along
+    their own right columns from every element, they give arange."""
+    inst = build_family(2, variant, *nmk)
     amb, named = inst.ambient, inst.named
-    for grp, gens in ((inst.P, "trcd"), (inst.M, "rcd")):
+    box, half = coordinate_box(amb), coordinate_box(amb, lead=1)
+    for grp, gens in ((box, "trcd"), (half, "rcd")):
         want = dict_closure(amb, [named[g] for g in gens])
         assert grp.element_set() == frozenset(want.elements)
         assert grp.generators == tuple(named[g] for g in gens)
         columns = np.array(grp.right_columns(grp.generators))
         assert np.array_equal(grp.transport(columns, np.int32(0)), np.arange(grp.order))
-    assert (inst.P.order, inst.M.order) == (2048, 1024)
-    assert inst.P is inst.P and inst.M is inst.M
-    odd = build_family(3, "heisenberg", 2, 1, 1)
-    assert "P" not in vars(odd)
-    assert _named_closure_matches(odd.P, odd.ambient,
-                                  [odd.named[g] for g in ("s", "s1", "c", "d")])
-    assert odd.M is None
+    closed, wrapped = [], []
+    normal_closure, wrap = family_mod.normal_closure, family_mod.subgroup_from_elements
+
+    def closing(*args, **kwargs):
+        closed.append(normal_closure(*args, **kwargs))
+        return closed[-1]
+
+    def wrapping(*args, **kwargs):
+        wrapped.append(wrap(*args, **kwargs))
+        return wrapped[-1]
+    monkeypatch.setattr(family_mod, "normal_closure", closing)
+    monkeypatch.setattr(family_mod, "subgroup_from_elements", wrapping)
+    report = verify_structure(inst)
+    assert report.ok
+    data = {c.id: c.data for c in report.clauses}
+    derived, frat = closed
+    assert np.array_equal(derived.keys(), derived_subgroup(box).keys())
+    assert np.array_equal(frat.keys(), power_frattini(box).keys())
+    assert data["orders"]["order_p"] == box.order
+    assert data["m-abelian-maximal"] == {"order_m": half.order,
+                                         "abelian": bool(half.central_mask().all())}
+    assert data["m-abelian-maximal"]["abelian"] is True
+    for got, grp in zip(wrapped, (inst.G, inst.H)):
+        assert np.array_equal(got.keys(), intersection(grp, half).keys())
+
+
+class _CarryIntoC(AmbientDescriptor):
+    """A broken two-generator law: e1 & e2 is added into the C coordinate,
+    so t^2 = c and K = <t, ts> leaves K x 1 x 1."""
+
+    def mul_array(self, lefts, rights):
+        out = super().mul_array(lefts, rights)
+        out[:, 2] = (out[:, 2] + (lefts[:, 0] & rights[:, 0])) % self.radices[2]
+        return out
+
+
+class _ShortC(AmbientDescriptor):
+    """A broken two-generator law: the C coordinate wraps at half its
+    radix, so c's order comes out short."""
+
+    def mul_array(self, lefts, rights):
+        out = super().mul_array(lefts, rights)
+        out[:, 2] %= self.radices[2] // 2
+        return out
+
+
+@pytest.mark.parametrize("broken", [_CarryIntoC, _ShortC], ids=["carry-into-c", "short-c"])
+def test_structure_refuses_an_ambient_without_the_normal_form(broken, inst433):
+    """The report reads |P|, |M|, P', Phi(P) and the meets with M off the
+    normal form t^e r^i c^a d^b, so an ambient whose law breaks it is
+    refused with RuntimeError (exit 4) before any clause is read."""
+    amb = inst433.ambient
+    copy = broken(**{f.name: getattr(amb, f.name) for f in dataclasses.fields(amb)})
+    with pytest.raises(RuntimeError, match="not the product of t"):
+        verify_structure(dataclasses.replace(inst433, ambient=copy))
 
 
 def test_witness_invariants_export_never_close_p_or_m(monkeypatch, tmp_path):
-    """Only the structural verification reads P and M: the other commands
-    run to exit 0 with both refused, and close nothing larger than G."""
-    def refuse(self):
-        raise AssertionError("P or M was closed")
-    monkeypatch.setattr(FamilyInstance, "P", property(refuse))
-    monkeypatch.setattr(FamilyInstance, "M", property(refuse))
+    """An instance has no P or M, and every command, the structure report
+    with and without --variants too, runs to exit 0 and closes nothing
+    larger than G, in the family module or the group layer."""
+    assert not hasattr(FamilyInstance, "P") and not hasattr(FamilyInstance, "M")
     orders = []
-    closing = family_mod.closure
 
-    def recording(*args, **kwargs):
-        group = closing(*args, **kwargs)
-        orders.append(group.order)
-        return group
-    monkeypatch.setattr(family_mod, "closure", recording)
+    def recording(closing):
+        def closed(*args, **kwargs):
+            group = closing(*args, **kwargs)
+            orders.append(group.order)
+            return group
+        return closed
+    monkeypatch.setattr(family_mod, "closure", recording(family_mod.closure))
+    monkeypatch.setattr(groups_mod, "closure", recording(groups_mod.closure))
     out = str(tmp_path / "report.json")
     nmk = ["--n", "4", "--m", "3", "--k", "3"]
     odd = ["--p", "3", "--n", "2", "--m", "1", "--k", "1"]
@@ -368,10 +412,10 @@ def test_witness_invariants_export_never_close_p_or_m(monkeypatch, tmp_path):
             (["invariants", *nmk, "--pair"], 512),
             (["invariants", *odd, "--variant", "c9c9"], 729),
             (["invariants", *odd], 81),
-            (["export", *nmk, "--outdir", str(tmp_path / "export")], 512)]
+            (["export", *nmk, "--outdir", str(tmp_path / "export")], 512),
+            (["family", *nmk], 512),
+            (["family", *nmk, "--variants"], 512)]
     for argv, order_g in runs:
         orders.clear()
         assert main([*argv, "--output", out]) == 0, argv
         assert max(orders) == order_g, argv
-    with pytest.raises(AssertionError, match="P or M was closed"):
-        main(["family", *nmk, "--output", out])

@@ -7,6 +7,7 @@ import pytest
 
 import numpy as np
 
+from mipverify import family as family_mod
 from mipverify import groups as groups_mod
 from mipverify.ambient import AmbientDescriptor, GuardExceeded, make_ambient
 from mipverify.family import build_family
@@ -15,15 +16,16 @@ from mipverify.groups import (abelian_maximal_subgroups, centralizer_index,
                               commutator_subgroup, conjugacy_classes,
                               derived_subgroup, frattini,
                               frattini_coordinates,
-                              generated_subgroup, intersection,
+                              generated_subgroup,
                               jennings_factor_orders, jennings_series,
                               lower_central_series, maximal_subgroups,
                               nilpotency_class, normal_closure,
                               power_subgroup, subgroup_from_elements)
 from mipverify.isomorphism import isomorphic_bruteforce
 
-from conftest import (assert_same_group, center, coset_scan_maximal_subgroups,
-                      dict_closure, greedy_generators, naive_closure,
+from conftest import (assert_same_group, center, coordinate_box,
+                      coset_scan_maximal_subgroups, dict_closure,
+                      greedy_generators, intersection, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
                       power_frattini, reclosing_generated_subgroup,
                       ref_comm, ref_inv, ref_word,
@@ -122,15 +124,18 @@ def _p3_bases():
 def _frattini_without_commutators(group):
     """A broken frattini: the normal closure of the generators' p-th powers,
     with the commutator seeds dropped."""
-    return normal_closure(group, [group.ambient.power(s, group.p)
-                                  for s in group.small_generators()])
+    gens = group.small_generators()
+    return normal_closure(group.ambient, gens,
+                          [group.ambient.power(s, group.p) for s in gens], group.order)
 
 
 def test_frattini_matches_power_oracle(catalog, inst433):
     """Phi(G) from generator seeds equals G' G^p from all p-th powers on
-    the catalog, the p = 3 bases, and G, H and P at (4,3,3)."""
+    the catalog, the p = 3 bases, and G, H and P at (4,3,3), P the
+    coordinate box."""
     groups = list(catalog) + _p3_bases() + [
-        ("G-433", inst433.G), ("H-433", inst433.H), ("P-433", inst433.P)]
+        ("G-433", inst433.G), ("H-433", inst433.H),
+        ("P-433", coordinate_box(inst433.ambient))]
     for name, grp in groups:
         got, want = frattini(_fresh(grp)), power_frattini(grp)
         assert np.array_equal(got.keys(), want.keys()), name
@@ -156,12 +161,12 @@ def test_coordinate_box_checks_every_word():
     so the box is refused."""
     amb = make_ambient(2, "semidihedral", 3, 2, 1)
     for lead in (0, 1):
-        box = groups_mod.coordinate_box(amb, lead)
+        box = coordinate_box(amb, lead)
         want = dict_closure(amb, box.generators)
         assert box.element_set() == frozenset(want.elements)
         assert all(ref_word(box, w) == g for w, g in zip(box.words, box.elements))
     with pytest.raises(RuntimeError, match="coordinate box"):
-        groups_mod.coordinate_box(make_ambient(3, "heisenberg", 1, 1, 1))
+        coordinate_box(make_ambient(3, "heisenberg", 1, 1, 1))
 
 
 def test_power_subgroup_cyclic(catalog):
@@ -208,7 +213,7 @@ def test_conjugacy_classes_partition(catalog):
 def test_normal_closure_and_commutator(catalog):
     D16 = _catalog_map(catalog)["D16"]
     t = D16.generators[0]
-    nc = normal_closure(D16, [t])
+    nc = normal_closure(D16.ambient, D16.small_generators(), [t], D16.order)
     assert nc.order in (8, 16)
     der = commutator_subgroup(D16, D16)
     assert der.element_set() == derived_subgroup(D16).element_set()
@@ -655,8 +660,9 @@ def test_normal_closure_matches_set_oracle(layer_groups):
                       for _ in range(3)]
         for seeds in seed_sets:
             want = set_normal_closure(grp, seeds)
-            for got in (normal_closure(grp, seeds),
-                        normal_closure(grp, np.array(seeds, dtype=np.int64))):
+            for got in (normal_closure(grp.ambient, gens, seeds, grp.order),
+                        normal_closure(grp.ambient, np.array(gens, dtype=np.int64),
+                                       np.array(seeds, dtype=np.int64), grp.order)):
                 assert got.elements == want.elements, name
                 assert got.generators == want.generators, name
                 assert np.array_equal(got.bfs_order, want.bfs_order), name
@@ -769,10 +775,18 @@ def test_incremental_absorption_guard_and_closedness(layer_groups):
                 subgroup_from_elements(amb, given)
 
 
-def test_structure_holds_no_element_tuples():
-    """The structural verification reads P, M, G and H through rows and
-    keys only: none of them builds its element tuples."""
+def test_structure_holds_no_element_tuples(monkeypatch):
+    """The structural verification reads G, H and their meets with M
+    through rows and keys only: none of them builds its element tuples."""
     inst = build_family(2, "dihedral", 5, 4, 3)
+    wrapped = []
+    wrap = family_mod.subgroup_from_elements
+
+    def recording(*args, **kwargs):
+        wrapped.append(wrap(*args, **kwargs))
+        return wrapped[-1]
+    monkeypatch.setattr(family_mod, "subgroup_from_elements", recording)
     assert verify_structure(inst).ok
-    for grp in (inst.P, inst.M, inst.G, inst.H):
+    assert [grp.order for grp in wrapped] == [inst.G.order // 2] * 2
+    for grp in (inst.G, inst.H, *wrapped):
         assert "elements" not in vars(grp)
