@@ -19,27 +19,25 @@ appears only once it is complete.  Timing goes to stderr only.
 The environment variable MIPVERIFY_GUARD overrides the built-in guard
 default; like ``--guard`` and ``--sample-size``, it must be an integer of at
 least 1, or the run exits 2.
+
+Each subcommand imports the layers it runs when it starts (``witness`` the
+algebra and witness modules, ``invariants`` the algebra and invariants
+modules, ``export`` the export writer), so ``family`` and ``export`` never
+load the algebra.  The stderr timing includes those imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import stat
 import sys
 import time
 from typing import Optional, Sequence
 
 from .ambient import DEFAULT_GUARD, GuardExceeded
-from .algebra import GroupAlgebra, is_unit, unit_order
-from .family import build_family, compare_variants, verify_structure
-from .invariants import invariant_report, reports_invariant_equal
-from .report import certificate_as_dict, envelope, iter_canonical_json
-from .tables import semidirect_c9c9_table, wreath_cyclic_table
-from .witness import (DEFAULT_SAMPLE_SIZE, build_beta, build_beta_general,
-                      build_beta_k3, verify_witness)
-from .export import write_exports
+from .family import build_family
+from .report import envelope, iter_canonical_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -116,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     wit.add_argument("--zeta", default="central-element", choices=ZETA_CHOICES,
                      help="central unit for --beta general")
     wit.add_argument("--seed", type=int, default=0)
-    wit.add_argument("--sample-size", type=_positive_int,
-                     default=DEFAULT_SAMPLE_SIZE)
+    # None stands for witness.DEFAULT_SAMPLE_SIZE, read when the command runs
+    wit.add_argument("--sample-size", type=_positive_int, default=None)
     wit.add_argument("--exhaustive", action="store_true",
                      help="check multiplicativity on all |G|^2 pairs")
     wit.add_argument("--no-matrix", action="store_true",
@@ -192,6 +190,8 @@ def _emit(doc: dict, output: Optional[str]) -> None:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    from .family import compare_variants, verify_structure
+
     config = {"n": args.n, "m": args.m, "k": args.k, "variant": args.variant,
               "variants": bool(args.variants), "guard": args.guard}
     inst = build_family(2, args.variant, args.n, args.m, args.k,
@@ -207,7 +207,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _make_zeta(FH: GroupAlgebra, inst, kind: str, seed: int, m: int):
+def _make_zeta(FH, inst, kind: str, seed: int, m: int):
+    import random
+
+    from .algebra import is_unit, unit_order
+
     if kind == "one":
         return FH.one()
     if kind == "central-element":
@@ -227,9 +231,16 @@ def _make_zeta(FH: GroupAlgebra, inst, kind: str, seed: int, m: int):
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .algebra import GroupAlgebra
+    from .report import certificate_as_dict
+    from .witness import (DEFAULT_SAMPLE_SIZE, build_beta, build_beta_general,
+                          build_beta_k3, verify_witness)
+
+    sample_size = (DEFAULT_SAMPLE_SIZE if args.sample_size is None
+                   else args.sample_size)
     config = {"n": args.n, "m": args.m, "k": args.k, "variant": args.variant,
               "beta": args.beta, "zeta": args.zeta if args.beta == "general" else None,
-              "seed": args.seed, "sample_size": args.sample_size,
+              "seed": args.seed, "sample_size": sample_size,
               "exhaustive": bool(args.exhaustive), "guard": args.guard}
     inst = build_family(2, args.variant, args.n, args.m, args.k,
                         guard=args.guard)
@@ -245,7 +256,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         zeta = _make_zeta(FH, inst, args.zeta, args.seed, args.m)
         beta = build_beta_general(FH, zeta, inst.x, inst.z, args.m)
     cert = verify_witness(FG, FH, beta, (args.n, args.m, args.k),
-                          seed=args.seed, sample_size=args.sample_size,
+                          seed=args.seed, sample_size=sample_size,
                           exhaustive=args.exhaustive)
     payload = {"certificate": certificate_as_dict(
         cert, include_matrix=not args.no_matrix)}
@@ -257,12 +268,14 @@ def _odd_instance(p: int, base: str, n: int, m: int, k: int, guard: int):
     if base == "heisenberg":
         return build_family(p, "heisenberg", n, m, k, guard=guard)
     if base == "wreath":
+        from .tables import wreath_cyclic_table
         table, gens = wreath_cyclic_table(p)
         return build_family(p, "table", n, m, k, guard=guard, table=table,
                             table_generators=gens)
     if base == "c9c9":
         if p != 3:
             raise ValueError("the c9c9 base is specific to p = 3")
+        from .tables import semidirect_c9c9_table
         table, gens = semidirect_c9c9_table()
         return build_family(p, "table", n, m, k, guard=guard, table=table,
                             table_generators=gens)
@@ -270,6 +283,9 @@ def _odd_instance(p: int, base: str, n: int, m: int, k: int, guard: int):
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    from .algebra import GroupAlgebra
+    from .invariants import invariant_report, reports_invariant_equal
+
     p = args.p
     variant = args.variant
     config = {"p": p, "n": args.n, "m": args.m, "k": args.k,
@@ -302,6 +318,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .export import write_exports
+
     inst = build_family(2, args.variant, args.n, args.m, args.k,
                         guard=args.guard)
     written = write_exports(inst, args.outdir)

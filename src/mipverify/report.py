@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from .witness import IsomorphismCertificate
+if TYPE_CHECKING:
+    from .witness import IsomorphismCertificate
 
 SCHEMA_VERSION = 2
 

@@ -220,14 +220,15 @@ def test_output_through_symlink_and_to_device(tmp_path):
 
 
 def test_verification_failure_exit_one(monkeypatch, capsys):
-    import mipverify.cli as cli_mod
+    import mipverify.report as report_mod
+    import mipverify.witness as witness_mod
 
     class StubCert:
         valid = False
 
-    monkeypatch.setattr(cli_mod, "verify_witness",
+    monkeypatch.setattr(witness_mod, "verify_witness",
                         lambda *a, **kw: StubCert())
-    monkeypatch.setattr(cli_mod, "certificate_as_dict",
+    monkeypatch.setattr(report_mod, "certificate_as_dict",
                         lambda cert, include_matrix=True: {"valid": False})
     code = main(["witness", "--n", "4", "--m", "3", "--k", "3"])
     assert code == 1
@@ -502,11 +503,12 @@ def test_witness_764_over_unit_budget_exit_two(capsys):
                                  ArithmeticError("bad division")])
 def test_internal_error_exit_four(monkeypatch, capsys, exc):
     import mipverify.cli as cli_mod
+    import mipverify.family as family_mod
 
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli_mod, "verify_structure", broken)
+    monkeypatch.setattr(family_mod, "verify_structure", broken)
     code = main(["family", "--n", "4", "--m", "3", "--k", "3"])
     captured = capsys.readouterr()
     assert code == cli_mod.EXIT_INTERNAL == 4 and captured.out == ""
@@ -646,6 +648,42 @@ def test_no_command_imports_numpy_ma(tmp_path):
         pytest.skip(f"numpy {np.__version__} imports numpy.ma with numpy itself")
     assert lines == [f"{cmd} 0 False" for cmd in
                                     ("family", "witness", "invariants", "export")] + [""]
+
+
+# Each command with the package modules it must leave unloaded: the layers
+# it does not run.
+UNLOADED_LAYERS = {
+    "family": (["family", *NMK433],
+               ("algebra", "witness", "invariants", "tables")),
+    "export": (["export", *NMK433, "--outdir", OUTDIR],
+               ("algebra", "witness", "invariants", "tables")),
+    "witness": (["witness", *NMK433], ("invariants", "tables", "export")),
+    "invariants": (["invariants", *NMK433], ("witness", "tables", "export")),
+    "invariants-wreath": (["invariants", "--p", "3", "--n", "2", "--m", "1",
+                           "--k", "1", "--variant", "wreath"],
+                          ("witness", "export")),
+}
+
+
+@pytest.mark.parametrize("argv,unloaded", list(UNLOADED_LAYERS.values()),
+                         ids=list(UNLOADED_LAYERS))
+def test_each_command_imports_only_its_layers(argv, unloaded, tmp_path):
+    """In a fresh process a command loads no layer it does not run:
+    ``family`` and ``export`` no algebra, ``witness`` no invariants and
+    ``invariants`` no witness."""
+    argv = [str(tmp_path / "out") if a is OUTDIR else a for a in argv]
+    script = (
+        "import sys\n"
+        "from mipverify.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('mipverify')))\n")
+    r = subprocess.run([sys.executable, "-c", script, *argv,
+                        "--output", str(tmp_path / "report.json")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    code, *loaded = r.stdout.split()
+    assert code == "0" and {"mipverify.cli", "mipverify.family"} <= set(loaded)
+    assert [m for m in loaded if m.split(".")[-1] in unloaded] == [], loaded
 
 
 def test_console_entry_point():
