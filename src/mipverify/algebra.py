@@ -148,8 +148,11 @@ class GroupAlgebra:
     def class_sums(self) -> list["AlgebraElement"]:
         """One sum per conjugacy class, ordered by minimal class element."""
         if self._class_sums is None:
-            self._class_sums = [self.from_indices(cls)
-                                for cls in conjugacy_classes(self.group)]
+            label = conjugacy_classes(self.group)
+            members = np.argsort(label, kind="stable")
+            starts = np.flatnonzero(np.diff(label[members])) + 1
+            self._class_sums = [self.from_indices(cls.tolist())
+                                for cls in np.split(members, starts)]
         return list(self._class_sums)
 
     def class_sum_pth_power_count(self) -> int:
@@ -161,12 +164,10 @@ class GroupAlgebra:
         times, and equal (class, product) keys are summed mod p.
         """
         p, dim = self.p, self.dim
-        classes = conjugacy_classes(self.group)
-        sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
-        members = np.concatenate([np.array(cls, dtype=np.int64) for cls in classes])
+        _, class_of, sizes = np.unique(conjugacy_classes(self.group),
+                                       return_inverse=True, return_counts=True)
+        members = np.argsort(class_of, kind="stable")
         starts = np.cumsum(sizes) - sizes
-        class_of = np.empty(dim, dtype=np.int64)
-        class_of[members] = np.repeat(np.arange(sizes.size), sizes)
         owners, elems = class_of[members], members
         coeffs = np.ones(dim, dtype=np.int64)
         arr = self.group.array()

@@ -23,7 +23,8 @@ least 1, or the run exits 2.
 Each subcommand imports the layers it runs when it starts (``witness`` the
 algebra and witness modules, ``invariants`` the algebra and invariants
 modules, ``export`` the export writer), so ``family`` and ``export`` never
-load the algebra.  The stderr timing includes those imports.
+load the algebra; the structure checks load the isomorphism layer only when
+they run.  The stderr timing includes those imports.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ explicit multiplication table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from .groups import (FiniteGroup, abelian_maximal_subgroups, closure,
                      derived_subgroup, frattini, frattini_seeds,
                      generated_subgroup, nilpotency_class, normal_closure,
                      pair_commutators, subgroup_from_elements)
-from .isomorphism import (ClauseList, DEFAULT_ORACLE_BOUND,
-                          isomorphic_bruteforce, pair_relations)
+
+if TYPE_CHECKING:
+    from .isomorphism import ClauseList
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,8 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
     under t, r, c, d; M is abelian when r, c and d commute; and G meet M,
     H meet M are the rows of G and H with e = 0.
     """
+    from .isomorphism import ClauseList, DEFAULT_ORACLE_BOUND, isomorphic_bruteforce
+
     if inst.H is None or inst.z is None:
         raise ValueError("structural verification applies to the 2-case family")
     p, variant, n, m, k = inst.params
@@ -286,6 +289,8 @@ def compare_variants(instance: FamilyInstance) -> VerificationReport:
     lists are [2^n] for G and [2^(n-1)] for H (clause (vii) of
     :func:`verify_structure`).
     """
+    from .isomorphism import ClauseList, pair_relations
+
     n, m, k = instance.nmk
     groups = {}
     for v in TWO_GENERATOR_VARIANTS:

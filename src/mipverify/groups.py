@@ -69,7 +69,6 @@ class FiniteGroup:
     _central_mask: Optional[np.ndarray] = field(repr=False, default=None)
     _small_gens: Optional[tuple[Element, ...]] = field(repr=False, default=None)
     _frattini: Optional["FiniteGroup"] = field(repr=False, default=None)
-    _classes: Optional[tuple[tuple[int, ...], ...]] = field(repr=False, default=None)
     _class_label: Optional[np.ndarray] = field(repr=False, default=None)
     _abelian_maximal: Optional[tuple["FiniteGroup", ...]] = field(repr=False,
                                                                   default=None)
@@ -641,31 +640,23 @@ def _orbit_minima(columns: Sequence[np.ndarray], size: int) -> np.ndarray:
         label = new
 
 
-def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes as sorted index tuples, ordered by minimal element.
-
-    Computed once per group; the class labels (each element's smallest
-    conjugate) are kept on the group with them.
-    """
-    if group._classes is None:
+def conjugacy_classes(group: FiniteGroup) -> np.ndarray:
+    """Conjugacy classes as a read-only label array: entry i is the index of
+    element i's smallest conjugate.  Computed once per group."""
+    if group._class_label is None:
         arr = group.array()
         # columns of the conjugation maps g -> a^-1 g a for each generator
         conj_cols = [group.indices_of_rows(group.ambient.conj_array(arr, a[None]))
                      for a in _rows(group.ambient, group.small_generators())]
         label = _orbit_minima(conj_cols, group.order)
         label.setflags(write=False)
-        members = np.argsort(label, kind="stable")
-        starts = np.flatnonzero(np.diff(label[members])) + 1
         group._class_label = label
-        group._classes = tuple(tuple(cls.tolist())
-                               for cls in np.split(members, starts))
-    return list(group._classes)
+    return group._class_label
 
 
 def centralizer_index(group: FiniteGroup, g: Element) -> int:
     """|G : C_G(g)| = size of the conjugacy class of g, an element of G."""
-    conjugacy_classes(group)
-    label = group._class_label
+    label = conjugacy_classes(group)
     return int(np.count_nonzero(label == label[group.index(g)]))
 
 

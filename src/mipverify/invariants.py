@@ -153,10 +153,9 @@ def invariant_report(G: FiniteGroup, FG: GroupAlgebra,
     minus_zn = phi.has_keys(N.keys()) & ~N.central_mask()
     minus_zg = phi.has_keys(G.keys()) & ~G.central_mask()
 
-    census: dict[int, int] = {}
-    for cls in conjugacy_classes(G):
-        if minus_zg[cls[0]]:
-            census[len(cls)] = census.get(len(cls), 0) + 1
+    # a class lies in Phi(N) - Z(G) with its smallest element
+    reps, sizes = np.unique(conjugacy_classes(G), return_counts=True)
+    census = np.unique(sizes[minus_zg[reps]], return_counts=True)
 
     sehgal = []
     gens = np.array(G.generators, dtype=np.int64).reshape(-1, G.ambient.width)
@@ -186,7 +185,7 @@ def invariant_report(G: FiniteGroup, FG: GroupAlgebra,
         phi_minus_zn=int(np.count_nonzero(minus_zn)),
         phi_minus_zg=int(np.count_nonzero(minus_zg)),
         abelian_type_n=abelian_type(N) if n_abelian else None,
-        class_size_census=tuple(sorted(census.items())),
+        class_size_census=tuple(zip(*(a.tolist() for a in census))),
         proposition_inapplicable=N.order == G.order,
         sehgal_census=tuple(sehgal),
     )

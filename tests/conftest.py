@@ -8,7 +8,9 @@ and a quadratic pairwise scan for the class-sum power count.
 
 The group layer itself is table-free and vectorized; its earlier
 implementations live on here as oracles: a dict-based one-at-a-time
-closure, element orders and conjugacy classes read from the Cayley table,
+closure, element orders and conjugacy classes read from the Cayley table
+(the program keeps only each element's class label; ``classes_from_labels``
+turns the labels into the index tuples the program once returned),
 a per-element coset scan for the maximal subgroups, the greedy
 absorption of seeds one closure at a time, the pairwise closure test
 of an element set, the Cayley table built one row product at a time,
@@ -523,6 +525,15 @@ def table_conjugacy_classes(group: FiniteGroup) -> List[tuple]:
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return classes
+
+
+def classes_from_labels(label: np.ndarray) -> List[tuple]:
+    """The partition a class-label array names (entry i is the smallest
+    element of i's class), as sorted index tuples ordered by that element."""
+    classes: dict = {}
+    for i, rep in enumerate(label.tolist()):
+        classes.setdefault(rep, []).append(i)
+    return [tuple(cls) for _, cls in sorted(classes.items())]
 
 
 def coordinate_box(ambient, lead: int = 0) -> FiniteGroup:

@@ -12,8 +12,9 @@ from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
                                is_unit, pack_bits, unit_order, unpack_bits)
 from mipverify.groups import conjugacy_classes, jennings_factor_orders
 
-from conftest import (aug_quotient_dims, jennings_dimension_polynomial,
-                      naive_product, naive_power, pairwise_class_sum_count,
+from conftest import (aug_quotient_dims, classes_from_labels,
+                      jennings_dimension_polynomial, naive_product,
+                      naive_power, pairwise_class_sum_count,
                       ref_mul, ref_order, regular_rep_is_unit, table_product,
                       unit_inverse)
 
@@ -174,8 +175,9 @@ def test_unit_order_is_minimal(catalog):
 def test_class_sums_are_central_and_partition(catalog):
     for alg in _algebras(catalog, ["Q16", "heis27"]):
         sums = alg.class_sums()
-        classes = conjugacy_classes(alg.group)
+        classes = classes_from_labels(conjugacy_classes(alg.group))
         assert len(sums) == len(classes)
+        assert sums == [alg.from_indices(cls) for cls in classes]
         total = alg.zero()
         for s in sums:
             assert s.is_central()
@@ -203,7 +205,7 @@ def test_class_sum_count_in_tiny_blocks(layer_groups, monkeypatch):
 def test_class_sum_matches_need_whole_classes(catalog):
     """Terms match class C_j only with coefficient 1 on all of C_j."""
     grp = dict(catalog)["heis27"]
-    classes = conjugacy_classes(grp)
+    classes = classes_from_labels(conjugacy_classes(grp))
     sizes = np.array([len(c) for c in classes])
     class_of = np.empty(grp.order, dtype=np.int64)
     for j, cls in enumerate(classes):

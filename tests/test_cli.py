@@ -300,6 +300,9 @@ WITNESS_GOLDEN_SHA256 = {
         "b75a12713e8cf2aaceee0879f6ef90deed9951ae420932f5ab54c27e578ab25f",
     ("4 3 3 --exhaustive", "5"):
         "f8c61513a41027d0deb6880534e72a89bc7a28e3cf55304d029698c05faf9266",
+    # the class-sum witness at another seed, whose zeta is another class sum
+    ("4 3 3 --beta general --zeta class-sum", "1"):
+        "c043be16b20af6f09d061b25eaee1357a79312e61f818254c2e6042412c869aa",
 }
 
 
@@ -369,6 +372,32 @@ def test_family_golden_digests():
     for args, digest in FAMILY_GOLDEN_SHA256.items():
         n, m, k, *extra = args.split()
         r = run_cli(["family", "--n", n, "--m", m, "--k", k, *extra])
+        assert r.returncode == 0, args
+        assert hashlib.sha256(r.stdout.encode("ascii")).hexdigest() == digest, args
+
+
+# sha256 of the stdout of `invariants`, as written when the conjugacy classes
+# were kept as one index tuple per class: they pin the class-size census
+# and the class-sum p-th-power count.
+INVARIANTS_GOLDEN_SHA256 = {
+    "--n 4 --m 3 --k 3 --pair":
+        "e86707437d895c3d3858cefece2301f13e3f0ee1f664ea65da841b8a644b9dfd",
+    "--n 5 --m 4 --k 3 --pair":
+        "6cb03fa5f5d673f0f147352370f1e5574455954f1f705662fa9d0c2e4d6ae4d9",
+    "--n 6 --m 5 --k 4 --pair":
+        "5d118bbf39ac9c277d79c49cb36a3079926ada65baf66d59c7b3a857e2115fe7",
+    "--p 3 --n 2 --m 1 --k 1 --variant c9c9":
+        "d4ae1955898aa38bb530392220a177d17c46badca0c02f52d9d07659404c364b",
+    "--p 3 --n 2 --m 1 --k 1 --variant wreath":
+        "85e30a23cad0d6e3e94395192c0bef9d5b50468ae8fd8eea44f335e2979ef3a6",
+    "--p 3 --n 2 --m 1 --k 1 --variant heisenberg":
+        "13e5f74393cd92176b9579f23b9773b48159e6c6c6f13fcc3fdfeb6d07b433b7",
+}
+
+
+def test_invariants_golden_digests():
+    for args, digest in INVARIANTS_GOLDEN_SHA256.items():
+        r = run_cli(["invariants", *args.split()])
         assert r.returncode == 0, args
         assert hashlib.sha256(r.stdout.encode("ascii")).hexdigest() == digest, args
 
@@ -656,12 +685,13 @@ UNLOADED_LAYERS = {
     "family": (["family", *NMK433],
                ("algebra", "witness", "invariants", "tables")),
     "export": (["export", *NMK433, "--outdir", OUTDIR],
-               ("algebra", "witness", "invariants", "tables")),
+               ("algebra", "witness", "invariants", "tables", "isomorphism")),
     "witness": (["witness", *NMK433], ("invariants", "tables", "export")),
-    "invariants": (["invariants", *NMK433], ("witness", "tables", "export")),
+    "invariants": (["invariants", *NMK433],
+                   ("witness", "tables", "export", "isomorphism")),
     "invariants-wreath": (["invariants", "--p", "3", "--n", "2", "--m", "1",
                            "--k", "1", "--variant", "wreath"],
-                          ("witness", "export")),
+                          ("witness", "export", "isomorphism")),
 }
 
 
@@ -670,7 +700,8 @@ UNLOADED_LAYERS = {
 def test_each_command_imports_only_its_layers(argv, unloaded, tmp_path):
     """In a fresh process a command loads no layer it does not run:
     ``family`` and ``export`` no algebra, ``witness`` no invariants and
-    ``invariants`` no witness."""
+    ``invariants`` no witness; ``export`` and ``invariants`` verify no
+    structure, so they leave the isomorphism layer unloaded too."""
     argv = [str(tmp_path / "out") if a is OUTDIR else a for a in argv]
     script = (
         "import sys\n"

@@ -8,6 +8,7 @@ import pytest
 
 from mipverify import family as family_mod
 from mipverify import groups as groups_mod
+from mipverify import isomorphism as isomorphism_mod
 from mipverify.ambient import (AmbientDescriptor, TWO_GENERATOR_VARIANTS,
                                make_ambient)
 from mipverify.cli import main
@@ -154,7 +155,7 @@ def test_compare_variants_654_needs_no_table_and_no_oracle(monkeypatch):
         raise AssertionError("the brute-force oracle was called")
 
     monkeypatch.setattr(groups_mod, "TABLE_BUDGET_BYTES", 0)
-    monkeypatch.setattr(family_mod, "isomorphic_bruteforce", refuse)
+    monkeypatch.setattr(isomorphism_mod, "isomorphic_bruteforce", refuse)
     report = compare_variants(build_family(2, "dihedral", 6, 5, 4))
     assert report.ok, report.clauses.first_failing
     assert {c.id: c.data for c in report.clauses}["g-vs-h-control"] == {

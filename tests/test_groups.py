@@ -23,8 +23,8 @@ from mipverify.groups import (abelian_maximal_subgroups, centralizer_index,
                               power_subgroup, subgroup_from_elements)
 from mipverify.isomorphism import isomorphic_bruteforce
 
-from conftest import (assert_same_group, center, coordinate_box,
-                      coset_scan_maximal_subgroups, dict_closure,
+from conftest import (assert_same_group, center, classes_from_labels,
+                      coordinate_box, coset_scan_maximal_subgroups, dict_closure,
                       greedy_generators, intersection, naive_closure,
                       orbit_centralizer_index, pairwise_closed,
                       power_frattini, reclosing_generated_subgroup,
@@ -194,7 +194,7 @@ def test_maximal_subgroups_counts(catalog):
 
 def test_conjugacy_classes_dihedral8(catalog):
     D8 = _catalog_map(catalog)["D8"]
-    classes = conjugacy_classes(D8)
+    classes = classes_from_labels(conjugacy_classes(D8))
     sizes = sorted(len(cls) for cls in classes)
     assert sizes == [1, 1, 2, 2, 2]
     for cls in classes:
@@ -205,7 +205,7 @@ def test_conjugacy_classes_dihedral8(catalog):
 def test_conjugacy_classes_partition(catalog):
     for name in ("Q16", "heis27"):
         grp = _catalog_map(catalog)[name]
-        classes = conjugacy_classes(grp)
+        classes = classes_from_labels(conjugacy_classes(grp))
         seen = sorted(i for cls in classes for i in cls)
         assert seen == list(range(grp.order))
 
@@ -336,7 +336,20 @@ def test_maximal_subgroups_match_coset_scan_oracle(layer_groups):
 
 def test_conjugacy_classes_match_table_oracle(layer_groups):
     for name, grp in layer_groups:
-        assert conjugacy_classes(grp) == table_conjugacy_classes(grp), name
+        assert classes_from_labels(conjugacy_classes(grp)) == \
+            table_conjugacy_classes(grp), name
+
+
+def test_conjugacy_class_labels_are_class_minima(layer_groups):
+    """Each element is labelled with the smallest element of its class; the
+    labels are read-only and kept on the group."""
+    for name, grp in layer_groups:
+        label = conjugacy_classes(grp)
+        assert np.array_equal(label[label], label), name
+        assert (label <= np.arange(grp.order)).all(), name
+        assert not label.flags.writeable, name
+        assert conjugacy_classes(grp) is label, name
+        assert classes_from_labels(label) == table_conjugacy_classes(grp), name
 
 
 def test_greedy_generators_match_oracle(layer_groups):
@@ -585,7 +598,7 @@ def _group_summary(grp):
             [sub.keys().tolist() for sub in maximal_subgroups(grp)],
             [sub.keys().tolist() for sub in abelian_maximal_subgroups(grp)],
             [term.order for term in jennings_series(grp)],
-            conjugacy_classes(grp),
+            classes_from_labels(conjugacy_classes(grp)),
             centralizer_mod(grp, grp, der).keys().tolist(), grp.is_abelian())
 
 
@@ -596,7 +609,7 @@ def test_group_layer_runs_on_rows_alone(layer_groups, monkeypatch):
     answers."""
     fresh = [(name, dataclasses.replace(
         grp, _table=None, _orders=None, _central_mask=None, _frattini=None,
-        _classes=None, _class_label=None, _abelian_maximal=None))
+        _class_label=None, _abelian_maximal=None))
         for name, grp in layer_groups]
     want = [_group_summary(grp) for _, grp in layer_groups]
 
@@ -612,7 +625,7 @@ def test_group_layer_runs_on_rows_alone(layer_groups, monkeypatch):
 
 def test_centralizer_index_matches_orbit_oracle(layer_groups):
     for name, grp in layer_groups:
-        for cls in conjugacy_classes(grp):
+        for cls in classes_from_labels(conjugacy_classes(grp)):
             rep = grp.elements[cls[0]]
             assert centralizer_index(grp, rep) == len(cls) == \
                 orbit_centralizer_index(grp, rep), name

@@ -1,6 +1,7 @@
 """Algebra-determined invariant reports and their frozen values."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,8 @@ from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
 from conftest import (abelian_type_census_check, coordinate_box,
                       dense_ideal_dims, eliminated_ideal_dims, intersection,
-                      pairwise_class_sum_count)
+                      pairwise_class_sum_count, power_frattini,
+                      table_conjugacy_classes)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +302,25 @@ def test_class_sum_count_matches_oracle_on_odd_trio():
     for inst in instances:
         alg = GroupAlgebra(inst.G)
         assert alg.class_sum_pth_power_count() == pairwise_class_sum_count(alg)
+
+
+@pytest.mark.parametrize("case", ["G-433", "H-433", "G-543", "H-543",
+                                  "heisenberg", "wreath", "c9c9"])
+def test_class_size_census_matches_table_oracle(case, inst433):
+    """The census counts, by size, the classes of the Cayley table's
+    conjugation orbits that lie in Phi(N) (by its definition G' G^p) and
+    are not singletons, i.e. not in Z(G)."""
+    if case.endswith("433"):
+        G = getattr(inst433, case[0])
+    elif case.endswith("543"):
+        G = getattr(build_family(2, "dihedral", 5, 4, 3), case[0])
+    else:
+        G = _odd_base(case)
+    in_phi = power_frattini(compute_N(G)).has_keys(G.keys())
+    census = Counter(len(cls) for cls in table_conjugacy_classes(G)
+                     if len(cls) > 1 and in_phi[cls[0]])
+    report = invariant_report(G, GroupAlgebra(G))
+    assert report.class_size_census == tuple(sorted(census.items()))
 
 
 def test_g_meet_m_fields(inst433):
