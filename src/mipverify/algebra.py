@@ -3,10 +3,14 @@
 Elements carry their coefficient vector in a compact immutable key: an int
 bitmask over the canonical basis for p = 2 (so addition is XOR and basis-row
 reduction is word-parallel), or a bytes string of residues for odd p.
-Products run on the group engine with no Cayley table: the group elements of
-all support pairs are multiplied by the ambient's broadcasting product, in
-blocks of pairs of bounded size, located by their keys, and their
-coefficient products are summed exactly as integers and reduced mod p.
+Products take one of two paths.  On support pairs, with no Cayley table, the
+group elements of all support pairs are multiplied by the ambient's
+broadcasting product, in blocks of pairs of bounded size, located by their
+keys, and their coefficient products are summed exactly as integers and
+reduced mod p.  At p = 2 on the two-generator ambients, once the pairs cost
+more than the transforms, :mod:`mipverify.ntt` convolves over the abelian
+M = <r, c, d> by an exact number-theoretic transform mod 998244353: each
+output counts at most |G| < 998244353 pairs, so its parity is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .ambient import Element, round_up_power, sorted_distinct
+from .ambient import (TWO_GENERATOR_VARIANTS, Element, round_up_power,
+                      sorted_distinct)
 from .groups import FiniteGroup, conjugacy_classes
 
 RowLike = Union[int, np.ndarray, "AlgebraElement"]
@@ -24,6 +29,10 @@ RowLike = Union[int, np.ndarray, "AlgebraElement"]
 # Bytes of int64 element rows (two factors and their product per pair) in
 # one block of support-pair products.
 _PRODUCT_BLOCK_BYTES = 2 ** 20
+# The transform path does eight transforms of |P|/2 entries, O(|P| log2 |P|);
+# measured, it costs as much as |P| log2 |P| / 4 support pairs at (5,4,3) and
+# (6,5,4), and a third at (4,3,3).  It runs when the support pairs cost more.
+_NTT_PAIRS_PER_PLOGP = 0.25
 
 
 def _pair_blocks(group: FiniteGroup,
@@ -117,7 +126,7 @@ class GroupAlgebra:
     def from_indices(self, indices: Iterable[int]) -> "AlgebraElement":
         """Sum of basis elements (mod-p multiplicity) by canonical index."""
         counts: dict[int, int] = {}
-        for i in indices:
+        for i in map(int, indices):
             if not 0 <= i < self.dim:
                 raise ValueError(f"basis index {i} out of range")
             counts[i] = counts.get(i, 0) + 1
@@ -285,11 +294,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, bytes(s.astype(np.uint8).tobytes()))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(other)
-        if self.algebra.p == 2:
-            return AlgebraElement(self.algebra, self.key ^ other.key)
-        s = (self.vec().astype(np.int64) - other.vec()) % self.algebra.p
-        return AlgebraElement(self.algebra, bytes(s.astype(np.uint8).tobytes()))
+        return self + other.scale(-1)
 
     def scale(self, c: int) -> "AlgebraElement":
         c %= self.algebra.p
@@ -299,15 +304,23 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, bytes(s.astype(np.uint8).tobytes()))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Product over support pairs: the group products of a block of
-        pairs at a time, with the coefficient products counted per product
-        element."""
+        """Product by the transforms of :mod:`mipverify.ntt` when they apply
+        (p = 2, a two-generator ambient, more support pairs than the
+        transforms cost, and the kernel's exactness conditions), else over
+        support pairs: the group products of a block of pairs at a time,
+        with the coefficient products counted per product element."""
         self._require_same(other)
         alg = self.algebra
         p, dim, group = alg.p, alg.dim, alg.group
-        arr = group.array()
         avec, bvec = self.vec(), other.vec()
         ia, ib = np.flatnonzero(avec), np.flatnonzero(bvec)
+        amb = group.ambient
+        if (p == 2 and amb.variant in TWO_GENERATOR_VARIANTS and ia.size * ib.size >
+                _NTT_PAIRS_PER_PLOGP * amb.order * (amb.order.bit_length() - 1)):
+            from .ntt import product
+            if (vec := product(group, ia, ib)) is not None:
+                return AlgebraElement(alg, pack_bits(vec))
+        arr = group.array()
         ca, cb = avec[ia].astype(np.int64), bvec[ib].astype(np.int64)
         # counts[p * g + c]: pairs with product g and coefficient product c
         counts = np.zeros(dim * p, dtype=np.int64)
@@ -359,10 +372,6 @@ class AlgebraElement:
 
 
 # -- unit arithmetic ----------------------------------------------------------
-
-
-def augmentation(u: AlgebraElement) -> int:
-    return u.augmentation()
 
 
 def is_unit(u: AlgebraElement) -> bool:
@@ -543,5 +552,5 @@ def _bit_indices(mask: int) -> list[int]:
 
 __all__ = [
     "GroupAlgebra", "AlgebraElement", "FpMatrix",
-    "augmentation", "is_unit", "unit_order", "pack_bits", "unpack_bits",
+    "is_unit", "unit_order", "pack_bits", "unpack_bits",
 ]

@@ -1,15 +1,20 @@
 """Group-algebra arithmetic against naive oracles, plus the GF(p) matrix kit."""
 
 import random
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mipverify.algebra as algebra_mod
 import mipverify.groups as groups_mod
+import mipverify.ntt as ntt_mod
 
 from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
                                is_unit, pack_bits, unit_order, unpack_bits)
+from mipverify.ambient import make_ambient
+from mipverify.family import build_family
 from mipverify.groups import conjugacy_classes, jennings_factor_orders
 
 from conftest import (aug_quotient_dims, classes_from_labels,
@@ -134,6 +139,108 @@ def test_product_builds_no_table(catalog, monkeypatch):
         assert u * v == naive_product(u, v)
         assert aug_quotient_dims(alg.group) == jennings_dimension_polynomial(
             jennings_factor_orders(alg.group), alg.p)
+
+
+@lru_cache(maxsize=None)
+def _family_group(variant, n, m, k, side):
+    inst = build_family(2, variant, n, m, k)
+    return inst.G if side == "G" else inst.H
+
+
+def _count_kernel_calls(monkeypatch):
+    """Wrap ``ntt.product`` so the returned list grows by its result, None
+    when the kernel declined, at each call."""
+    calls, product = [], ntt_mod.product
+    monkeypatch.setattr(ntt_mod, "product",
+                        lambda *a: calls.append(product(*a)) or calls[-1])
+    return calls
+
+
+def _product_by(monkeypatch, pairs_per_plogp, u, v):
+    monkeypatch.setattr(algebra_mod, "_NTT_PAIRS_PER_PLOGP", pairs_per_plogp)
+    return u * v
+
+
+KERNEL_CASES = ([(variant, nmk, side, (0.01, 0.5))
+                 for variant in ("dihedral", "semidihedral", "quaternion")
+                 for nmk in ((4, 3, 3), (5, 4, 3)) for side in "GH"] +
+                [("dihedral", (6, 5, 4), side, (0.01,)) for side in "GH"])
+
+
+@pytest.mark.parametrize(
+    "variant,nmk,side,densities", KERNEL_CASES,
+    ids=[f"{v}-{side}-{''.join(map(str, nmk))}" for v, nmk, side, _ in KERNEL_CASES])
+def test_kernel_products_match_support_pairs(monkeypatch, variant, nmk, side,
+                                             densities):
+    """Every product drawn, sparse and dense (supports of density 0.01 and
+    0.5), is byte-identical on the transform kernel (forced by a cost of
+    0) and on support pairs (forced by an infinite cost)."""
+    grp = _family_group(variant, *nmk, side)
+    alg = GroupAlgebra(grp)
+    rng = np.random.default_rng(12)
+    calls = _count_kernel_calls(monkeypatch)
+    for du in densities:
+        for dv in densities:
+            for _ in range(2):
+                u, v = (alg.from_indices(np.flatnonzero(rng.random(alg.dim) < d))
+                        for d in (du, dv))
+                by_pairs = _product_by(monkeypatch, float("inf"), u, v)
+                assert calls == []
+                by_kernel = _product_by(monkeypatch, 0, u, v)
+                assert len(calls) == 1 and calls.pop() is not None
+                assert by_kernel.key == by_pairs.key, (du, dv)
+
+
+def test_cost_rule_picks_each_path(layer_groups, monkeypatch):
+    """With the measured cost, a dense product in F_2[H] at (4,3,3) runs on
+    the kernel; a product by one group element, a sparse product and a
+    product at p = 3 stay on support pairs."""
+    groups = dict(layer_groups)
+    calls = _count_kernel_calls(monkeypatch)
+    alg = GroupAlgebra(groups["dihedral-H-433"])
+    rng = np.random.default_rng(13)
+    dense, sparse = (alg.from_indices(np.flatnonzero(rng.random(alg.dim) < d))
+                     for d in (0.5, 0.05))
+    assert dense * dense == table_product(dense, dense)
+    assert len(calls) == 1 and calls.pop() is not None
+    g = alg.embed(alg.group.elements[7])
+    for u, v in ((g, dense), (dense, g), (sparse, sparse)):
+        assert u * v == table_product(u, v)
+    odd = GroupAlgebra(groups["heisenberg-G-211"])
+    w = odd.from_vec(np.random.default_rng(14).integers(0, 3, odd.dim))
+    assert w * w == table_product(w, w)
+    assert calls == []
+
+
+def test_kernel_outside_exactness_takes_support_pairs(layer_groups,
+                                                      monkeypatch):
+    """A group of order Q or more, or an axis longer than the 2^23 roots of
+    unity mod Q, gives no kernel product, and ``__mul__`` then takes
+    support pairs, with the same result."""
+    alg = GroupAlgebra(dict(layer_groups)["quaternion-H-433"])
+    wide = make_ambient(2, "dihedral", 3, 24, 3, guard=2 ** 40)
+    for amb, order in ((wide, 2 ** 20), (alg.group.ambient, ntt_mod.Q)):
+        stand_in = SimpleNamespace(ambient=amb, order=order, keys=None)
+        assert ntt_mod.product(stand_in, None, None) is None
+    u = alg.from_indices(range(0, alg.dim, 2))
+    v = alg.from_indices(range(1, alg.dim, 3))
+    monkeypatch.setattr(ntt_mod, "ROOT_ORDER", 4)  # below the axis of r, 8
+    calls = _count_kernel_calls(monkeypatch)
+    assert u * v == table_product(u, v)
+    assert calls == [None]
+
+
+def test_from_indices_accepts_numpy_integers(layer_groups):
+    """Numpy integer indices give the same element as Python ints, at p = 2
+    (where a shifted np.int64 would overflow) and at p = 3."""
+    groups = dict(layer_groups)
+    for name, idx in (("dihedral-H-433", [70, 3, 70, 500]),
+                      ("heisenberg-G-211", [70, 3, 70, 20])):
+        alg = GroupAlgebra(groups[name])
+        expected = alg.from_indices(idx)
+        for dtype in (np.int64, np.int32):
+            assert alg.from_indices(np.array(idx, dtype=dtype)) == expected
+        assert expected.support_size() == (2 if alg.p == 2 else 3)
 
 
 def test_unit_criterion_vs_regular_representation(catalog):

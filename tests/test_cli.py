@@ -683,16 +683,36 @@ def test_no_command_imports_numpy_ma(tmp_path):
 # it does not run.
 UNLOADED_LAYERS = {
     "family": (["family", *NMK433],
-               ("algebra", "witness", "invariants", "tables")),
+               ("algebra", "witness", "invariants", "tables", "ntt")),
     "export": (["export", *NMK433, "--outdir", OUTDIR],
-               ("algebra", "witness", "invariants", "tables", "isomorphism")),
-    "witness": (["witness", *NMK433], ("invariants", "tables", "export")),
+               ("algebra", "witness", "invariants", "tables", "isomorphism",
+                "ntt")),
+    "witness": (["witness", *NMK433], ("invariants", "tables", "export", "ntt")),
     "invariants": (["invariants", *NMK433],
-                   ("witness", "tables", "export", "isomorphism")),
+                   ("witness", "tables", "export", "isomorphism", "ntt")),
     "invariants-wreath": (["invariants", "--p", "3", "--n", "2", "--m", "1",
                            "--k", "1", "--variant", "wreath"],
-                          ("witness", "export", "isomorphism")),
+                          ("witness", "export", "isomorphism", "ntt")),
 }
+
+
+def _loaded_modules(argv, tmp_path):
+    """Run the CLI on ``argv`` in a fresh process; the package modules it
+    loaded, and ``numpy.fft`` if it loaded that."""
+    argv = [str(tmp_path / "out") if a is OUTDIR else a for a in argv]
+    script = (
+        "import sys\n"
+        "from mipverify.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules\n"
+        "                    if m.startswith('mipverify') or m == 'numpy.fft'))\n")
+    r = subprocess.run([sys.executable, "-c", script, *argv,
+                        "--output", str(tmp_path / "report.json")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    code, *loaded = r.stdout.split()
+    assert code == "0" and {"mipverify.cli", "mipverify.family"} <= set(loaded)
+    return loaded
 
 
 @pytest.mark.parametrize("argv,unloaded", list(UNLOADED_LAYERS.values()),
@@ -701,20 +721,20 @@ def test_each_command_imports_only_its_layers(argv, unloaded, tmp_path):
     """In a fresh process a command loads no layer it does not run:
     ``family`` and ``export`` no algebra, ``witness`` no invariants and
     ``invariants`` no witness; ``export`` and ``invariants`` verify no
-    structure, so they leave the isomorphism layer unloaded too."""
-    argv = [str(tmp_path / "out") if a is OUTDIR else a for a in argv]
-    script = (
-        "import sys\n"
-        "from mipverify.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('mipverify')))\n")
-    r = subprocess.run([sys.executable, "-c", script, *argv,
-                        "--output", str(tmp_path / "report.json")],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    code, *loaded = r.stdout.split()
-    assert code == "0" and {"mipverify.cli", "mipverify.family"} <= set(loaded)
+    structure, so they leave the isomorphism layer unloaded too.  None of
+    them multiplies dense elements, so none loads the transform kernel, and
+    none loads ``numpy.fft``."""
+    loaded = _loaded_modules(argv, tmp_path)
+    assert "numpy.fft" not in loaded
     assert [m for m in loaded if m.split(".")[-1] in unloaded] == [], loaded
+
+
+def test_class_sum_witness_loads_the_transform_kernel(tmp_path):
+    """The class-sum witness squares dense units, on the transform kernel
+    (and still without ``numpy.fft``)."""
+    loaded = _loaded_modules(["witness", *NMK433, "--beta", "general",
+                              "--zeta", "class-sum"], tmp_path)
+    assert "mipverify.ntt" in loaded and "numpy.fft" not in loaded
 
 
 def test_console_entry_point():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mipverify.groups as groups_mod
+import mipverify.ntt as ntt_mod
 import mipverify.witness as witness_mod
 
 from mipverify.algebra import GroupAlgebra, is_unit, unit_order
@@ -230,6 +231,25 @@ def test_witness_builds_no_table(monkeypatch):
     assert verify_witness(FG, FH, beta, (4, 3, 3), seed=7).valid
     assert verify_witness(FG, FH, build_beta(FH, inst.x, inst.z), (4, 3, 3),
                           exhaustive=True).valid
+
+
+def test_class_sum_steps_at_654_run_on_the_transform_kernel(monkeypatch):
+    """The class-sum witness at (6,5,4), seed 1: zeta, beta, its order 2^m
+    and its central square, with the dense products on the kernel (each
+    step took about 6 s on support pairs)."""
+    calls, product = [], ntt_mod.product
+    monkeypatch.setattr(ntt_mod, "product",
+                        lambda *a: calls.append(1) or product(*a))
+    inst = build_family(2, "dihedral", 6, 5, 4)
+    FH = GroupAlgebra(inst.H)
+    zeta = _make_zeta(FH, inst, "class-sum", 1, 5)
+    assert calls  # unit_order(zeta) squares a dense zeta
+    beta = build_beta_general(FH, zeta, inst.x, inst.z, 5)
+    before = len(calls)
+    assert unit_order(beta) == 2 ** 5 and len(calls) > before
+    before = len(calls)
+    square = beta * beta
+    assert len(calls) == before + 1 and square.is_central()
 
 
 def test_unit_budget_refuses_before_any_clause(FG433, FH433, beta433,
