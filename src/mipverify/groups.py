@@ -206,13 +206,14 @@ class FiniteGroup:
         return self._table
 
     def left_columns(self, factors: Sequence[Element] | np.ndarray) -> np.ndarray:
-        """Row r is the permutation j -> index(factors[r] * elements[j]);
-        ``factors`` are tuples or int64 rows."""
+        """Row r is the permutation j -> index(factors[r] * elements[j]), in
+        the table's index type; ``factors`` are tuples or int64 rows."""
         arr = self.array()
         lefts = np.array(factors, dtype=np.int64).reshape(-1, arr.shape[1])
         rows = self.ambient.mul_array(np.repeat(lefts, self.order, axis=0),
                                       np.tile(arr, (lefts.shape[0], 1)))
-        return self.indices_of_rows(rows).astype(np.int32).reshape(-1, self.order)
+        return self.indices_of_rows(rows).astype(
+            np.min_scalar_type(self.order - 1)).reshape(-1, self.order)
 
     def transport(self, columns: np.ndarray, origin: int | np.ndarray) -> np.ndarray:
         """Every element's word read from ``origin`` along ``columns``.

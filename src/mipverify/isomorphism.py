@@ -10,11 +10,12 @@ Routes to (non-)isomorphism evidence:
   Frattini quotient.
 * :func:`isomorphic_bruteforce` -- exhaustive generator-image transport oracle.
 
-The oracle enumerates image pairs in canonical element order, prunes with
-vectorized isomorphism invariants (which can never discard a valid image
-pair), and verifies survivors by word transport plus bijectivity plus
-generator-column multiplicativity, which suffices by induction over
-derivation words.
+The oracle takes the image of the first generator among the conjugacy
+class minima of the target and the image of the second among all its
+elements, prunes blocks of image pairs at once with isomorphism invariants
+(which can never discard a valid image pair), and verifies survivors by
+word transport plus bijectivity plus generator-column multiplicativity,
+which suffices by induction over derivation words.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ambient import Element, sorted_distinct
-from .groups import FiniteGroup, frattini_coordinates
+from .groups import (_BLOCK_ENTRIES, FiniteGroup, conjugacy_classes,
+                     frattini_coordinates)
 
 DEFAULT_ORACLE_BOUND = 2 ** 12
 
@@ -211,10 +213,16 @@ def isomorphic_bruteforce(a_group: FiniteGroup, b_group: FiniteGroup,
                           bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """Exhaustive 2-generated isomorphism test.
 
-    Fixes A's stored generating pair, enumerates order-compatible image pairs
-    in B in canonical order, prunes with pair-profile invariants, and verifies
-    survivors by transport.  A ``True`` answer comes with a verified bijective
-    multiplicative map; ``False`` means no image pair survived.
+    Fixes A's stored generating pair (a1, a2) and searches B for its images
+    (b1, b2).  If phi: A -> B is an isomorphism, so is phi followed by
+    conjugation by any g in B, which sends a1 to g^-1 phi(a1) g: some
+    isomorphism sends a1 to the smallest element of its image's conjugacy
+    class.  So b1 ranges over the class minima of B and b2 over all of B.
+    The pair-profile invariants filter a block of b1 candidates against
+    every b2 candidate at once, as 2-D masks of at most ``_BLOCK_ENTRIES``
+    entries, and the survivors are verified by transport in row-major
+    order.  A ``True`` answer comes with a verified bijective multiplicative
+    map; ``False`` means no image pair survived.
     """
     if a_group.order != b_group.order:
         return False
@@ -223,41 +231,33 @@ def isomorphic_bruteforce(a_group: FiniteGroup, b_group: FiniteGroup,
             f"group order {max(a_group.order, b_group.order)} exceeds oracle bound {bound}")
     if len(a_group.generators) != 2:
         raise ValueError("oracle requires a 2-generated A with a stored generating pair")
-    a1, a2 = a_group.generators
-    profile = _pair_profile(a_group, a1, a2)
+    profile = _pair_profile(a_group, *a_group.generators)
 
     orders = b_group.element_orders()
     central = b_group.central_mask()
     table = b_group.cayley_table()
     invp = b_group.inverse_permutation()
-    size = b_group.order
-    idx_all = np.arange(size, dtype=np.int32)
-    sq = table[idx_all, idx_all]
-
-    def order_pow_table(target: int) -> np.ndarray:
-        return orders == target
-
-    b1_mask = order_pow_table(profile[0]) & (central[sq] == profile[4])
-    b2_mask_base = order_pow_table(profile[1]) & (central[sq] == profile[5])
-    b1_candidates = np.flatnonzero(b1_mask)
-    b2_candidates = np.flatnonzero(b2_mask_base).astype(np.int32)
-    if b1_candidates.size == 0 or b2_candidates.size == 0:
+    sq = table.diagonal()
+    b1s = np.flatnonzero((orders == profile[0]) & (central[sq] == profile[4])
+                         & (conjugacy_classes(b_group) == np.arange(b_group.order)))
+    b2s = np.flatnonzero((orders == profile[1]) & (central[sq] == profile[5]))
+    if b1s.size == 0 or b2s.size == 0:
         return False
+    # the profile tests on u = [b2, b1], on b1 b2 and on b1^2 b2^2, as masks
+    # over B read at each block's products
+    u_ok = (orders == profile[2]) & (central == profile[6])
+    prod_ok = (orders == profile[3]) & (central[sq] == profile[7])
+    squares_ok = orders == profile[8]
     a_cols = a_group.right_columns(a_group.generators)
-
-    for ib1 in b1_candidates:
-        ib1 = int(ib1)
-        b2s = b2_candidates
-        # u = [b2, b1]
-        u = table[table[table[invp[b2s], invp[ib1]], b2s], ib1]
-        mask = orders[u] == profile[2]
-        prod = table[ib1, b2s]
-        mask &= orders[prod] == profile[3]
-        mask &= central[u] == profile[6]
-        mask &= central[sq[prod]] == profile[7]
-        mask &= orders[table[sq[ib1], sq[b2s]]] == profile[8]
-        for ib2 in b2s[mask]:
-            if _check_candidate(a_group, a_cols, b_group, table, (ib1, int(ib2))):
+    step = max(1, _BLOCK_ENTRIES // b2s.size)
+    for start in range(0, b1s.size, step):
+        b1 = b1s[start:start + step, None]
+        mask = u_ok[table[table[table[invp[b2s], invp[b1]], b2s], b1]]
+        mask &= prod_ok[table[b1, b2s]]
+        mask &= squares_ok[table[sq[b1], sq[b2s]]]
+        for i, j in zip(*np.nonzero(mask)):
+            if _check_candidate(a_group, a_cols, b_group, table,
+                                (int(b1[i, 0]), int(b2s[j]))):
                 return True
     return False
 

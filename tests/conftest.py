@@ -63,6 +63,11 @@ factor's word in G, and on altered columns, where no algebra product
 applies, the oracle walks each word of ``G.words`` one generator at a
 time.
 
+The isomorphism oracle takes the image of the first generator among the
+conjugacy class minima and filters blocks of image pairs as 2-D masks; the
+enumeration it replaced, one b1 at a time over every element of B, is the
+reference here (``enumeration_isomorphic``).
+
 The variant isomorphisms are read off the defining relations of the
 stored pairs; the search for the first pair in canonical order that the
 structural recognition clauses accept, which reads the Cayley table, is
@@ -106,7 +111,8 @@ from mipverify import groups as groups_mod
 from mipverify.groups import (FiniteGroup, closure, derived_subgroup,
                               frattini, generated_subgroup, normal_closure,
                               subgroup_from_elements)
-from mipverify.isomorphism import ClauseList
+from mipverify.isomorphism import (ClauseList, _check_candidate,
+                                   _pair_profile)
 from mipverify.report import HexRows
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 from mipverify.witness import UnitGroupSubgroup
@@ -712,6 +718,38 @@ def closure_presentation_witness(group: FiniteGroup, n: int, m: int, k: int,
             closed[-1][group.indices_of_rows(sub.array())] = True
             covered |= closed[-1]
     return None
+
+
+def enumeration_isomorphic(a_group: FiniteGroup, b_group: FiniteGroup) -> bool:
+    """Whether A's stored generating pair has an image pair in B that
+    extends to an isomorphism: every b1 of B one at a time, against every
+    b2 at once, filtered by the pair profile and verified by transport."""
+    if a_group.order != b_group.order:
+        return False
+    if len(a_group.generators) != 2:
+        raise ValueError("oracle requires a 2-generated A with a stored generating pair")
+    profile = _pair_profile(a_group, *a_group.generators)
+    orders = b_group.element_orders()
+    central = b_group.central_mask()
+    table = b_group.cayley_table()
+    invp = b_group.inverse_permutation()
+    idx = np.arange(b_group.order)
+    sq = table[idx, idx]
+    b1s = np.flatnonzero((orders == profile[0]) & (central[sq] == profile[4]))
+    b2s = np.flatnonzero((orders == profile[1]) & (central[sq] == profile[5]))
+    a_cols = a_group.right_columns(a_group.generators)
+    for ib1 in b1s.tolist():
+        u = table[table[table[invp[b2s], invp[ib1]], b2s], ib1]
+        prod = table[ib1, b2s]
+        mask = orders[u] == profile[2]
+        mask &= orders[prod] == profile[3]
+        mask &= central[u] == profile[6]
+        mask &= central[sq[prod]] == profile[7]
+        mask &= orders[table[sq[ib1], sq[b2s]]] == profile[8]
+        for ib2 in b2s[mask].tolist():
+            if _check_candidate(a_group, a_cols, b_group, table, (ib1, ib2)):
+                return True
+    return False
 
 
 @dataclass(frozen=True)

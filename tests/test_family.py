@@ -255,8 +255,9 @@ def test_verify_structure_computes_frattini_once_per_group(monkeypatch):
 
 def test_verify_structure_labels_no_orbits(monkeypatch):
     """The structure report reads its Frattini coordinates off the words
-    of G and H: no orbit labelling runs, not even for conjugacy classes."""
-    inst = build_family(2, "dihedral", 4, 3, 3)
+    of G and H: no orbit labelling runs for them.  The one labelling is the
+    conjugacy classes of H, where the isomorphism oracle takes the image of
+    G's first generator; above the oracle's bound there is none."""
     orbit_minima = groups_mod._orbit_minima
     runs = []
 
@@ -264,8 +265,11 @@ def test_verify_structure_labels_no_orbits(monkeypatch):
         runs.append(sys._getframe(1).f_code.co_name)
         return orbit_minima(*args, **kwargs)
     monkeypatch.setattr(groups_mod, "_orbit_minima", counting)
-    assert verify_structure(inst).ok
-    assert runs == []
+    for nmk, want in (((4, 3, 3), ["conjugacy_classes"]), ((6, 5, 4), [])):
+        inst = build_family(2, "dihedral", *nmk)
+        runs.clear()
+        assert verify_structure(inst).ok
+        assert runs == want, nmk
 
 
 def test_abelian_maximal_scan_is_cached_per_group(monkeypatch):

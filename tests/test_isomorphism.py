@@ -1,19 +1,23 @@
 """Recognition clauses and the brute-force isomorphism oracle."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
+from mipverify import isomorphism as isomorphism_mod
 from mipverify.ambient import TWO_GENERATOR_VARIANTS
 from mipverify.family import build_family
-from mipverify.groups import closure, frattini_coordinates, generated_subgroup
+from mipverify.groups import (closure, conjugacy_classes, frattini_coordinates,
+                              generated_subgroup, subgroup_from_elements)
 from mipverify.isomorphism import (OracleBoundExceeded, _generates,
                                    find_presentation_witness,
                                    isomorphic_bruteforce, pair_relations)
 
-from conftest import (closure_presentation_witness, recognize_any_pair,
-                      recognize_presented_group, ref_conj, ref_order)
+from conftest import (closure_presentation_witness, enumeration_isomorphic,
+                      recognize_any_pair, recognize_presented_group, ref_conj,
+                      ref_order)
 
 
 def _by_name(catalog):
@@ -46,6 +50,62 @@ def test_bruteforce_differing_orders_and_bound(catalog):
     assert not isomorphic_bruteforce(groups["D8"], groups["D16"])
     with pytest.raises(OracleBoundExceeded):
         isomorphic_bruteforce(groups["D16"], groups["Q16"], bound=8)
+
+
+def _verdict(search, a_group, b_group):
+    try:
+        return search(a_group, b_group)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _as_element_set(group):
+    """The same elements wrapped as an element set: every element is a
+    generator, on one breadth-first level."""
+    return subgroup_from_elements(group.ambient, group.array())
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs(catalog):
+    """(label, A, B, verdict of the full enumeration): every ordered pair of
+    the catalog, G and H of the three 2-case kinds at (4,3,3) across kinds,
+    and a D16 on (t r^2, r), whose t r^2 is not the smallest of its class."""
+    d16 = _by_name(catalog)["D16"]
+    amb = d16.ambient
+    t, r = d16.generators
+    relabelled = closure(amb, [amb.mul(t, amb.power(r, 2)), r])
+    a1 = d16.index(relabelled.generators[0])
+    assert conjugacy_classes(d16)[a1] != a1
+    family = []
+    for variant in ("dihedral", "semidihedral", "quaternion"):
+        inst = build_family(2, variant, 4, 3, 3)
+        family += [(f"{variant}-G", inst.G), (f"{variant}-H", inst.H)]
+    cases = [(f"{na}->{nb}", a, b) for na, a in catalog for nb, b in catalog]
+    cases += [(f"{na}->{nb}", a, b) for na, a in family for nb, b in family]
+    cases += [("D16(t r^2, r)->D16", relabelled, d16)]
+    cases += [(f"{label}->set", a, _as_element_set(b)) for label, a, b in cases
+              if a.order == b.order and len(a.generators) == 2]
+    return [(label, a, b, _verdict(enumeration_isomorphic, a, b))
+            for label, a, b in cases]
+
+
+@pytest.mark.parametrize("block_entries", [None, 1], ids=["blocks", "one-b1-per-block"])
+def test_oracle_matches_full_enumeration(oracle_pairs, block_entries, monkeypatch):
+    """Class-minimum first images and blocked masks give the verdict of the
+    enumeration over every b1, also with one b1 per block and on targets
+    wrapped from element sets."""
+    if block_entries is not None:
+        monkeypatch.setattr(isomorphism_mod, "_BLOCK_ENTRIES", block_entries)
+    verdicts = {}
+    for label, a, b, want in oracle_pairs:
+        assert _verdict(isomorphic_bruteforce, a, b) == want, label
+        verdicts[label] = want
+    assert verdicts["D16(t r^2, r)->D16"] is True
+    assert verdicts["D16(t r^2, r)->D16->set"] is True
+    # the three G's are isomorphic, and so are the three H's; no G is an H
+    kinds = product(("dihedral", "semidihedral", "quaternion"), "GH")
+    for (ka, wa), (kb, wb) in product(list(kinds), repeat=2):
+        assert verdicts[f"{ka}-{wa}->{kb}-{wb}"] is (wa == wb)
 
 
 def test_recognition_accepts_g_pair(inst433):
