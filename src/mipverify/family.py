@@ -218,12 +218,14 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
         derived_order=dG.order, class_g=class_g, class_h=class_h)
 
     c2, d2 = amb.power(c, 2), amb.power(d, 2)
-    frat_target = generated_subgroup(amb, [ts2, c2, d2])
+    # the targets' keys alone are kept: the groups are freed before the
+    # maximal-subgroup scans of clause (vii)
+    frat_keys = generated_subgroup(amb, [ts2, c2, d2]).keys()
     fG, fH = frattini(G), frattini(H)
     fP = normal_closure(amb, trcd, frattini_seeds(amb, trcd), order_p)
     add("frattini",
         "Frattini subgroups of G, H, P coincide and equal <(ts)^2, c^2, d^2>",
-        all(np.array_equal(sub.keys(), frat_target.keys()) for sub in (fG, fH, fP)),
+        all(np.array_equal(sub.keys(), frat_keys) for sub in (fG, fH, fP)),
         frattini_order=fG.order)
 
     m_abelian = not pair_commutators(amb, trcd[1:]).any()
@@ -231,15 +233,15 @@ def verify_structure(inst: FamilyInstance) -> VerificationReport:
         order_m=order_m, abelian=m_abelian)
 
     gm = subgroup_from_elements(amb, G.array()[G.array()[:, 0] == 0], verify=False)
-    gm_target = generated_subgroup(amb, [amb.mul(x, y), c2, d2])
+    gm_keys = generated_subgroup(amb, [amb.mul(x, y), c2, d2]).keys()
     add("g-meet-m", "G meet M = <xy, c^2, d^2> has index 2 in G",
-        np.array_equal(gm.keys(), gm_target.keys()) and 2 * gm.order == G.order,
+        np.array_equal(gm.keys(), gm_keys) and 2 * gm.order == G.order,
         order=gm.order)
 
     hm = subgroup_from_elements(amb, H.array()[H.array()[:, 0] == 0], verify=False)
-    hm_target = generated_subgroup(amb, [z, c2, d2])
+    hm_keys = generated_subgroup(amb, [z, c2, d2]).keys()
     add("h-meet-m", "H meet M = <z, c^2, d^2> has index 2 in H",
-        np.array_equal(hm.keys(), hm_target.keys()) and 2 * hm.order == H.order,
+        np.array_equal(hm.keys(), hm_keys) and 2 * hm.order == H.order,
         order=hm.order)
 
     exp_gm, exp_hm = gm.exponent(), hm.exponent()

@@ -2,24 +2,25 @@
 
 A :class:`FiniteGroup` stores its elements only as int64 rows sorted by
 mixed-radix key (canonical order = tuple order) and their keys; the
-generating set; and, as int32 arrays, each element's breadth-first
-derivation over the generators with the closure's level boundaries.
-Element tuples are built only when :attr:`FiniteGroup.elements` is read.
-All subgroup constructions (derived subgroup, lower central series,
-Frattini and power subgroups, centralizers, Jennings series)
-reduce to breadth-first closure over explicit generator sets, so every
-returned group carries valid words by construction.  A normal closure
-needs only the generators of the normalizing group and a bound on its
-order, not its elements, so the derived and Frattini subgroups of a group
-that is never enumerated, such as the whole ambient, are normal closures
-too.
+generating set; and, as int32 arrays, each element's derivation over the
+generators with its level boundaries.  Element tuples are built only when
+:attr:`FiniteGroup.elements` is read.  A closure of explicit generators is
+breadth-first, so its words are shortest.  All subgroup constructions
+(derived subgroup, lower central series, Frattini and power subgroups,
+Jennings series) reduce to the subgroup generated by a seed set, which the
+seeds' absorption enumerates once and whose growth tree is the
+derivation, so every returned group carries valid words by construction.
+A normal closure needs only the generators of the normalizing group and a
+bound on its order, not its elements, so the derived and Frattini
+subgroups of a group that is never enumerated, such as the whole ambient,
+are normal closures too.
 
 The layer works on the ambient's broadcasting product of rows: closure
 runs one breadth-first level at a time, a seed set is absorbed into one
 subgroup grown seed by seed, element orders come from repeated p-th
 powers, conjugacy-class labels from orbit minima under permutation
 columns, and coordinates in G/Phi(G) from the letter counts of the
-breadth-first words.  A group caches its Frattini subgroup, its conjugacy
+derivation words.  A group caches its Frattini subgroup, its conjugacy
 classes, and the small generators it was built from.  No O(|G|^2) Cayley
 table is built here, nor by the group algebra, whose products run on the
 same rows; :meth:`FiniteGroup.cayley_table` exists for the exports and the
@@ -39,6 +40,9 @@ import numpy as np
 from .ambient import AmbientDescriptor, Element, GuardExceeded
 
 Word = tuple[int, ...]
+# a derivation tree: element rows in discovery order, each one's parent
+# (discovery number) and generator, and the level boundaries
+Tree = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
 
 # Largest Cayley table, in bytes, that FiniteGroup.cayley_table builds.
 TABLE_BUDGET_BYTES = 2 ** 30
@@ -53,10 +57,12 @@ class FiniteGroup:
     ambient: AmbientDescriptor
     _array: np.ndarray = field(repr=False)
     _keys: np.ndarray = field(repr=False)
-    # breadth-first derivation, as int32 indices: element i (other than the
-    # identity) equals elements[bfs_parent[i]] * generators[bfs_gen[i]];
-    # the elements of level l are bfs_order[bfs_levels[l]:bfs_levels[l + 1]],
-    # and every parent lies on an earlier level
+    # derivation tree, as int32 indices: element i (other than the identity)
+    # equals elements[bfs_parent[i]] * generators[bfs_gen[i]]; the elements
+    # of level l are bfs_order[bfs_levels[l]:bfs_levels[l + 1]], and every
+    # parent lies on an earlier level.  A closure's tree is breadth-first
+    # (level l holds the words of length l); a generated subgroup's is its
+    # absorption's growth tree, one level per batch
     bfs_order: np.ndarray
     bfs_parent: np.ndarray
     bfs_gen: np.ndarray
@@ -123,7 +129,7 @@ class FiniteGroup:
 
     @property
     def words(self) -> tuple[Word, ...]:
-        """Derivation word of every element, read off the breadth-first tree."""
+        """Derivation word of every element, read off the derivation tree."""
         if self._words is None:
             parent, via = self.bfs_parent.tolist(), self.bfs_gen.tolist()
             words: list[Word] = [()] * self.order
@@ -168,7 +174,7 @@ class FiniteGroup:
     def cayley_table(self) -> np.ndarray:
         """Full multiplication table T[i, j] = index(elements[i] * elements[j]).
 
-        Filled one breadth-first level at a time, whole rows at once: the
+        Filled one level of the derivation at a time, whole rows at once: the
         identity's row is the identity permutation, and elements[i] =
         elements[parent] * generator gives row i = row(parent) read at the
         generator's left column j -> index(generator * elements[j]).
@@ -239,7 +245,7 @@ class FiniteGroup:
         """Each ``starts[c]`` read along the word of element ``targets[c]``.
 
         Like :meth:`transport` with one origin per target: the word is
-        walked from the target back to the identity on the breadth-first
+        walked from the target back to the identity on the derivation
         tree, then its columns are applied from the identity's end.  Along
         the generators' right columns, the result is index(g_s g_t).
         """
@@ -285,7 +291,7 @@ class FiniteGroup:
         if self._small_gens is None:
             count = self.order if self._generators is None else len(self._generators)
             self._small_gens = (tuple(self.generators) if count <= 3 else
-                                _absorb(self.ambient, self._array, self.order, self))
+                                _absorb(self.ambient, self._array, self.order, self)[0])
         return self._small_gens
 
     def central_mask(self) -> np.ndarray:
@@ -320,7 +326,7 @@ def _rows(ambient: AmbientDescriptor,
 
 
 def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
-         bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+         bound: int) -> Tree:
     """Breadth-first closure, one whole level at a time.
 
     Returns the element rows in discovery order with, for each, the
@@ -361,40 +367,60 @@ def _bfs(ambient: AmbientDescriptor, gens: Sequence[Element],
 
 
 def _absorb(ambient: AmbientDescriptor, candidates: np.ndarray, bound: int,
-            within: Optional[FiniteGroup] = None) -> tuple[Element, ...]:
+            within: Optional[FiniteGroup] = None) -> tuple[tuple[Element, ...], Tree]:
     """Candidate rows taken in order, each one outside the subgroup E = <S>
     of those taken before, until E holds every candidate.  E is grown, not
-    closed again: taking g adds E g minus E, then what new elements reach by
-    right products with S and g (E itself is closed under S).  Raises
-    GuardExceeded past ``bound`` elements, KeyError on leaving ``within``.
+    closed again: taking g adds E g, which misses E, then what the newest
+    elements reach by right products with S and g, one generator at a time
+    (E itself is closed under S).  A right product is injective, so one
+    generator's products repeat no key.  Raises GuardExceeded past
+    ``bound`` elements, KeyError on leaving ``within``.
+
+    Returns S and E's growth tree, one level per batch of new elements:
+    each is its source in the previous batch (in E g, its member of E)
+    times the generator that reached it, so every parent lies on an
+    earlier level.
     """
     keys = ambient.encode(candidates)
     seen = np.zeros(ambient.order, dtype=bool)
     seen[0] = True  # the identity, key 0
-    members, taken = [np.zeros((1, ambient.width), dtype=np.int64)], []
+    # filled in place up to ``size``; pages past it are never touched, and
+    # the identity has a slot even under a zero guard
+    slots = max(bound, 1)
+    rows = np.empty((slots, ambient.width), dtype=np.int64)
+    parent, via = np.empty(slots, dtype=np.int32), np.empty(slots, dtype=np.int32)
+    rows[0], parent[0], via[0] = 0, 0, 0
+    taken, levels, size = [], [0, 1], 1
     while not (have := seen[keys]).all():
         taken.append(candidates[int(np.argmin(have))])
-        gens = np.stack(taken)
-        cand = ambient.mul_array(np.concatenate(members), gens[-1:])
-        while cand.size:
-            cand_keys = ambient.encode(cand)
-            fresh = np.flatnonzero(~seen[cand_keys])
-            new_keys, first = np.unique(cand_keys[fresh], return_index=True)
-            if sum(map(len, members)) + new_keys.size > bound:
-                raise GuardExceeded(f"closure exceeded guard {bound}")
-            seen[new_keys] = True
-            members.append(cand[fresh[first]])
+        # E g first: every member of E, from index 0, times g alone
+        lo, hi, steps = 0, size, [len(taken) - 1]
+        while True:
+            for j in steps:
+                cand = ambient.mul_array(rows[lo:hi], taken[j][None])
+                cand_keys = ambient.encode(cand)
+                new = np.flatnonzero(~seen[cand_keys])
+                if size + new.size > bound:
+                    raise GuardExceeded(f"closure exceeded guard {bound}")
+                seen[cand_keys[new]] = True
+                rows[size:size + new.size] = cand[new]
+                parent[size:size + new.size] = lo + new
+                via[size:size + new.size] = j
+                size += new.size
+            if size == hi:
+                break
             if within is not None:
-                within.indices_of_rows(members[-1])
-            cand = ambient.mul_array(np.repeat(members[-1], len(gens), axis=0),
-                                     np.tile(gens, (len(members[-1]), 1)))
-    return tuple(map(tuple, np.array(taken).tolist()))
+                within.indices_of_rows(rows[hi:size])
+            levels.append(size)
+            lo, hi, steps = hi, size, range(len(taken))
+    tree = (rows[:size], parent[:size], via[:size], tuple(levels))
+    return tuple(map(tuple, np.array(taken).tolist())), tree
 
 
 def _from_bfs(ambient: AmbientDescriptor, gens: tuple[Element, ...],
-              bfs: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
-              ) -> FiniteGroup:
-    """The group found by a breadth-first closure, in canonical order.
+              bfs: Tree) -> FiniteGroup:
+    """The group of a derivation tree, from :func:`_bfs` or :func:`_absorb`,
+    in canonical order.
 
     ``gens`` are kept as the group's small generators as well.
     """
@@ -435,16 +461,17 @@ def generated_subgroup(ambient: AmbientDescriptor,
 
     Absorbs seeds one at a time in canonical order, skipping those already
     contained in the subgroup so far, which grows by each absorbed seed
-    (:func:`_absorb`); the essential seeds become the generating set, and
-    :func:`closure` on them gives the result and its words.  This
-    keeps closure cheap when the seed set is much larger than a minimal
-    generating set (powers of all elements, commutator seeds, ...).
+    (:func:`_absorb`).  The essential seeds are the generators and the
+    small generators; the growth tree gives the words, which need not be
+    shortest.  The subgroup is enumerated once, so this stays cheap when
+    the seed set is much larger than a minimal generating set (powers of
+    all elements, commutator seeds, ...).
     """
     bound = ambient.order if guard is None else min(guard, ambient.order)
     rows = _rows(ambient, seeds)
     # keys ascend with tuple order: the distinct seeds, sorted
     first = np.unique(ambient.encode(rows), return_index=True)[1]
-    return closure(ambient, _absorb(ambient, rows[first], bound), bound)
+    return _from_bfs(ambient, *_absorb(ambient, rows[first], bound))
 
 
 def subgroup_from_elements(ambient: AmbientDescriptor,
@@ -476,7 +503,7 @@ def subgroup_from_elements(ambient: AmbientDescriptor,
                         bfs_gen=steps, bfs_levels=levels)
     if verify:
         try:
-            gens = _absorb(ambient, arr, keys.size, within=group)
+            gens = _absorb(ambient, arr, keys.size, within=group)[0]
         except (GuardExceeded, KeyError):
             raise ValueError("element set is not closed under multiplication") from None
         if keys.size > 3:
@@ -663,7 +690,7 @@ def centralizer_index(group: FiniteGroup, g: Element) -> int:
 
 def frattini_coordinates(group: FiniteGroup) -> np.ndarray:
     """Coordinates of every element in G/Phi(G) = F_p^s, one row per element:
-    the letter counts of its breadth-first word, mod p.
+    the letter counts of its derivation word, mod p.
 
     The s stored generators must be a basis of G/Phi(G), which holds iff
     p^s |Phi(G)| = |G|; otherwise, or for a group wrapped from an element
@@ -747,6 +774,12 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     normal and contains the normal closure L of these seeds.  Modulo L
     every h commutes with every a, so M_{i-1}/L is generated by central
     elements of G/L and is central: [M_{i-1}, G] <= L.
+
+    A term is closed only where it can change: when M_{i-1} is M_{i-2}
+    and M_{ceil(i/p)} is M_{ceil((i-1)/p)} (the same objects), step i has
+    step i-1's seeds, so M_i = M_{i-1}; and a closure of M_{i-1}'s order
+    is M_{i-1}, as M_i <= M_{i-1}, so that object is kept for the test.
+    By Lazard's formula the terms change only at indices i p^j.
     """
     p = group.p
     amb = group.ambient
@@ -755,15 +788,19 @@ def jennings_series(group: FiniteGroup) -> list[FiniteGroup]:
     i = 2
     # terms may legitimately repeat; the chain still reaches 1 in finitely
     # many steps (the commutator part strictly shrinks once powers die out)
-    while series[-1].order > 1:
-        prev = _rows(amb, series[-1].small_generators())
+    while (prev := series[-1]).order > 1:
         half = series[(i + p - 1) // p - 1]
-        # [h, a] = h^-1 a^-1 h a for every pair of small generators h of
-        # M_{i-1} and a of G, and the p-th powers of half
-        comms = amb.comm_array(np.repeat(prev, len(gens), axis=0),
-                               np.tile(gens, (len(prev), 1)))
-        seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
-        series.append(normal_closure(amb, gens, seeds, group.order))
+        if i > 2 and prev is series[-2] and half is series[(i + p - 2) // p - 1]:
+            series.append(prev)
+        else:
+            # [h, a] = h^-1 a^-1 h a for every pair of small generators h
+            # of M_{i-1} and a of G, and the p-th powers of half
+            hs = _rows(amb, prev.small_generators())
+            comms = amb.comm_array(np.repeat(hs, len(gens), axis=0),
+                                   np.tile(gens, (len(hs), 1)))
+            seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
+            nxt = normal_closure(amb, gens, seeds, group.order)
+            series.append(prev if nxt.order == prev.order else nxt)
         i += 1
         if i > p * group.order + 2:
             raise RuntimeError("Jennings series failed to terminate")

@@ -21,7 +21,9 @@ normal closure from an orbit grown as a set.  A group keeps its elements
 only as sorted int64 rows and keys; the construction that stored them as tuples
 with a dict index and tuple-valued breadth-first fields is an oracle here,
 and so is the absorption of a seed set that closes each prefix again from
-the identity.
+the identity and then closes the essential seeds once more.  A generated
+subgroup keeps the absorption's own derivation tree, which
+``assert_valid_tree`` checks against the tree contract.
 
 Each ambient kind's group law is written once in the program, on rows
 (``mul_array`` and ``inv_array``, with ``comm_array``, ``conj_array`` and
@@ -40,7 +42,8 @@ dense numpy one that shares no code with it.
 
 Algebra products multiply support pairs on the group engine; the product
 through the Cayley table they replaced is an oracle here, and so are the
-Jennings series seeds collected one scalar commutator and power at a time.
+Jennings series seeds collected one scalar commutator and power at a time
+and the Jennings series closed at every index, not only at its breakpoints.
 The program needs neither the filtration quotients of the augmentation
 ideal nor Jennings' formula for them, unit inverses or the center as a
 group; they live here: the quotient dimensions by an elimination over F_p
@@ -478,19 +481,60 @@ def reclosing_generated_subgroup(ambient, seeds, guard: Optional[int] = None
                                      groups_mod._bfs(ambient, essential, bound))
 
 
+def assert_valid_tree(group: FiniteGroup, label) -> None:
+    """The derivation-tree contract that every reader of the ``bfs_*``
+    fields needs: ``bfs_order`` is a permutation whose levels partition it,
+    with the identity alone on level 0; every parent lies on an earlier
+    level; ``mul_array`` of the parent rows by the generator rows gives the
+    element rows; and each element's word, evaluated with the scalar law,
+    gives the element."""
+    order, parent, via = group.bfs_order, group.bfs_parent, group.bfs_gen
+    levels, size = group.bfs_levels, group.order
+    assert sorted(order.tolist()) == list(range(size)), label
+    assert levels[:2] == (0, 1) and levels[-1] == size, label
+    assert all(lo < hi for lo, hi in zip(levels, levels[1:])), label
+    assert order[0] == group.identity_index, label
+    depth = np.empty(size, dtype=np.int64)
+    for level, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        depth[order[lo:hi]] = level
+    rest = order[1:]
+    assert (depth[parent[rest]] < depth[rest]).all(), label
+    rows = group.array()
+    gens = np.array(group.generators, dtype=np.int64).reshape(-1, rows.shape[1])
+    assert np.array_equal(group.ambient.mul_array(rows[parent[rest]], gens[via[rest]]),
+                          rows[rest]), label
+    assert all(ref_word(group, word) == group.element(i)
+               for i, word in enumerate(group.words)), label
+
+
 def assert_same_group(got: FiniteGroup, want: TupleGroup, label,
-                      small_generators: bool = True) -> None:
-    """Field-by-field equality of a group with its tuple-built oracle."""
+                      small_generators: bool = True, tree: bool = True) -> None:
+    """Field-by-field equality of a group with its tuple-built oracle.
+    Without ``tree`` the breadth-first fields need not agree, only satisfy
+    :func:`assert_valid_tree`."""
     assert got.elements == want.elements, label
     assert [got.index(g) for g in want.elements] == list(range(len(want.elements))), label
     assert all(g in got for g in want.elements), label
     assert got.identity_index == want.identity_index, label
-    for name in ("bfs_order", "bfs_parent", "bfs_gen"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), (label, name)
-    assert got.bfs_levels == want.bfs_levels, label
-    assert got.words == want.words, label
+    if tree:
+        for name in ("bfs_order", "bfs_parent", "bfs_gen"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (label, name)
+        assert got.bfs_levels == want.bfs_levels, label
+        assert got.words == want.words, label
+    else:
+        assert_valid_tree(got, label)
     if small_generators:
         assert got.small_generators() == want.small_generators, label
+
+
+def assert_generated_matches_reclosing(got: FiniteGroup, ambient, seeds,
+                                       guard: Optional[int], label) -> None:
+    """A generated subgroup has the elements, generators and small
+    generators of the absorption that closes each prefix again, and a valid
+    derivation tree of its own (not that closure's breadth-first one)."""
+    essential, want = reclosing_generated_subgroup(ambient, seeds, guard)
+    assert got.generators == essential, label
+    assert_same_group(got, want, label, tree=False)
 
 
 def table_element_orders(group: FiniteGroup) -> np.ndarray:
@@ -1350,6 +1394,26 @@ def set_jennings_series(group: FiniteGroup,
     return series
 
 
+def unmemoized_jennings_series(group: FiniteGroup) -> List[FiniteGroup]:
+    """Dimension subgroups with one normal closure per index i, every
+    repeated term closed again: the program's loop before it read the
+    series at its breakpoints."""
+    p, amb = group.p, group.ambient
+    gens = np.array(group.small_generators(), dtype=np.int64)
+    series = [group]
+    i = 2
+    while series[-1].order > 1:
+        prev = np.array(series[-1].small_generators(), dtype=np.int64)
+        half = series[(i + p - 1) // p - 1]
+        comms = amb.comm_array(np.repeat(prev, len(gens), axis=0),
+                               np.tile(gens, (len(prev), 1)))
+        seeds = np.concatenate([comms, amb.power_array(half.array(), p)])
+        series.append(normal_closure(amb, gens, seeds, group.order))
+        i += 1
+        assert i <= p * group.order + 2, "Jennings series failed to terminate"
+    return series
+
+
 def pairwise_class_sum_count(alg: GroupAlgebra) -> int:
     """Quadratic oracle: class sums equal to a p-th power of a different one."""
     sums = alg.class_sums()
@@ -1513,6 +1577,11 @@ def _two_group(variant: str, k: int) -> FiniteGroup:
     amb = make_ambient(2, variant, k, 1, 1)
     g = amb.standard_generators()
     return closure(amb, [g["t"], g["r"]])
+
+
+# catalog groups built by generated_subgroup, not by closure: their
+# derivation trees are absorption trees, not breadth-first ones
+GENERATED_IN_CATALOG = frozenset({"V4", "C8xC2", "C3xC3"})
 
 
 def small_group_catalog() -> List[Tuple[str, FiniteGroup]]:

@@ -23,16 +23,18 @@ from mipverify.groups import (abelian_maximal_subgroups, centralizer_index,
                               power_subgroup, subgroup_from_elements)
 from mipverify.isomorphism import isomorphic_bruteforce
 
-from conftest import (assert_same_group, center, classes_from_labels,
+from conftest import (GENERATED_IN_CATALOG, assert_generated_matches_reclosing,
+                      assert_same_group, assert_valid_tree, center,
+                      classes_from_labels,
                       coordinate_box, coset_scan_maximal_subgroups, dict_closure,
                       greedy_generators, intersection, naive_closure,
-                      orbit_centralizer_index, pairwise_closed,
-                      power_frattini, reclosing_generated_subgroup,
+                      orbit_centralizer_index, pairwise_closed, power_frattini,
                       ref_comm, ref_inv, ref_word,
                       row_cayley_table, scalar_centralizer_mod,
                       set_jennings_series, set_normal_closure,
                       table_conjugacy_classes, table_element_orders,
-                      tuple_from_bfs, tuple_subgroup_from_elements)
+                      tuple_from_bfs, tuple_subgroup_from_elements,
+                      unmemoized_jennings_series)
 from mipverify.family import verify_structure
 from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
 
@@ -291,10 +293,17 @@ def _same_bfs(a, b):
 
 
 def test_closure_matches_dict_oracle(layer_groups):
+    """A closure is the dict oracle's, breadth-first tree and all; every
+    closure-built group is the closure of its generators, and a generated
+    subgroup of the catalog has its elements under a valid tree."""
     for name, grp in layer_groups:
         again = closure(grp.ambient, grp.generators)
         assert _same_bfs(again, dict_closure(grp.ambient, grp.generators)), name
-        assert _same_bfs(grp, again), name
+        if name in GENERATED_IN_CATALOG:
+            assert grp.elements == again.elements, name
+            assert_valid_tree(grp, name)
+        else:
+            assert _same_bfs(grp, again), name
 
 
 def test_closure_matches_dict_oracle_on_random_generators(layer_groups):
@@ -516,9 +525,12 @@ def test_subgroup_from_elements_matches_pairwise_oracle(layer_groups):
 
 def test_bfs_levels_hold_the_word_lengths(layer_groups):
     """Level l of the breadth-first tree holds the elements whose words
-    have length l, for closures and for groups wrapped from element sets."""
+    have length l, for closures and for groups wrapped from element sets
+    (a generated subgroup's tree is read on the closure of its generators)."""
     for name, grp in layer_groups:
-        for g in (grp, subgroup_from_elements(grp.ambient, grp.elements, verify=False)):
+        built = (closure(grp.ambient, grp.generators)
+                 if name in GENERATED_IN_CATALOG else grp)
+        for g in (built, subgroup_from_elements(grp.ambient, grp.elements, verify=False)):
             levels = g.bfs_levels
             assert levels[0] == 0 and levels[1] == 1 and levels[-1] == g.order, name
             for depth, (lo, hi) in enumerate(zip(levels[:-1], levels[1:])):
@@ -693,11 +705,13 @@ def test_array_group_matches_tuple_oracle(layer_groups):
     """Every closure, and groups wrapped from element sets (a maximal
     subgroup, an intersection, a centralizer), equal field by field the
     group built as tuples with a dict index; maximal subgroups come in the
-    order of their element lists.  The breadth-first arrays are int32."""
+    order of their element lists.  A generated subgroup of the catalog
+    equals it but for its tree, which is valid.  The breadth-first arrays
+    are int32."""
     for name, grp in layer_groups:
         amb, gens = grp.ambient, grp.generators
         want = tuple_from_bfs(amb, gens, groups_mod._bfs(amb, gens, amb.order))
-        assert_same_group(grp, want, name)
+        assert_same_group(grp, want, name, tree=name not in GENERATED_IN_CATALOG)
         assert _int32_bfs(grp), name
         assert_same_group(closure(amb, gens), want, name)
         maxes = [sub.elements for sub in maximal_subgroups(grp)]
@@ -746,17 +760,16 @@ def _fresh(grp):
 
 def test_incremental_absorption_matches_reclosing_oracle(layer_groups, monkeypatch):
     """Every generated_subgroup call made by frattini, derived_subgroup and
-    jennings_series, and random seed sets, give the essential seeds and the
-    group of the absorption that closes each prefix again."""
+    jennings_series, and random seed sets, give the essential seeds, the
+    elements and the small generators of the absorption that closes each
+    prefix again, with a valid derivation tree."""
     real = groups_mod.generated_subgroup
     calls = []
 
     def checked(ambient, seeds, guard=None):
         got = real(ambient, seeds, guard)
-        essential, want = reclosing_generated_subgroup(ambient, seeds, guard)
-        assert got.generators == essential
-        assert_same_group(got, want, len(calls))
-        calls.append(len(essential))
+        assert_generated_matches_reclosing(got, ambient, seeds, guard, len(calls))
+        calls.append(len(got.generators))
         return got
 
     monkeypatch.setattr(groups_mod, "generated_subgroup", checked)
@@ -770,6 +783,68 @@ def test_incremental_absorption_matches_reclosing_oracle(layer_groups, monkeypat
             checked(grp.ambient, picks, grp.order)
             checked(grp.ambient, np.array(picks, dtype=np.int64))
     assert len(calls) > 8 * len(layer_groups) and max(calls) >= 2
+
+
+def test_generated_subgroups_run_no_closure(layer_groups, monkeypatch):
+    """generated_subgroup, frattini and jennings_series enumerate each
+    subgroup once, in the absorption: none calls closure or _bfs."""
+    fresh = [(name, _fresh(grp)) for name, grp in layer_groups]
+    calls = []
+    for target in ("closure", "_bfs"):
+        real = getattr(groups_mod, target)
+
+        def counted(*args, real=real, target=target, **kwargs):
+            calls.append(target)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(groups_mod, target, counted)
+    for name, grp in fresh:
+        assert generated_subgroup(grp.ambient, grp.array(), grp.order).order == grp.order
+        frattini(grp)
+        jennings_series(grp)
+    assert calls == []
+    groups_mod.closure(fresh[0][1].ambient, fresh[0][1].generators)
+    assert calls == ["closure", "_bfs"]
+
+
+def _jennings_cases(catalog):
+    yield from catalog
+    for variant in ("dihedral", "semidihedral", "quaternion"):
+        for nmk in ((4, 3, 3), (5, 4, 3)):
+            inst = build_family(2, variant, *nmk)
+            yield f"{variant}-G-{nmk}", inst.G
+            yield f"{variant}-H-{nmk}", inst.H
+    wt, wg = wreath_cyclic_table(3)
+    st, sg = semidirect_c9c9_table()
+    yield "heisenberg-G-211", build_family(3, "heisenberg", 2, 1, 1).G
+    yield "wreath-G-211", build_family(3, "table", 2, 1, 1, table=wt,
+                                       table_generators=wg).G
+    yield "c9c9-G-211", build_family(3, "table", 2, 1, 1, table=st,
+                                     table_generators=sg).G
+
+
+def test_jennings_breakpoints_match_unmemoized_series(catalog, monkeypatch):
+    """The series read at its breakpoints has the terms and factor orders
+    of the loop that closes every index, and runs fewer normal closures."""
+    real = groups_mod.normal_closure
+    closures = []
+
+    def counted(*args, **kwargs):
+        closures.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(groups_mod, "normal_closure", counted)
+    cases, terms = list(_jennings_cases(catalog)), 0
+    for name, grp in cases:
+        got, want = jennings_series(_fresh(grp)), unmemoized_jennings_series(_fresh(grp))
+        assert [t.keys().tolist() for t in got] == [t.keys().tolist() for t in want], name
+        assert jennings_factor_orders(_fresh(grp)) == [
+            a.order // b.order for a, b in zip(want, want[1:])], name
+        # a repeated term is the earlier object itself
+        assert all(a is b for a, b in zip(got, got[1:]) if a.order == b.order), name
+        terms += len(got) - 1
+    closures.clear()
+    for name, grp in cases:
+        jennings_series(_fresh(grp))
+    assert len(closures) < terms
 
 
 def test_incremental_absorption_guard_and_closedness(layer_groups):
