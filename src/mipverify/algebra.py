@@ -52,46 +52,15 @@ def _pair_blocks(group: FiniteGroup,
         yield item, pair - (ends[item] - reps[item])
 
 
-def _reduce_terms(keys: np.ndarray, coeffs: np.ndarray,
-                  p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the coefficients (residues 0..p-1) of equal keys mod p.
+def _sum_by_key(keys: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of the weights of each.
 
-    Returns the keys in ascending order with their nonzero sums.  Each
-    distinct (key, coefficient) pair is counted by ``np.unique``, so the sums
-    are exact integers.
+    The sums are float64, exact while they stay below 2**53.
     """
-    if not keys.size:
-        return keys, coeffs
-    combined, counts = np.unique(keys * p + coeffs, return_counts=True)
-    keys, coeffs = np.divmod(combined, p)
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat(coeffs * counts, first) % p
-    keep = sums != 0
-    return keys[first][keep], sums[keep]
-
-
-def _class_sum_matches(owners: np.ndarray, elems: np.ndarray,
-                       coeffs: np.ndarray, count: int, class_of: np.ndarray,
-                       class_sizes: np.ndarray) -> np.ndarray:
-    """For each of ``count`` owners, the class whose sum its terms form, or -1.
-
-    The terms (owner, element, coefficient) are sorted by owner, with
-    distinct elements per owner.  Owner o's terms are the class sum of C_j
-    when every coefficient is 1, every element lies in C_j and there are
-    exactly |C_j| terms.
-    """
-    out = np.full(count, -1, dtype=np.int64)
-    if not owners.size:
-        return out
-    first = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
-    target = class_of[elems]
-    lo = np.minimum.reduceat(target, first)
-    hi = np.maximum.reduceat(target, first)
-    ones = np.logical_and.reduceat(coeffs == 1, first)
-    terms = np.diff(np.r_[first, owners.size])
-    ok = (lo == hi) & ones & (terms == class_sizes[lo])
-    out[owners[first[ok]]] = lo[ok]
-    return out
+    distinct = sorted_distinct(keys)
+    return distinct, np.bincount(np.searchsorted(distinct, keys),
+                                 weights=weights, minlength=distinct.size)
 
 
 class GroupAlgebra:
@@ -167,34 +136,43 @@ class GroupAlgebra:
     def class_sum_pth_power_count(self) -> int:
         """Number of class sums equal to the p-th power of a different class sum.
 
-        The p-th powers of all class sums are built in one batched pass:
-        the terms (class i, element g, coefficient) of every class's current
-        power are multiplied on the right by each member of class i, p - 1
-        times, and equal (class, product) keys are summed mod p.
+        Each power z of a class sum C^ is central, so it is held as class
+        terms (owner C, class E, coefficient).  Every g in C is a conjugate
+        of the class minimum g_C, so C^ z is the sum over C of the conjugates
+        of g_C z, and its coefficient on E is the exact integer
+        |C| mass_E(g_C z) / |E|, where mass_E sums the coefficients of g_C z
+        over E.  Each of the p - 1 steps thus multiplies only g_C by the
+        support of z, in blocks, and reduces mod p afterwards.  C^^p is the
+        class sum D^ exactly when it has one class term, with coefficient 1.
         """
-        p, dim = self.p, self.dim
-        _, class_of, sizes = np.unique(conjugacy_classes(self.group),
-                                       return_inverse=True, return_counts=True)
+        label = conjugacy_classes(self.group)
+        minima = np.flatnonzero(label == np.arange(self.dim))
+        class_of = np.searchsorted(minima, label)
+        count, sizes = minima.size, np.bincount(class_of)
         members = np.argsort(class_of, kind="stable")
         starts = np.cumsum(sizes) - sizes
-        owners, elems = class_of[members], members
-        coeffs = np.ones(dim, dtype=np.int64)
+        owners = classes = np.arange(count)
+        coeffs = np.ones(count, dtype=np.int64)
         arr = self.group.array()
-        for _ in range(p - 1):
-            # term t meets every member of its owner's class
-            keys, sums = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-            for term, offset in _pair_blocks(self.group, sizes[owners]):
+        for _ in range(self.p - 1):
+            # term t: g_(owner) times every member of its class
+            keys, masses = [np.zeros(0, np.int64)], [np.zeros(0)]
+            for term, offset in _pair_blocks(self.group, sizes[classes]):
                 prods = self.group.indices_of_rows(self.group.ambient.mul_array(
-                    arr[elems[term]], arr[members[starts[owners[term]] + offset]]))
-                block = _reduce_terms(owners[term] * dim + prods, coeffs[term], p)
+                    arr[minima[owners[term]]],
+                    arr[members[starts[classes[term]] + offset]]))
+                block = _sum_by_key(owners[term] * count + class_of[prods],
+                                    coeffs[term])
                 keys.append(block[0])
-                sums.append(block[1])
-            merged, coeffs = _reduce_terms(np.concatenate(keys),
-                                           np.concatenate(sums), p)
-            owners, elems = np.divmod(merged, dim)
-        matches = _class_sum_matches(owners, elems, coeffs, sizes.size,
-                                     class_of, sizes)
-        hits = matches[(matches >= 0) & (matches != np.arange(sizes.size))]
+                masses.append(block[1])
+            merged, mass = _sum_by_key(np.concatenate(keys),
+                                       np.concatenate(masses))
+            owners, classes = np.divmod(merged, count)
+            coeffs = sizes[owners] * mass.astype(np.int64) // sizes[classes] % self.p
+            keep = coeffs != 0
+            owners, classes, coeffs = owners[keep], classes[keep], coeffs[keep]
+        single = np.bincount(owners, minlength=count)[owners] == 1
+        hits = classes[single & (coeffs == 1) & (classes != owners)]
         return int(sorted_distinct(hits).size)
 
     # -- augmentation-ideal filtration ------------------------------------------

@@ -268,9 +268,11 @@ def _element(rows: np.ndarray) -> Element:
     return tuple(rows[0].tolist())
 
 
-def _validate_table(table: np.ndarray, generators: Sequence[int], p: int) -> np.ndarray:
+def _validate_table(table: np.ndarray, generators: Sequence[int], p: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Check that ``table`` is the Cayley table of a p-group that the two
-    ``generators`` generate, with identity 0; return each index's inverse.
+    ``generators`` generate, with identity 0; return it in its narrowest
+    index type (cast once its entries index its rows) and each inverse.
 
     Associativity is proved by Light's test (Clifford and Preston, *The
     Algebraic Theory of Semigroups* I, section 1.2) on the generators only:
@@ -296,6 +298,7 @@ def _validate_table(table: np.ndarray, generators: Sequence[int], p: int) -> np.
         raise ValueError(f"table size {size} is not a positive power of p={p}")
     if table.min() < 0 or table.max() >= size:
         raise ValueError("table entries must index table rows")
+    table = table.astype(np.min_scalar_type(size - 1))
     if not (np.array_equal(table[0], np.arange(size)) and
             np.array_equal(table[:, 0], np.arange(size))):
         raise ValueError("table row/column 0 must be the identity")
@@ -318,7 +321,7 @@ def _validate_table(table: np.ndarray, generators: Sequence[int], p: int) -> np.
         reached[frontier] = True
     if not reached.all():
         raise ValueError("table_generators do not generate the table group")
-    return inv
+    return table, inv
 
 
 def make_ambient(p: int, variant: str, k: int, n: int, m: int,
@@ -369,7 +372,7 @@ def make_ambient(p: int, variant: str, k: int, n: int, m: int,
     if table is None or table_generators is None:
         raise ValueError("table variant requires table and table_generators")
     tarr = np.asarray(table, dtype=np.int64)
-    tinv = _validate_table(tarr, table_generators, p)
+    tarr, tinv = _validate_table(tarr, table_generators, p)
     size = int(tarr.shape[0])
     radices = (size, p ** n, p ** m)
     order = size * radices[1] * radices[2]

@@ -627,9 +627,9 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
     """C_group(upper/lower): elements g with [g, u] in lower for all u in upper.
 
     ``lower`` must be normalized by both ``group`` and ``upper`` for the result
-    to be a subgroup; closure of the filtered set is verified and a violation
-    raises ValueError.  [g, u] is taken for every row g at once, for each
-    small generator u of ``upper``.
+    to be a subgroup.  A proper filtered set is verified closed (a violation
+    raises ValueError); a full one is ``group`` itself.  [g, u] is taken for
+    every row g at once, for each small generator u of ``upper``.
     """
     if not upper.contains(lower):
         raise ValueError("lower must be contained in upper")
@@ -638,7 +638,7 @@ def centralizer_mod(group: FiniteGroup, upper: FiniteGroup,
     mask = np.ones(group.order, dtype=bool)
     for u in _rows(amb, upper.small_generators()):
         mask &= lower.has_keys(amb.encode(amb.comm_array(arr, u[None])))
-    return subgroup_from_elements(amb, arr[mask], verify=True)
+    return group if mask.all() else subgroup_from_elements(amb, arr[mask], verify=True)
 
 
 def _orbit_minima(columns: Sequence[np.ndarray], size: int) -> np.ndarray:

@@ -106,7 +106,7 @@ import numpy as np
 import pytest
 
 from mipverify.algebra import (AlgebraElement, FpMatrix, GroupAlgebra,
-                               unit_order)
+                               _pair_blocks, unit_order)
 from mipverify.ambient import (TWO_GENERATOR_VARIANTS, Element, GuardExceeded,
                                int_log, make_ambient)
 from mipverify.family import FamilyInstance, build_family
@@ -1424,6 +1424,78 @@ def pairwise_class_sum_count(alg: GroupAlgebra) -> int:
             if j != i and up == v:
                 hit.add(j)
     return len(hit)
+
+
+def reduce_terms(keys: np.ndarray, coeffs: np.ndarray,
+                 p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients (residues 0..p-1) of equal keys mod p.
+
+    Returns the keys in ascending order with their nonzero sums.  Each
+    distinct (key, coefficient) pair is counted by ``np.unique``, so the sums
+    are exact integers.
+    """
+    if not keys.size:
+        return keys, coeffs
+    combined, counts = np.unique(keys * p + coeffs, return_counts=True)
+    keys, coeffs = np.divmod(combined, p)
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(coeffs * counts, first) % p
+    keep = sums != 0
+    return keys[first][keep], sums[keep]
+
+
+def class_sum_matches(owners: np.ndarray, elems: np.ndarray,
+                      coeffs: np.ndarray, count: int, class_of: np.ndarray,
+                      class_sizes: np.ndarray) -> np.ndarray:
+    """For each of ``count`` owners, the class whose sum its terms form, or -1.
+
+    The terms (owner, element, coefficient) are sorted by owner, with
+    distinct elements per owner.  Owner o's terms are the class sum of C_j
+    when every coefficient is 1, every element lies in C_j and there are
+    exactly |C_j| terms.
+    """
+    out = np.full(count, -1, dtype=np.int64)
+    if not owners.size:
+        return out
+    first = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+    target = class_of[elems]
+    lo = np.minimum.reduceat(target, first)
+    hi = np.maximum.reduceat(target, first)
+    ones = np.logical_and.reduceat(coeffs == 1, first)
+    terms = np.diff(np.r_[first, owners.size])
+    ok = (lo == hi) & ones & (terms == class_sizes[lo])
+    out[owners[first[ok]]] = lo[ok]
+    return out
+
+
+def loop_class_sum_pth_power_count(alg: GroupAlgebra) -> int:
+    """The class-sum power count by element terms: the terms (class i,
+    element g, coefficient) of every class's current power are multiplied
+    on the right by each member of class i, p - 1 times, in blocks of
+    pairs, and equal (class, product) keys are summed mod p."""
+    group, p, dim = alg.group, alg.p, alg.dim
+    _, class_of, sizes = np.unique(groups_mod.conjugacy_classes(group),
+                                   return_inverse=True, return_counts=True)
+    members = np.argsort(class_of, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    owners, elems = class_of[members], members
+    coeffs = np.ones(dim, dtype=np.int64)
+    arr = group.array()
+    for _ in range(p - 1):
+        keys, sums = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for term, offset in _pair_blocks(group, sizes[owners]):
+            prods = group.indices_of_rows(group.ambient.mul_array(
+                arr[elems[term]], arr[members[starts[owners[term]] + offset]]))
+            block = reduce_terms(owners[term] * dim + prods, coeffs[term], p)
+            keys.append(block[0])
+            sums.append(block[1])
+        merged, coeffs = reduce_terms(np.concatenate(keys),
+                                      np.concatenate(sums), p)
+        owners, elems = np.divmod(merged, dim)
+    matches = class_sum_matches(owners, elems, coeffs, sizes.size,
+                                class_of, sizes)
+    hits = matches[(matches >= 0) & (matches != np.arange(sizes.size))]
+    return len(set(hits.tolist()))
 
 
 def center(group: FiniteGroup) -> FiniteGroup:

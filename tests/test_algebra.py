@@ -17,8 +17,11 @@ from mipverify.ambient import make_ambient
 from mipverify.family import build_family
 from mipverify.groups import conjugacy_classes, jennings_factor_orders
 
-from conftest import (aug_quotient_dims, classes_from_labels,
-                      jennings_dimension_polynomial, naive_product,
+from mipverify.tables import semidirect_c9c9_table, wreath_cyclic_table
+
+from conftest import (aug_quotient_dims, class_sum_matches,
+                      classes_from_labels, jennings_dimension_polynomial,
+                      loop_class_sum_pth_power_count, naive_product,
                       naive_power, pairwise_class_sum_count,
                       ref_mul, ref_order, regular_rep_is_unit, table_product,
                       unit_inverse)
@@ -296,7 +299,8 @@ def test_class_sum_pth_power_count_vs_pairwise_oracle(layer_groups):
     for name, grp in layer_groups:
         alg = GroupAlgebra(grp)
         assert alg.class_sum_pth_power_count() == \
-            pairwise_class_sum_count(alg), name
+            pairwise_class_sum_count(alg) == \
+            loop_class_sum_pth_power_count(alg), name
 
 
 def test_class_sum_count_in_tiny_blocks(layer_groups, monkeypatch):
@@ -307,6 +311,32 @@ def test_class_sum_count_in_tiny_blocks(layer_groups, monkeypatch):
         alg = GroupAlgebra(grp)
         assert alg.class_sum_pth_power_count() == \
             pairwise_class_sum_count(alg), name
+
+
+# beyond the layer groups, which hold the catalog, G and H of the three
+# kinds at (4,3,3) and the three p = 3 bases at (2,1,1)
+_COUNT_CASES = (
+    [(2, kind, 5, 4, 3) for kind in ("dihedral", "semidihedral", "quaternion")]
+    + [(2, "dihedral", *nmk) for nmk in ((6, 5, 4), (8, 7, 5), (9, 8, 4))]
+    + [(3, base, 3, 2, 1) for base in ("c9c9", "wreath", "heisenberg")]
+    + [(5, "heisenberg", 2, 1, 1)])
+
+
+@pytest.mark.parametrize("p,base,n,m,k", _COUNT_CASES,
+                         ids=["-".join(map(str, c)) for c in _COUNT_CASES])
+def test_class_sum_count_matches_loop_oracle(p, base, n, m, k):
+    """One element per class gives the count of the loop over every member,
+    on G and H of the 2-case kinds and on G of the odd-p bases."""
+    if base in ("wreath", "c9c9"):
+        table, gens = (wreath_cyclic_table(3) if base == "wreath"
+                       else semidirect_c9c9_table())
+        inst = build_family(p, "table", n, m, k, table=table,
+                            table_generators=gens)
+    else:
+        inst = build_family(p, base, n, m, k)
+    for grp in (inst.G, inst.H) if p == 2 else (inst.G,):
+        assert GroupAlgebra(grp).class_sum_pth_power_count() == \
+            loop_class_sum_pth_power_count(GroupAlgebra(grp))
 
 
 def test_class_sum_matches_need_whole_classes(catalog):
@@ -329,8 +359,8 @@ def test_class_sum_matches_need_whole_classes(catalog):
     owners = np.concatenate([[o] * len(c[1]) for o, c in enumerate(cases)])
     elems = np.concatenate([c[0] for c in cases])
     coeffs = np.concatenate([c[1] for c in cases])
-    got = algebra_mod._class_sum_matches(owners, elems, coeffs, len(cases) + 1,
-                                         class_of, sizes)
+    got = class_sum_matches(owners, elems, coeffs, len(cases) + 1,
+                            class_of, sizes)
     assert got.tolist() == [j, -1, -1, -1, 0, -1]
 
 

@@ -248,6 +248,25 @@ def test_table_kind_validation():
                      table_generators=(1, 2))
 
 
+@pytest.mark.parametrize("name", ["wreath", "c9c9"])
+def test_table_ambient_keeps_narrow_table(name):
+    """The 81- and 243-entry tables are kept as uint8.  Entries outside
+    0..size-1 are refused on the table as given: -1 and size, and a true
+    entry shifted by 256 either way, which uint8 would wrap back onto it."""
+    table, gens = (wreath_cyclic_table(3) if name == "wreath"
+                   else semidirect_c9c9_table())
+    amb = make_ambient(3, "table", 1, 1, 1, table=table, table_generators=gens)
+    assert amb.table.dtype == np.uint8
+    assert np.array_equal(amb.table, table)
+    size = table.shape[0]
+    entry = int(table[5, 7])
+    for value in (-1, size, entry + 256, entry - 256):
+        bad = table.copy()
+        bad[5, 7] = value
+        with pytest.raises(ValueError, match="index table rows"):
+            make_ambient(3, "table", 1, 1, 1, table=bad, table_generators=gens)
+
+
 def _null_monoid_table(size, bad_row, z, w):
     """Identity 0 and every other product z, except bad_row * z = w.
 

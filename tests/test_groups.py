@@ -707,7 +707,9 @@ def test_array_group_matches_tuple_oracle(layer_groups):
     group built as tuples with a dict index; maximal subgroups come in the
     order of their element lists.  A generated subgroup of the catalog
     equals it but for its tree, which is valid.  The breadth-first arrays
-    are int32."""
+    are int32.  A centralizer that keeps every element, here
+    N = C_G(G'/Phi(G')) = G, is the group itself, with its own tree; the
+    wrapped centralizer is the centre."""
     for name, grp in layer_groups:
         amb, gens = grp.ambient, grp.generators
         want = tuple_from_bfs(amb, gens, groups_mod._bfs(amb, gens, amb.order))
@@ -719,8 +721,9 @@ def test_array_group_matches_tuple_oracle(layer_groups):
     named = dict(layer_groups)
     G, H = named["dihedral-G-433"], named["dihedral-H-433"]
     der = derived_subgroup(G)
+    assert centralizer_mod(G, der, frattini(der)) is G
     cases = {"maximal": maximal_subgroups(G)[1], "intersection": intersection(G, H),
-             "centralizer": centralizer_mod(G, der, frattini(der))}
+             "centralizer": centralizer_mod(G, G, closure(G.ambient, []))}
     for kind, sub in cases.items():
         want = tuple_subgroup_from_elements(G.ambient, sub.elements)
         # a maximal subgroup carries its small generators
